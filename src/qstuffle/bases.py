@@ -22,6 +22,7 @@ import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 from ._version import __version__
 from .coeff import QPoly
@@ -137,54 +138,88 @@ def pi_basis(n):
     return basis
 
 
-def _invert_unit_upper(m):
-    """Inverse of a unit upper triangular matrix of QPolys (no division)."""
-    size = len(m)
-    inv = [[QPoly.zero()] * size for _ in range(size)]
-    for i in range(size):
-        inv[i][i] = QPoly.one()
-    for j in range(size):
-        for i in range(j - 1, -1, -1):
-            acc = QPoly.zero()
-            for k in range(i + 1, j + 1):
-                if m[i][k] and inv[k][j]:
-                    acc = acc + m[i][k] * inv[k][j]
-            inv[i][j] = -acc
+def _invert_unit_upper(rows):
+    """Inverse of a unit upper triangular rational matrix given by its
+    strictly upper rows {column: Fraction}, one per row.
+
+    Back-substitution from the last row, inv_i = e_i - sum_k a_ik inv_k.
+    Each inverse row is returned as (numerators {column: int}, denominator)
+    over one common denominator, reduced by the gcd of all its entries."""
+    inv = [None] * len(rows)
+    for i in range(len(rows) - 1, -1, -1):
+        terms = [(a, inv[k]) for k, a in rows[i].items()]
+        den = 1
+        for a, (_, d) in terms:
+            den = lcm(den, a.denominator * d)
+        acc = {i: den}
+        for a, (nums, d) in terms:
+            scale = a.numerator * (den // (a.denominator * d))
+            for j, c in nums.items():
+                acc[j] = acc.get(j, 0) - scale * c
+        g = gcd(den, *acc.values())
+        inv[i] = ({j: c // g for j, c in acc.items() if c}, den // g)
     return inv
 
 
 def _dual_by_triangular_solve(elements, n, kind):
     """Entries dual to `elements` (a map word -> NCPoly), built per weight
-    class by inverting the unit triangular coefficient matrix."""
+    class by inverting the unit triangular coefficient matrix.
+
+    Every coefficient must be a monomial a*q^e with e = |len v - len w|, and
+    len v - len w must keep one sign over the family (the q-stuffle trades
+    one letter for one factor of q).  The matrix of a weight class is then
+    M = D^-1 A D with D = diag(q^(+-len)) and A rational, so
+    M^-1 = D^-1 A^-1 D: only A is inverted, and q is restored from the
+    lengths of the two words."""
     upper = kind in GradedBasis.TRIANGULAR_UP
     entries = {(): NCPoly.one()}
+    direction = 0  # sign of len v - len w over the family, once seen
     for k in range(1, n + 1):
         ws = list(words_of_weight(k))
         if not upper:
             ws.reverse()  # present the lower triangular case as upper
         index = {w: i for i, w in enumerate(ws)}
-        size = len(ws)
-        m = [[QPoly.zero()] * size for _ in range(size)]
+        rows = []
         for i, w in enumerate(ws):
-            p = elements[w]
-            for v, c in p._terms.items():
+            row = {}
+            for v, c in elements[w]._terms.items():
                 j = index.get(v)
                 if j is None or j < i:
                     raise ValueError(
                         "family is not unit triangular at %s (term %s)"
                         % (word_to_str(w), word_to_str(v)))
-                m[i][j] = c
-            if m[i][i] != QPoly.one():
+                if len(c._terms) != 1:
+                    raise ValueError(
+                        "family entry at %s has a coefficient at %s that is "
+                        "not a monomial" % (word_to_str(w), word_to_str(v)))
+                (e, a), = c._terms.items()
+                shift = len(v) - len(w)
+                if e != abs(shift):
+                    raise ValueError(
+                        "family entry at %s has q-exponent %d at %s, not the "
+                        "length difference %d"
+                        % (word_to_str(w), e, word_to_str(v), abs(shift)))
+                if shift:
+                    if shift * direction < 0:
+                        raise ValueError(
+                            "family mixes both directions of length change "
+                            "(entry at %s, term %s)"
+                            % (word_to_str(w), word_to_str(v)))
+                    direction = shift
+                row[j] = a
+            if row.pop(i, None) != 1:
                 raise ValueError("family lacks unit diagonal at %s"
                                  % word_to_str(w))
-        inv = _invert_unit_upper(m)
+            rows.append(row)
         # dual of row family with matrix M is given by columns of M^-1
-        for j, w in enumerate(ws):
-            data = {}
-            for i in range(j + 1):
-                if inv[i][j]:
-                    data[ws[i]] = inv[i][j]
-            entries[w] = NCPoly(data)
+        columns = [{} for _ in ws]
+        for i, (nums, den) in enumerate(_invert_unit_upper(rows)):
+            v = ws[i]
+            for j, c in nums.items():
+                columns[j][v] = QPoly.q(abs(len(v) - len(ws[j])),
+                                        Fraction(c, den))
+        for w, data in zip(ws, columns):
+            entries[w] = NCPoly._raw(data)
     return entries
 
 
@@ -316,28 +351,40 @@ def basis_by_kind(kind, n, sigma_method="oracle"):
 
 
 def verify_duality(n):
-    """<dual(v) | pbw(u)> is 1 exactly when u = v, for weights <= n."""
+    """<dual(v) | pbw(u)> is 1 exactly when u = v, for weights <= n.
+
+    One sparse product of the transposed dual family with the PBW family:
+    each word x is indexed to the u with x in supp pbw(u), so only pairs
+    sharing a word are ever multiplied.  A pair counts as failed when its
+    entry of the product differs from the identity's."""
     rep = Report("duality (N=%d)" % n)
     sigma = dual_pbw_oracle(n)
-    for k in range(1, n + 1):
-        bad = 0
-        for u in words_of_weight(k):
-            pu = pbw_element(u)
-            for v in words_of_weight(k):
-                expected = QPoly.one() if u == v else QPoly.zero()
-                if sigma.entry(v).pairing(pu) != expected:
-                    bad += 1
-        rep.add("weight %d (%d pairs)" % (k, len(words_of_weight(k)) ** 2),
-                bad == 0)
-    cross_bad = cross_total = 0
     words = all_words_up_to(n)
+    containing = {}  # word x -> [(u, <x | pbw(u)>)]
     for u in words:
-        for v in words:
-            if weight(u) == weight(v):
+        for x, c in pbw_element(u)._terms.items():
+            containing.setdefault(x, []).append((u, c))
+    bad = [0] * (n + 1)  # failed pairs per weight
+    cross_bad = 0
+    for v in words:
+        row = {}
+        for x, c in sigma.entry(v)._terms.items():
+            for u, d in containing.get(x, ()):
+                row[u] = row.get(u, QPoly.zero()) + c * d
+        k = weight(v)
+        if row.pop(v, None) != QPoly.one():
+            bad[k] += 1
+        for u, c in row.items():
+            if not c:
                 continue
-            cross_total += 1
-            if sigma.entry(v).pairing(pbw_element(u)):
+            if weight(u) == k:
+                bad[k] += 1
+            else:
                 cross_bad += 1
+    sizes = [len(words_of_weight(k)) for k in range(1, n + 1)]
+    for k, size in enumerate(sizes, 1):
+        rep.add("weight %d (%d pairs)" % (k, size ** 2), bad[k] == 0)
+    cross_total = len(words) ** 2 - sum(size ** 2 for size in sizes)
     rep.add("cross-weight pairs vanish (%d pairs)" % cross_total,
             cross_bad == 0)
     return rep

@@ -170,6 +170,9 @@ def _cmd_verify(args):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.max_weight < 1:
+        sys.stderr.write("error: --max-weight must be >= 1\n")
+        return 2
     try:
         q_value = rat_from_str(args.q) if getattr(args, "q", None) else None
     except (ValueError, ZeroDivisionError):

@@ -39,19 +39,22 @@ def lyndon_up_to(n):
 def cfl_factorization(w):
     """The unique weakly decreasing sequence of Lyndon factors of w.
 
-    Greedy: the first factor is the longest Lyndon prefix.
+    Duval's linear-time algorithm (J. Algorithms 4, 1983), with the letter
+    order of word_key.
     """
     if not w:
         raise ValueError("empty word has no factorization")
+    key = word_key(w)
     out = []
     i = 0
     while i < len(w):
-        j = i + 1
-        for k in range(i + 1, len(w) + 1):
-            if is_lyndon(w[i:k]):
-                j = k
-        out.append(w[i:j])
-        i = j
+        j, k = i + 1, i
+        while j < len(w) and key[k] <= key[j]:
+            k = i if key[k] < key[j] else k + 1
+            j += 1
+        while i <= k:
+            out.append(w[i:i + j - k])
+            i += j - k
     assert all(word_leq(out[t + 1], out[t]) for t in range(len(out) - 1))
     return tuple(out)
 

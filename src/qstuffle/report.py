@@ -12,7 +12,8 @@ class Report:
 
     @property
     def ok(self):
-        return all(passed for _, passed, _ in self.checks)
+        """True iff at least one check ran and every check passed."""
+        return bool(self.checks) and all(passed for _, passed, _ in self.checks)
 
     def lines(self):
         out = []

@@ -4,8 +4,9 @@ Everything here is deliberately self-contained (stdlib only, own word
 order helpers) so the checks against the library are genuine two-route
 comparisons: shuffle by interleaving enumeration, Lyndon tests by both
 classical characterizations, factorizations by exhaustive splitting, the
-classical stuffle recursions at numeric contraction coefficients, and the
-classical dual-PBW (Radford) pipeline used as the q=0 reference.
+classical stuffle recursions at numeric contraction coefficients, the
+classical dual-PBW (Radford) pipeline used as the q=0 reference, and the
+dense division-free inverse of a unit triangular matrix.
 """
 
 from fractions import Fraction
@@ -134,3 +135,21 @@ def ncpoly_to_fraction_dict(p):
         assert c.degree() <= 0, "non-constant coefficient in %r" % p
         out[w] = c.constant_term()
     return out
+
+
+def dense_invert_unit_upper(m, zero, one):
+    """Inverse of a dense unit upper triangular matrix over any ring with
+    the given zero and one, by division-free substitution column by column
+    (the reference for the library's sparse, q-graded solve)."""
+    size = len(m)
+    inv = [[zero] * size for _ in range(size)]
+    for i in range(size):
+        inv[i][i] = one
+    for j in range(size):
+        for i in range(j - 1, -1, -1):
+            acc = zero
+            for k in range(i + 1, j + 1):
+                if m[i][k] and inv[k][j]:
+                    acc = acc + m[i][k] * inv[k][j]
+            inv[i][j] = -acc
+    return inv

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import ncpoly_to_fraction_dict, radford_dual
+from oracles import (dense_invert_unit_upper, ncpoly_to_fraction_dict,
+                     radford_dual)
 from qstuffle.coeff import QPoly
 from qstuffle.bases import (GradedBasis, _dual_by_triangular_solve,
                             basis_by_kind, chi_basis, dual_pbw_element,
@@ -61,6 +62,52 @@ def test_solve_rejects_non_triangular_family():
               (1, 1): word_poly((1, 1)) + word_poly((2,))}
     with pytest.raises(ValueError):
         _dual_by_triangular_solve(family, 2, "pi")
+
+
+def _dense_dual(elements, n, kind):
+    """Dual family through one dense QPoly matrix per weight class and the
+    reference inverse: columns of the inverse."""
+    entries = {(): NCPoly.one()}
+    for k in range(1, n + 1):
+        ws = list(words_of_weight(k))
+        if kind not in GradedBasis.TRIANGULAR_UP:
+            ws.reverse()
+        m = [[elements[w].coeff(v) for v in ws] for w in ws]
+        inv = dense_invert_unit_upper(m, QPoly.zero(), QPoly.one())
+        for j, w in enumerate(ws):
+            entries[w] = NCPoly({ws[i]: inv[i][j] for i in range(j + 1)})
+    return entries
+
+
+@pytest.mark.parametrize("kind, element", [("pi", pbw_element),
+                                           ("chi", lyndon_stuffle_element)])
+def test_graded_solve_matches_dense_reference(kind, element):
+    elements = {w: element(w) for w in all_words_up_to(6)}
+    assert _dual_by_triangular_solve(elements, 6, kind) == \
+        _dense_dual(elements, 6, kind)
+
+
+def _identity_family(n):
+    return {w: word_poly(w) for w in all_words_up_to(n)}
+
+
+def test_solve_rejects_non_graded_family():
+    one_plus_q = QPoly.one() + q()
+    family = _identity_family(2)
+    family[(2,)] = word_poly((2,)) + word_poly((1, 1)).scale(one_plus_q)
+    with pytest.raises(ValueError, match="not a monomial"):
+        _dual_by_triangular_solve(family, 2, "pi")
+    for coeff in (QPoly.one(), q(2)):  # length difference is 1
+        family[(2,)] = word_poly((2,)) + word_poly((1, 1)).scale(coeff)
+        with pytest.raises(ValueError, match="q-exponent %d at 1,1"
+                           % coeff.degree()):
+            _dual_by_triangular_solve(family, 2, "pi")
+    # (3,1) reaches a longer word, (2,1,1) a shorter one
+    family = _identity_family(4)
+    family[(3, 1)] = word_poly((3, 1)) + word_poly((2, 1, 1)).scale(q())
+    family[(2, 1, 1)] = word_poly((2, 1, 1)) + word_poly((1, 3)).scale(q())
+    with pytest.raises(ValueError, match="mixes both directions"):
+        _dual_by_triangular_solve(family, 4, "pi")
 
 
 def test_sigma_from_cfl():

@@ -5,6 +5,7 @@ import pytest
 from qstuffle import cli
 from qstuffle.ncpoly import NCPoly
 from qstuffle.ops import stuffle
+from qstuffle.report import Report
 
 
 def run(capsys, *argv):
@@ -101,6 +102,22 @@ def test_verify_exit_codes(capsys):
                        "--format", "json")
     data = json.loads(out)
     assert data[0]["ok"] is True
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_max_weight_below_one_is_refused(capsys, value):
+    for argv in (("basis", "sigma"), ("verify", "all")):
+        code, out, err = run(capsys, *argv, "--max-weight", value)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --max-weight must be >= 1\n"
+
+
+def test_empty_report_is_not_a_pass():
+    rep = Report("empty")
+    assert not rep.ok
+    assert rep.lines() == ["empty: FAILED"]
+    assert rep.to_json()["ok"] is False
 
 
 def test_out_file(tmp_path, capsys):

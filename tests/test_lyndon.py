@@ -1,9 +1,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import (all_cfl_factorizations, o_is_lyndon_rotation,
-                     o_is_lyndon_suffix)
+                     o_is_lyndon_suffix, o_word_key)
 from qstuffle.lyndon import (cfl_factorization, cfl_grouped, converse_tree,
                              derivation_tree, falls, is_lyndon,
                              is_standard_sequence, landmarks,
@@ -54,6 +55,17 @@ def test_cfl_properties_and_uniqueness():
             assert all(not word_less(factors[i], factors[i + 1])
                        for i in range(len(factors) - 1))
             assert all_cfl_factorizations(w) == [factors]
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=12).map(tuple))
+def test_duval_factors_of_random_words(w):
+    factors = cfl_factorization(w)
+    assert all(o_is_lyndon_suffix(f) for f in factors)
+    assert all(o_word_key(factors[i + 1]) <= o_word_key(factors[i])
+               for i in range(len(factors) - 1))
+    assert sum(factors, ()) == w
+    assert all_cfl_factorizations(w)[0] == factors
 
 
 def test_standard_factorization_examples():
