@@ -29,7 +29,7 @@ from .coeff import QPoly
 from .eulerian import primitive_projector_letter, diagonal_series
 from .lyndon import (cfl_grouped, converse_tree, is_lyndon, lyndon_up_to,
                      standard_factorization)
-from .ncpoly import NCPoly, Tensor2, tensor_outer, word_poly
+from .ncpoly import NCPoly, Tensor2, _accumulate, tensor_outer, word_poly
 from .ops import (is_primitive, stuffle, stuffle_poly, stuffle_power_divided,
                   _factorial)
 from .report import Report
@@ -108,14 +108,24 @@ class GradedBasis:
                                      % (self.kind, word_to_str(w),
                                         word_to_str(v)))
 
-    def to_json(self):
-        return {
+    def to_json(self, q_value=None):
+        """The basis as JSON data; with q_value, every entry is specialized
+        at q = q_value and the value is recorded under "q"."""
+        entries = {}
+        for w in self.words():
+            p = self.entries[w]
+            if q_value is not None:
+                p = p.subs_q(q_value)
+            entries[word_to_str(w)] = p.to_json()
+        data = {
             "kind": self.kind,
             "max_weight": self.max_weight,
             "generator_version": "qstuffle %s" % __version__,
-            "entries": {word_to_str(w): self.entries[w].to_json()
-                        for w in self.words()},
+            "entries": entries,
         }
+        if q_value is not None:
+            data["q"] = str(q_value)
+        return data
 
     def latex_rows(self):
         macro = {"pi": "\\Pi", "sigma": "\\Sigma", "chi": "\\chi",
@@ -407,16 +417,16 @@ def verify_primitivity(n):
 
 def _exp_tensor(t, bound):
     """Exponential in the mixed tensor algebra (stuffle left, conc right)."""
-    acc = Tensor2.one()
+    acc = dict(Tensor2.one()._terms)
     power = Tensor2.one()
     k = 1
     while True:
         power = power.combine(t, left_mul=stuffle, max_total=bound)
         if not power:
             break
-        acc = acc + power.scale(Fraction(1, _factorial(k)))
+        _accumulate(acc, power._terms.items(), Fraction(1, _factorial(k)))
         k += 1
-    return acc
+    return Tensor2._raw(acc)
 
 
 def factorization_forms(n):
@@ -424,9 +434,11 @@ def factorization_forms(n):
     sum, and the decreasing product of exponentials over Lyndon words."""
     diag = diagonal_series(n)
     sigma = dual_pbw_oracle(n)
-    mid = Tensor2.one()
+    mid = dict(Tensor2.one()._terms)
     for w in all_words_up_to(n):
-        mid = mid + tensor_outer(sigma.entry(w), pbw_element(w))
+        outer = tensor_outer(sigma.entry(w), pbw_element(w))
+        _accumulate(mid, outer._terms.items())
+    mid = Tensor2._raw(mid)
     bound = 2 * n
     prod = Tensor2.one()
     for l in sorted(lyndon_up_to(n), key=word_key, reverse=True):

@@ -15,7 +15,7 @@ from ._version import __version__
 from . import bases, ops
 from .coeff import rat_from_str
 from .lyndon import lyndon_of_weight
-from .ncpoly import NCPoly, word_poly
+from .ncpoly import word_poly
 from .words import all_words_up_to, word_from_str, word_to_str
 
 
@@ -124,13 +124,7 @@ def _cmd_basis(args, q_value):
         basis = bases.basis_by_kind(args.kind, n, sigma_method=method)
 
     if args.format == "json":
-        data = basis.to_json()
-        if q_value is not None:
-            data["q"] = str(q_value)
-            data["entries"] = {
-                k: NCPoly.from_json(v).subs_q(q_value).to_json()
-                for k, v in data["entries"].items()}
-        _emit(json.dumps(data, indent=2), args.out)
+        _emit(json.dumps(basis.to_json(q_value), indent=2), args.out)
         return 0
     if args.format == "latex":
         _emit("\n".join(basis.latex_rows()), args.out)
@@ -172,6 +166,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.max_weight < 1:
         sys.stderr.write("error: --max-weight must be >= 1\n")
+        return 2
+    if args.command in ("lyndon", "verify") and args.q is not None:
+        sys.stderr.write("error: --q does not apply to %s\n" % args.command)
         return 2
     try:
         q_value = rat_from_str(args.q) if getattr(args, "q", None) else None

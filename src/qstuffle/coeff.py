@@ -95,17 +95,21 @@ class QPoly:
         return self._hash
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, QPoly):  # checked first: the common case
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = QPoly.const(other)
-        if not isinstance(other, QPoly):
-            return NotImplemented
         data = dict(self._terms)
         for e, c in other._terms.items():
-            s = data.get(e, 0) + c
-            if s:
-                data[e] = s
+            s = data.get(e)
+            if s is None:
+                data[e] = c
             else:
-                data.pop(e, None)
+                s += c
+                if s:
+                    data[e] = s
+                else:
+                    del data[e]
         out = QPoly.__new__(QPoly)
         out._terms = data
         out._hash = None
@@ -130,7 +134,9 @@ class QPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, QPoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             c = _fraction(other)
             if not c:
                 return QPoly()
@@ -138,17 +144,25 @@ class QPoly:
             out._terms = {e: v * c for e, v in self._terms.items()}
             out._hash = None
             return out
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        data = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                s = data.get(e, 0) + c1 * c2
-                if s:
-                    data[e] = s
-                else:
-                    data.pop(e, None)
+        a, b = self._terms, other._terms
+        if len(a) == 1 and len(b) == 1:  # monomials, almost every coefficient
+            (e1, c1), = a.items()
+            (e2, c2), = b.items()
+            data = {e1 + e2: c2 if c1 == 1 else c1 if c2 == 1 else c1 * c2}
+        else:
+            data = {}
+            for e1, c1 in a.items():
+                for e2, c2 in b.items():
+                    e = e1 + e2
+                    s = data.get(e)
+                    if s is None:
+                        data[e] = c1 * c2
+                    else:
+                        s += c1 * c2
+                        if s:
+                            data[e] = s
+                        else:
+                            del data[e]
         out = QPoly.__new__(QPoly)
         out._terms = data
         out._hash = None

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .coeff import QPoly
-from .ncpoly import NCPoly, Tensor2, tensor_outer, word_poly
+from .ncpoly import NCPoly, Tensor2, _accumulate, tensor_outer, word_poly
 from .ops import reduced_stuffle_coproduct, stuffle, stuffle_poly, _factorial
 from .words import weight, words_of_weight
 
@@ -41,16 +41,16 @@ def primitive_projector(w):
     """Defining tuple-sum formula."""
     if not w:
         raise ValueError("the projector is defined on nonempty words")
-    acc = word_poly(w)
+    acc = dict(word_poly(w)._terms)
     for tup, prod in _word_tuples(weight(w)):
         k = len(tup)
         if k < 2:
             continue
         c = prod.coeff(w)
         if c:
-            cat = sum(tup, ())
-            acc = acc + word_poly(cat).scale(c * Fraction((-1) ** (k - 1), k))
-    return acc
+            _accumulate(acc, ((sum(tup, ()), c),),
+                        Fraction((-1) ** (k - 1), k))
+    return NCPoly._raw(acc)
 
 
 @lru_cache(maxsize=None)
@@ -139,14 +139,14 @@ def log_diagonal(n):
     """Truncated log of the diagonal series in the mixed tensor algebra
     (q-stuffle on the left slot, concatenation on the right)."""
     plus = diagonal_series(n) - Tensor2.one()
-    acc = Tensor2.zero()
+    acc = {}
     power = Tensor2.one()
     for k in range(1, n + 1):
         power = power.combine(plus, left_mul=stuffle, max_total=2 * n)
         if not power:
             break
-        acc = acc + power.scale(Fraction((-1) ** (k - 1), k))
-    return acc
+        _accumulate(acc, power._terms.items(), Fraction((-1) ** (k - 1), k))
+    return Tensor2._raw(acc)
 
 
 def log_diagonal_left_form(n):

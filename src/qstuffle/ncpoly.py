@@ -5,12 +5,50 @@ algebra on the alphabet).  Words are orthonormal for the canonical pairing.
 `Tensor2` is the analogous map (word, word) -> QPoly, used for coproducts
 and the truncated diagonal series.  Both are canonical (no stored zero
 coefficients) and treated as immutable.
+
+The sums of both classes, and of the products, coproducts and series
+loops built on them, go through one kernel, `_accumulate`, which adds
+scaled terms into a plain dict in place.  It writes only into a dict that its
+caller has just created: the term dicts of cached values (every
+`lru_cache` of the package hands out shared objects) are read, never
+written.
 """
 
 from fractions import Fraction
 
-from .coeff import QPoly
+from .coeff import QPoly, _join_signed
 from .words import weight, word_key, word_to_str, word_latex
+
+_UNIT = {0: 1}
+
+
+def _accumulate(acc, terms, c=None):
+    """acc[k] += c·v for every pair (k, v) of `terms`, in place; returns acc.
+
+    `acc` is a plain dict owned by the caller, never the term dict of a
+    shared value.  `terms` yields no zero coefficient; a sum that cancels is
+    dropped.  `c` (a QPoly, Fraction or int; None means one) multiplies
+    every v, and is skipped when it is one."""
+    if c is not None:
+        if not c:
+            return acc
+        one = c._terms == _UNIT if isinstance(c, QPoly) else c == 1
+        if one:
+            c = None
+    get = acc.get
+    for k, v in terms:
+        if c is not None:
+            v = v * c
+        s = get(k)
+        if s is None:
+            acc[k] = v
+        else:
+            s = s + v
+            if s:
+                acc[k] = s
+            else:
+                del acc[k]
+    return acc
 
 
 def _qpoly(c):
@@ -82,15 +120,8 @@ class NCPoly:
     def __add__(self, other):
         if not isinstance(other, NCPoly):
             return NotImplemented
-        data = dict(self._terms)
-        for w, c in other._terms.items():
-            s = data.get(w)
-            s = c if s is None else s + c
-            if s:
-                data[w] = s
-            else:
-                data.pop(w, None)
-        return NCPoly._raw(data)
+        return NCPoly._raw(_accumulate(dict(self._terms),
+                                       other._terms.items()))
 
     def __neg__(self):
         return NCPoly._raw({w: -c for w, c in self._terms.items()})
@@ -101,15 +132,7 @@ class NCPoly:
         return self + (-other)
 
     def scale(self, c):
-        c = _qpoly(c)
-        if not c:
-            return NCPoly()
-        data = {}
-        for w, v in self._terms.items():
-            s = v * c
-            if s:
-                data[w] = s
-        return NCPoly._raw(data)
+        return NCPoly._raw(_accumulate({}, self._terms.items(), _qpoly(c)))
 
     def __mul__(self, other):
         """Concatenation product (bilinear extension); scalars also accepted."""
@@ -118,16 +141,9 @@ class NCPoly:
         if not isinstance(other, NCPoly):
             return NotImplemented
         data = {}
+        right = other._terms.items()
         for u, cu in self._terms.items():
-            for v, cv in other._terms.items():
-                w = u + v
-                s = data.get(w)
-                p = cu * cv
-                s = p if s is None else s + p
-                if s:
-                    data[w] = s
-                else:
-                    data.pop(w, None)
+            _accumulate(data, ((u + v, cv) for v, cv in right), cu)
         return NCPoly._raw(data)
 
     def __rmul__(self, other):
@@ -241,16 +257,6 @@ def word_poly(w):
     return NCPoly.from_word(w)
 
 
-def _join_signed(parts):
-    out = parts[0]
-    for p in parts[1:]:
-        if p.startswith("-"):
-            out += " - " + p[1:]
-        else:
-            out += " + " + p
-    return out
-
-
 def _conc_words(u, v):
     return NCPoly.from_word(u + v)
 
@@ -309,15 +315,8 @@ class Tensor2:
     def __add__(self, other):
         if not isinstance(other, Tensor2):
             return NotImplemented
-        data = dict(self._terms)
-        for k, c in other._terms.items():
-            s = data.get(k)
-            s = c if s is None else s + c
-            if s:
-                data[k] = s
-            else:
-                data.pop(k, None)
-        return Tensor2._raw(data)
+        return Tensor2._raw(_accumulate(dict(self._terms),
+                                        other._terms.items()))
 
     def __neg__(self):
         return Tensor2._raw({k: -c for k, c in self._terms.items()})
@@ -328,40 +327,30 @@ class Tensor2:
         return self + (-other)
 
     def scale(self, c):
-        c = _qpoly(c)
-        if not c:
-            return Tensor2()
-        data = {}
-        for k, v in self._terms.items():
-            s = v * c
-            if s:
-                data[k] = s
-        return Tensor2._raw(data)
+        return Tensor2._raw(_accumulate({}, self._terms.items(), _qpoly(c)))
 
     def combine(self, other, left_mul=_conc_words, right_mul=_conc_words,
                 max_total=None):
         """Slotwise product; each slot multiplied by the given word-level
         product (a map (word, word) -> NCPoly).  Optionally truncates terms
-        whose combined slot weight exceeds max_total."""
+        whose combined slot weight exceeds max_total.
+
+        The slot weights of each term of `other` are summed once, and the
+        room left by each term of `self` is computed once."""
         acc = {}
+        weighted = [(x, y, d, weight(x) + weight(y))
+                    for (x, y), d in other._terms.items()]
         for (u, v), c in self._terms.items():
-            for (x, y), d in other._terms.items():
-                if max_total is not None and \
-                        weight(u) + weight(v) + weight(x) + weight(y) > max_total:
+            room = None if max_total is None else \
+                max_total - weight(u) - weight(v)
+            for x, y, d, xy_weight in weighted:
+                if room is not None and xy_weight > room:
                     continue
                 cd = c * d
-                left = left_mul(u, x)
-                right = right_mul(v, y)
-                for a, ca in left._terms.items():
-                    for b, cb in right._terms.items():
-                        key = (a, b)
-                        s = acc.get(key)
-                        p = cd * ca * cb
-                        s = p if s is None else s + p
-                        if s:
-                            acc[key] = s
-                        else:
-                            acc.pop(key, None)
+                right = right_mul(v, y)._terms.items()
+                for a, ca in left_mul(u, x)._terms.items():
+                    _accumulate(acc, (((a, b), cb) for b, cb in right),
+                                cd * ca)
         return Tensor2._raw(acc)
 
     def mul(self, other):

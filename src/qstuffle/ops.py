@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .coeff import QPoly
-from .ncpoly import NCPoly, Tensor2, tensor_outer, word_poly
+from .ncpoly import NCPoly, Tensor2, _accumulate, tensor_outer, word_poly
 from .words import all_words_up_to, weight, word_key, words_of_weight
 from .report import Report
 
@@ -56,11 +56,11 @@ def shuffle(u, v):
 
 
 def _bilinear(word_prod, p, q):
-    acc = NCPoly.zero()
+    acc = {}
     for u, cu in p._terms.items():
         for v, cv in q._terms.items():
-            acc = acc + word_prod(u, v).scale(cu * cv)
-    return acc
+            _accumulate(acc, word_prod(u, v)._terms.items(), cu * cv)
+    return NCPoly._raw(acc)
 
 
 def stuffle_poly(p, q):
@@ -97,13 +97,14 @@ def _deconcat_word(w):
 
 
 def deconcat_coproduct(p):
-    """Sum over all splittings w = uv of u ox v, extended linearly."""
+    """Sum over all splittings w = uv of u ox v, extended linearly.  On a
+    word it returns the cached (shared, immutable) value itself."""
     if isinstance(p, tuple):
-        p = word_poly(p)
-    acc = Tensor2.zero()
+        return _deconcat_word(p)
+    acc = {}
     for w, c in p._terms.items():
-        acc = acc + _deconcat_word(w).scale(c)
-    return acc
+        _accumulate(acc, _deconcat_word(w)._terms.items(), c)
+    return Tensor2._raw(acc)
 
 
 @lru_cache(maxsize=None)
@@ -123,13 +124,14 @@ def _stuffle_coproduct_word(w):
 
 
 def stuffle_coproduct(p):
-    """Dual coproduct of the q-stuffle; a conc-morphism on words."""
+    """Dual coproduct of the q-stuffle; a conc-morphism on words.  On a
+    word it returns the cached (shared, immutable) value itself."""
     if isinstance(p, tuple):
-        p = word_poly(p)
-    acc = Tensor2.zero()
+        return _stuffle_coproduct_word(p)
+    acc = {}
     for w, c in p._terms.items():
-        acc = acc + _stuffle_coproduct_word(w).scale(c)
-    return acc
+        _accumulate(acc, _stuffle_coproduct_word(w)._terms.items(), c)
+    return Tensor2._raw(acc)
 
 
 def counit(p):
@@ -200,14 +202,14 @@ def exp_proper(p, mul=conc_poly, n=None):
     p = p.truncate(n)
     if not p.is_proper():
         raise ValueError("exp needs a proper polynomial")
-    acc = NCPoly.one()
+    acc = dict(NCPoly.one()._terms)
     power = NCPoly.one()
     for k in range(1, n + 1):
         power = mul(power, p).truncate(n)
         if not power:
             break
-        acc = acc + power.scale(Fraction(1, _factorial(k)))
-    return acc
+        _accumulate(acc, power._terms.items(), Fraction(1, _factorial(k)))
+    return NCPoly._raw(acc)
 
 
 def log_one_plus(s, mul=conc_poly, n=None):
@@ -217,14 +219,14 @@ def log_one_plus(s, mul=conc_poly, n=None):
     if s.constant_term() != QPoly.one():
         raise ValueError("log needs constant term 1")
     x = s.proper_part().truncate(n)
-    acc = NCPoly.zero()
+    acc = {}
     power = NCPoly.one()
     for k in range(1, n + 1):
         power = mul(power, x).truncate(n)
         if not power:
             break
-        acc = acc + power.scale(Fraction((-1) ** (k - 1), k))
-    return acc
+        _accumulate(acc, power._terms.items(), Fraction((-1) ** (k - 1), k))
+    return NCPoly._raw(acc)
 
 
 def verify_axioms(n):
@@ -280,13 +282,9 @@ def _coassociative_on(cop, w):
     left = {}
     right = {}
     for (u, v), c in cop(w)._terms.items():
-        for (x, y), d in cop(u)._terms.items():
-            key = (x, y, v)
-            left[key] = left.get(key, QPoly.zero()) + c * d
-        for (x, y), d in cop(v)._terms.items():
-            key = (u, x, y)
-            right[key] = right.get(key, QPoly.zero()) + c * d
-    left = {k: c for k, c in left.items() if c}
-    right = {k: c for k, c in right.items() if c}
+        _accumulate(left, (((x, y, v), d)
+                           for (x, y), d in cop(u)._terms.items()), c)
+        _accumulate(right, (((u, x, y), d)
+                            for (x, y), d in cop(v)._terms.items()), c)
     return left == right
 

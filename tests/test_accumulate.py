@@ -1,0 +1,103 @@
+"""The in-place accumulation kernel and the paths built on it.
+
+Cached values are shared, so no in-place sum may write into them; the
+bounded slot product, the monomial product and the bilinear extensions
+must agree with their plain definitions."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from qstuffle.coeff import QPoly
+from qstuffle.ncpoly import NCPoly, Tensor2, word_poly
+from qstuffle.ops import (deconcat_coproduct, stuffle, stuffle_coproduct,
+                          stuffle_poly, verify_axioms)
+from qstuffle.words import all_words_up_to
+
+
+def _deep(x):
+    """Terms of an NCPoly/Tensor2 with the terms of each coefficient."""
+    return {k: dict(c._terms) for k, c in x._terms.items()}
+
+
+def test_cached_values_are_never_written():
+    words = all_words_up_to(4, include_empty=True)
+    cached = [stuffle_coproduct(w) for w in words]
+    cached += [deconcat_coproduct(w) for w in words]
+    cached += [stuffle(u, v) for u in words for v in words]
+    snapshots = [_deep(x) for x in cached]
+
+    q = QPoly.q()
+    half = Fraction(1, 2)
+    p = (word_poly((1,)).scale(-1) + word_poly((2, 1)).scale(half)
+         + word_poly((1, 1)).scale(q) + word_poly((3,)))
+    r = (word_poly((1,)).scale(q) + word_poly((2, 1)).scale(-1)
+         + word_poly((1, 2)).scale(half))
+    for x in (p, r, p + r, p - r):
+        stuffle_coproduct(x)
+        deconcat_coproduct(x)
+        for y in (p, r, x):
+            stuffle_poly(x, y)
+    assert [_deep(x) for x in cached] == snapshots
+    assert verify_axioms(4).ok
+    assert [_deep(x) for x in cached] == snapshots
+
+    again = [stuffle_coproduct(w) for w in words]
+    again += [deconcat_coproduct(w) for w in words]
+    again += [stuffle(u, v) for u in words for v in words]
+    assert [_deep(x) for x in again] == snapshots
+
+
+WORDS = st.sampled_from(all_words_up_to(5, include_empty=True))
+RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+QPOLYS = st.dictionaries(st.integers(0, 3), RATIONALS, max_size=3).map(QPoly)
+MONOMIALS = st.tuples(st.integers(0, 4), RATIONALS.filter(bool)).map(
+    lambda ec: QPoly({ec[0]: ec[1]}))
+COEFFS = st.one_of(MONOMIALS, QPOLYS.filter(bool))
+NCPOLYS = st.dictionaries(WORDS, COEFFS, min_size=1, max_size=4).map(NCPoly)
+TENSORS = st.dictionaries(st.tuples(WORDS, WORDS), COEFFS, min_size=1,
+                          max_size=4).map(Tensor2)
+
+
+def _generic_mul(a, b):
+    """Product in Q[q] by the double loop over exponents."""
+    data = {}
+    for e1, c1 in a._terms.items():
+        for e2, c2 in b._terms.items():
+            data[e1 + e2] = data.get(e1 + e2, 0) + c1 * c2
+    return QPoly(data)
+
+
+@settings(deadline=None, max_examples=40)
+@given(TENSORS, TENSORS, st.integers(0, 12), st.booleans())
+def test_bounded_combine_equals_truncated_combine(s, t, m, stuffle_left):
+    kwargs = {"left_mul": stuffle} if stuffle_left else {}
+    assert s.combine(t, max_total=m, **kwargs) == \
+        s.combine(t, **kwargs).truncate(m)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.one_of(MONOMIALS, QPOLYS), st.one_of(MONOMIALS, QPOLYS))
+def test_qpoly_product_equals_double_loop(a, b):
+    assert a * b == _generic_mul(a, b)
+    assert b * a == _generic_mul(a, b)
+
+
+@settings(deadline=None, max_examples=40)
+@given(NCPOLYS, NCPOLYS)
+def test_stuffle_poly_equals_sum_of_scaled_word_stuffles(p, r):
+    expected = NCPoly.zero()
+    for u, cu in p._terms.items():
+        for v, cv in r._terms.items():
+            expected = expected + stuffle(u, v).scale(cu * cv)
+    assert stuffle_poly(p, r) == expected
+
+
+@settings(deadline=None, max_examples=40)
+@given(NCPOLYS)
+def test_coproducts_equal_sums_of_scaled_word_coproducts(p):
+    for cop in (stuffle_coproduct, deconcat_coproduct):
+        expected = Tensor2.zero()
+        for w, c in p._terms.items():
+            expected = expected + cop(w).scale(c)
+        assert cop(p) == expected

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -90,6 +91,32 @@ def test_basis_q_specialization(capsys):
     code, out, _ = run(capsys, "basis", "sigma", "--max-weight", "2",
                        "--q", "1")
     assert "Sigma[1,1] = 1/2·[2] + [1,1]" in out
+
+
+def test_basis_json_q_specialization(capsys):
+    _, symbolic, _ = run(capsys, "basis", "sigma", "--max-weight", "4",
+                         "--format", "json")
+    code, out, _ = run(capsys, "basis", "sigma", "--max-weight", "4",
+                       "--format", "json", "--q", "1/2")
+    assert code == 0
+    data = json.loads(out)
+    assert list(data) == ["kind", "max_weight", "generator_version",
+                          "entries", "q"]
+    assert data["q"] == "1/2"
+    entries = json.loads(symbolic)["entries"]
+    assert list(data["entries"]) == list(entries)
+    for key, value in entries.items():
+        assert data["entries"][key] == \
+            NCPoly.from_json(value).subs_q(Fraction(1, 2)).to_json()
+
+
+@pytest.mark.parametrize("argv", [("verify", "all"), ("verify", "axioms"),
+                                  ("lyndon",)])
+def test_q_is_refused_where_it_does_not_apply(capsys, argv):
+    code, out, err = run(capsys, *argv, "--max-weight", "3", "--q", "1/2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --q does not apply to %s\n" % argv[0]
 
 
 def test_verify_exit_codes(capsys):
