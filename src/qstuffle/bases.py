@@ -18,20 +18,18 @@ computations must agree with it and any mismatch is reported as a hard
 error by `verify_methods` and by the CLI's both-methods mode.
 """
 
-import itertools
-import random
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 
 from ._version import __version__
-from .coeff import QPoly
+from .coeff import rational
 from .eulerian import primitive_projector_letter, diagonal_series
 from .lyndon import (cfl_grouped, converse_tree, is_lyndon, lyndon_up_to,
                      standard_factorization)
-from .ncpoly import NCPoly, Tensor2, _accumulate, tensor_outer, word_poly
-from .ops import (is_primitive, stuffle, stuffle_poly, stuffle_power_divided,
-                  _factorial)
+from .ncpoly import (NCPoly, Tensor2, _accumulate, exp_coefficients,
+                     tensor_outer, truncated_series, word_poly)
+from .ops import is_primitive, stuffle, stuffle_poly, stuffle_power_divided
 from .report import Report
 from .words import (all_words_up_to, weight, word_key, word_latex, word_leq,
                     word_to_str, words_of_weight)
@@ -94,19 +92,22 @@ class GradedBasis:
             if not w:
                 continue
             p = self.entries[w]
-            if p.coeff(w) != QPoly.one():
-                raise ValueError("%s entry at %s lacks unit leading term"
-                                 % (self.kind, word_to_str(w)))
-            for v in p.support():
-                if weight(v) != weight(w):
+            lead_ok = p._terms.get((w, 0)) == 1
+            w_weight, w_key = weight(w), word_key(w)
+            for v, e in p._terms:
+                if v == w:
+                    lead_ok = lead_ok and not e
+                    continue
+                if weight(v) != w_weight:
                     raise ValueError("%s entry at %s is not homogeneous"
                                      % (self.kind, word_to_str(w)))
-                if v == w:
-                    continue
-                if up != (word_key(v) > word_key(w)):
+                if up != (word_key(v) > w_key):
                     raise ValueError("%s entry at %s breaks triangularity at %s"
                                      % (self.kind, word_to_str(w),
                                         word_to_str(v)))
+            if not lead_ok:
+                raise ValueError("%s entry at %s lacks unit leading term"
+                                 % (self.kind, word_to_str(w)))
 
     def to_json(self, q_value=None):
         """The basis as JSON data; with q_value, every entry is specialized
@@ -127,15 +128,20 @@ class GradedBasis:
             data["q"] = str(q_value)
         return data
 
-    def latex_rows(self):
+    def latex_rows(self, q_value=None):
+        """One LaTeX row per nonempty word; with q_value, every entry is
+        specialized at q = q_value."""
         macro = {"pi": "\\Pi", "sigma": "\\Sigma", "chi": "\\chi",
                  "xi": "\\xi"}[self.kind]
         rows = []
         for w in self.words():
             if not w:
                 continue
-            rows.append("%s_{%s} &=& %s\\\\" %
-                        (macro, word_latex(w), self.entries[w].latex()))
+            p = self.entries[w]
+            if q_value is not None:
+                p = p.subs_q(q_value)
+            rows.append("%s_{%s} &=& %s\\\\"
+                        % (macro, word_latex(w), p.latex()))
         return rows
 
 
@@ -175,12 +181,12 @@ def _dual_by_triangular_solve(elements, n, kind):
     """Entries dual to `elements` (a map word -> NCPoly), built per weight
     class by inverting the unit triangular coefficient matrix.
 
-    Every coefficient must be a monomial a*q^e with e = |len v - len w|, and
-    len v - len w must keep one sign over the family (the q-stuffle trades
-    one letter for one factor of q).  The matrix of a weight class is then
-    M = D^-1 A D with D = diag(q^(+-len)) and A rational, so
-    M^-1 = D^-1 A^-1 D: only A is inverted, and q is restored from the
-    lengths of the two words."""
+    Every coefficient must be a monomial a*q^e (one exponent per word) with
+    e = |len v - len w|, and len v - len w must keep one sign over the
+    family (the q-stuffle trades one letter for one factor of q).  The
+    matrix of a weight class is then M = D^-1 A D with D = diag(q^(+-len))
+    and A rational, so M^-1 = D^-1 A^-1 D: only A is inverted, and q is
+    restored from the lengths of the two words."""
     upper = kind in GradedBasis.TRIANGULAR_UP
     entries = {(): NCPoly.one()}
     direction = 0  # sign of len v - len w over the family, once seen
@@ -191,18 +197,19 @@ def _dual_by_triangular_solve(elements, n, kind):
         index = {w: i for i, w in enumerate(ws)}
         rows = []
         for i, w in enumerate(ws):
-            row = {}
-            for v, c in elements[w]._terms.items():
+            row = {}  # column -> (word, q-exponent, rational)
+            for (v, e), a in elements[w]._terms.items():
                 j = index.get(v)
                 if j is None or j < i:
                     raise ValueError(
                         "family is not unit triangular at %s (term %s)"
                         % (word_to_str(w), word_to_str(v)))
-                if len(c._terms) != 1:
+                if j in row:
                     raise ValueError(
                         "family entry at %s has a coefficient at %s that is "
                         "not a monomial" % (word_to_str(w), word_to_str(v)))
-                (e, a), = c._terms.items()
+                row[j] = (v, e, a)
+            for j, (v, e, a) in row.items():
                 shift = len(v) - len(w)
                 if e != abs(shift):
                     raise ValueError(
@@ -226,8 +233,8 @@ def _dual_by_triangular_solve(elements, n, kind):
         for i, (nums, den) in enumerate(_invert_unit_upper(rows)):
             v = ws[i]
             for j, c in nums.items():
-                columns[j][v] = QPoly.q(abs(len(v) - len(ws[j])),
-                                        Fraction(c, den))
+                columns[j][(v, abs(len(v) - len(ws[j])))] = \
+                    rational(Fraction(c, den))
         for w, data in zip(ws, columns):
             entries[w] = NCPoly._raw(data)
     return entries
@@ -262,12 +269,16 @@ def sigma_increasing(w, sigma_of):
         raise ValueError("needs a Lyndon word")
     if any(w[i] < w[i + 1] for i in range(len(w) - 1)):
         raise ValueError("letters are not weakly increasing")
-    acc = NCPoly.zero()
+    acc = {}
     for i in range(1, len(w) + 1):
-        coeff = QPoly.q(i - 1, Fraction(1, _factorial(i)))
-        head = word_poly((sum(w[:i]),)).scale(coeff)
-        acc = acc + head * sigma_of(w[i:])
-    return acc
+        _add_headed(acc, sum(w[:i]), i, sigma_of(w[i:]))
+    return NCPoly._raw(acc)
+
+
+def _add_headed(acc, s, i, tail):
+    """acc += q^(i-1)/i! · y_s · tail, in place."""
+    _accumulate(acc, ((((s,) + x, f), b) for (x, f), b in tail._terms.items()),
+                Fraction(1, factorial(i)), i - 1)
 
 
 def sigma_lyndon_general(w, sigma_of):
@@ -281,7 +292,7 @@ def sigma_lyndon_general(w, sigma_of):
     w = tuple(w)
     if not is_lyndon(w):
         raise ValueError("needs a Lyndon word")
-    acc = NCPoly.zero()
+    acc = {}
     for node in converse_tree((w,)).nodes():
         seq = node.seq
         for i in range(1, len(seq) + 1):
@@ -291,10 +302,9 @@ def sigma_lyndon_general(w, sigma_of):
             if any(not word_leq(tail[t + 1], tail[t])
                    for t in range(len(tail) - 1)):
                 continue
-            coeff = QPoly.q(i - 1, Fraction(1, _factorial(i)))
-            head = word_poly((sum(x[0] for x in seq[:i]),)).scale(coeff)
-            acc = acc + head * sigma_of(sum(tail, ()))
-    return acc
+            _add_headed(acc, sum(x[0] for x in seq[:i]), i,
+                        sigma_of(sum(tail, ())))
+    return NCPoly._raw(acc)
 
 
 @lru_cache(maxsize=None)
@@ -370,23 +380,23 @@ def verify_duality(n):
     rep = Report("duality (N=%d)" % n)
     sigma = dual_pbw_oracle(n)
     words = all_words_up_to(n)
-    containing = {}  # word x -> [(u, <x | pbw(u)>)]
+    containing = {}  # word x -> [((u, e), a)] for the terms a*q^e*x of pbw u
     for u in words:
-        for x, c in pbw_element(u)._terms.items():
-            containing.setdefault(x, []).append((u, c))
+        for (x, e), a in pbw_element(u)._terms.items():
+            containing.setdefault(x, []).append(((u, e), a))
     bad = [0] * (n + 1)  # failed pairs per weight
     cross_bad = 0
     for v in words:
-        row = {}
-        for x, c in sigma.entry(v)._terms.items():
-            for u, d in containing.get(x, ()):
-                row[u] = row.get(u, QPoly.zero()) + c * d
+        row = {}  # (u, e) -> coefficient of q^e in <dual(v) | pbw(u)>
+        for (x, e), c in sigma.entry(v)._terms.items():
+            _accumulate(row, containing.get(x, ()), c, e)
         k = weight(v)
-        if row.pop(v, None) != QPoly.one():
+        diagonal_ok = row.pop((v, 0), None) == 1
+        others = {u for u, _ in row}
+        if v in others or not diagonal_ok:
+            others.discard(v)
             bad[k] += 1
-        for u, c in row.items():
-            if not c:
-                continue
+        for u in others:
             if weight(u) == k:
                 bad[k] += 1
             else:
@@ -416,17 +426,11 @@ def verify_primitivity(n):
 
 
 def _exp_tensor(t, bound):
-    """Exponential in the mixed tensor algebra (stuffle left, conc right)."""
-    acc = dict(Tensor2.one()._terms)
-    power = Tensor2.one()
-    k = 1
-    while True:
-        power = power.combine(t, left_mul=stuffle, max_total=bound)
-        if not power:
-            break
-        _accumulate(acc, power._terms.items(), Fraction(1, _factorial(k)))
-        k += 1
-    return Tensor2._raw(acc)
+    """Exponential in the mixed tensor algebra (stuffle left, conc right),
+    keeping the terms of total weight <= bound."""
+    return truncated_series(
+        t, lambda a, b: a.combine(b, left_mul=stuffle, max_total=bound),
+        exp_coefficients(bound), constant=True)
 
 
 def factorization_forms(n):
@@ -478,88 +482,3 @@ def verify_methods(n):
             % len(increasing), not bad)
     return rep
 
-
-def verify_lemma3(n, seed=20260810):
-    """Pairings of stuffles of proper series with products of primitives:
-    more stuffle factors than primitives pair to zero, and equal counts give
-    the permanent of the pairing matrix."""
-    rep = Report("primitive pairing lemma (N=%d)" % n)
-    rng = random.Random(seed)
-    lyndons = lyndon_up_to(n)
-    sigma = dual_pbw_oracle(n)
-
-    def random_proper():
-        words = all_words_up_to(n)
-        picks = rng.sample(words, k=min(3, len(words)))
-        acc = NCPoly.zero()
-        for w in picks:
-            acc = acc + word_poly(w).scale(Fraction(rng.randint(1, 5)))
-        return acc
-
-    ok = True
-    for _ in range(8):
-        m = rng.randint(1, 2)
-        prims = [pbw_element(rng.choice(lyndons)) for _ in range(m)]
-        target = NCPoly.one()
-        for p in prims:
-            target = target * p
-        series = [random_proper() for _ in range(m + 1)]
-        prod = series[0]
-        for s in series[1:]:
-            prod = stuffle_poly(prod, s)
-        if prod.pairing(target):
-            ok = False
-    rep.add("more stuffle factors than primitives pair to zero (8 samples)",
-            ok)
-
-    ok = True
-    for _ in range(8):
-        m = rng.randint(1, 2)
-        prims = [pbw_element(rng.choice(lyndons)) for _ in range(m)]
-        target = NCPoly.one()
-        for p in prims:
-            target = target * p
-        series = [random_proper() for _ in range(m)]
-        prod = series[0]
-        for s in series[1:]:
-            prod = stuffle_poly(prod, s)
-        perm = QPoly.zero()
-        for assignment in itertools.permutations(range(m)):
-            term = QPoly.one()
-            for i, j in enumerate(assignment):
-                term = term * series[i].pairing(prims[j])
-            perm = perm + term
-        if prod.pairing(target) != perm:
-            ok = False
-    rep.add("equal counts give the permanent of the pairing matrix "
-            "(8 samples)", ok)
-
-    ok = True
-    for u in all_words_up_to(min(n, 4)):
-        grouped = cfl_grouped(u)
-        factors = []
-        for f, mult in grouped:
-            factors.extend([f] * mult)
-        prod = sigma.entry(factors[0])
-        for f in factors[1:]:
-            prod = stuffle_poly(prod, sigma.entry(f))
-        for v in words_of_weight(weight(u)):
-            vf = []
-            for f, mult in cfl_grouped(v):
-                vf.extend([f] * mult)
-            if len(vf) != len(factors):
-                continue
-            target = NCPoly.one()
-            for f in vf:
-                target = target * pbw_element(f)
-            perm = QPoly.zero()
-            for assignment in itertools.permutations(range(len(factors))):
-                term = QPoly.one()
-                for i, j in enumerate(assignment):
-                    term = term * (QPoly.one()
-                                   if factors[i] == vf[j] else QPoly.zero())
-                perm = perm + term
-            if prod.pairing(target) != perm:
-                ok = False
-    rep.add("dual elements instantiate the permanent formula", ok)
-    return rep

@@ -127,7 +127,7 @@ def _cmd_basis(args, q_value):
         _emit(json.dumps(basis.to_json(q_value), indent=2), args.out)
         return 0
     if args.format == "latex":
-        _emit("\n".join(basis.latex_rows()), args.out)
+        _emit("\n".join(basis.latex_rows(q_value)), args.out)
         return 0
     label = {"pi": "Pi", "sigma": "Sigma", "chi": "Chi", "xi": "Xi"}[basis.kind]
     lines = []

@@ -1,10 +1,17 @@
 """Exact coefficient arithmetic: rationals and the polynomial ring Q[q].
 
 Rationals are `fractions.Fraction` (arbitrary-precision, always reduced,
-positive denominator -- exactly the canonical form we need, so there is no
-separate rational type).  `QPoly` is a sparse univariate polynomial in the
-formal deformation parameter q with Fraction coefficients.  The zero
-polynomial stores no terms; construction always normalizes.
+positive denominator), or plain `int` where a value is integral: the term
+dicts of `NCPoly` and `Tensor2` store every coefficient a·q^e flat, under a
+key that ends in the exponent e, with a in the form `rational` gives it.
+`QPoly` is a sparse univariate polynomial in the formal deformation
+parameter q with Fraction coefficients.  It is the boundary type: the
+input of the `NCPoly`/`Tensor2` constructors and of `scale`, and the
+output of `coeff`, `pairing`, `constant_term` and `terms`; no sum, product,
+series or verify suite computes with it.  The zero polynomial stores no
+terms; construction always normalizes.  `poly_text` and `poly_latex`
+render a coefficient from its (exponent, coefficient) pairs, for a QPoly
+and for the flat terms alike.
 """
 
 from fractions import Fraction
@@ -18,6 +25,23 @@ def rat_from_str(s):
 def rat_to_str(r):
     """Serialize a Fraction as "num/den", omitting "/den" when den == 1."""
     return str(r)
+
+
+def rational(x):
+    """An int or Fraction as the stored form of a flat coefficient: an int
+    when integral, a Fraction otherwise."""
+    if x.__class__ is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
+
+
+def qterms(c):
+    """The (exponent, coefficient) pairs of a QPoly, int or Fraction."""
+    if isinstance(c, QPoly):
+        return c._terms.items()
+    if isinstance(c, (int, Fraction)):
+        return ((0, c),) if c else ()
+    raise TypeError("expected QPoly, int or Fraction")
 
 
 def _fraction(x):
@@ -192,41 +216,52 @@ class QPoly:
         return cls({item["qpow"]: rat_from_str(item["coeff"]) for item in data})
 
     def text(self):
-        if not self._terms:
-            return "0"
-        parts = []
-        for e, c in self.terms():
-            if e == 0:
-                parts.append(str(c))
-            else:
-                qp = "q" if e == 1 else "q^%d" % e
-                if c == 1:
-                    parts.append(qp)
-                elif c == -1:
-                    parts.append("-" + qp)
-                else:
-                    parts.append("%s·%s" % (c, qp))
-        return _join_signed(parts)
+        return poly_text(self.terms())
 
     def latex(self):
-        if not self._terms:
-            return "0"
-        parts = []
-        for e, c in self.terms():
-            sign = "-" if c < 0 else ""
-            p, d = abs(c.numerator), c.denominator
-            if e == 0:
-                core = str(p)
-            else:
-                qp = "q" if e == 1 else "q^{%d}" % e
-                core = qp if p == 1 else "%d%s" % (p, qp)
-            if d > 1:
-                core = "\\frac{%s}{%d}" % (core, d)
-            parts.append(sign + core)
-        return _join_signed(parts)
+        return poly_latex(self.terms())
 
     def __repr__(self):
         return "QPoly(%s)" % self.text()
+
+
+def poly_text(pairs):
+    """Text of the polynomial with the given (exponent, coefficient) pairs,
+    ascending by exponent; coefficients are ints or Fractions."""
+    if not pairs:
+        return "0"
+    parts = []
+    for e, c in pairs:
+        if e == 0:
+            parts.append(str(c))
+        else:
+            qp = "q" if e == 1 else "q^%d" % e
+            if c == 1:
+                parts.append(qp)
+            elif c == -1:
+                parts.append("-" + qp)
+            else:
+                parts.append("%s·%s" % (c, qp))
+    return _join_signed(parts)
+
+
+def poly_latex(pairs):
+    """LaTeX of the polynomial with the given (exponent, coefficient) pairs."""
+    if not pairs:
+        return "0"
+    parts = []
+    for e, c in pairs:
+        sign = "-" if c < 0 else ""
+        p, d = abs(c.numerator), c.denominator
+        if e == 0:
+            core = str(p)
+        else:
+            qp = "q" if e == 1 else "q^{%d}" % e
+            core = qp if p == 1 else "%d%s" % (p, qp)
+        if d > 1:
+            core = "\\frac{%s}{%d}" % (core, d)
+        parts.append(sign + core)
+    return _join_signed(parts)
 
 
 def _join_signed(parts):

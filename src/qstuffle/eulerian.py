@@ -14,10 +14,12 @@ the agreement is a standing test.
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, lcm
 
-from .coeff import QPoly
-from .ncpoly import NCPoly, Tensor2, _accumulate, tensor_outer, word_poly
-from .ops import reduced_stuffle_coproduct, stuffle, stuffle_poly, _factorial
+from .ncpoly import (NCPoly, Tensor2, _accumulate, _divided,
+                     log_coefficients, tensor_outer, truncated_series,
+                     word_poly)
+from .ops import reduced_stuffle_coproduct, stuffle, stuffle_poly
 from .words import weight, words_of_weight
 
 
@@ -41,28 +43,29 @@ def primitive_projector(w):
     """Defining tuple-sum formula."""
     if not w:
         raise ValueError("the projector is defined on nonempty words")
-    acc = dict(word_poly(w)._terms)
-    for tup, prod in _word_tuples(weight(w)):
+    n = weight(w)
+    d = lcm(*range(1, n + 1))  # summed in ints, scaled by d
+    acc = {(w, 0): d}
+    for tup, prod in _word_tuples(n):
         k = len(tup)
         if k < 2:
             continue
-        c = prod.coeff(w)
+        c = prod._at(w)
         if c:
-            _accumulate(acc, ((sum(tup, ()), c),),
-                        Fraction((-1) ** (k - 1), k))
-    return NCPoly._raw(acc)
+            word = sum(tup, ())
+            _accumulate(acc, (((word, e), a) for e, a in c.items()),
+                        (-1) ** (k - 1) * (d // k))
+    return NCPoly._raw(_divided(acc, d))
 
 
 @lru_cache(maxsize=None)
 def primitive_projector_letter(s):
     """Closed formula on letters: the contraction corrections only."""
-    acc = word_poly((s,))
+    acc = {((s,), 0): 1}
     for l in range(2, s + 1):
-        c = QPoly.q(l - 1, Fraction((-1) ** (l - 1), l))
-        for w in words_of_weight(s):
-            if len(w) == l:
-                acc = acc + word_poly(w).scale(c)
-    return acc
+        _accumulate(acc, (((w, l - 1), 1) for w in words_of_weight(s)
+                          if len(w) == l), Fraction((-1) ** (l - 1), l))
+    return NCPoly._raw(acc)
 
 
 @lru_cache(maxsize=None)
@@ -70,35 +73,35 @@ def primitive_projector_convolution(w):
     """Convolution-log route: fold the reduced coproduct, reconcatenate."""
     if not w:
         raise ValueError("the projector is defined on nonempty words")
-    acc = NCPoly.zero()
+    acc = {}
     for k in range(1, weight(w) + 1):
         term = _fold_k(word_poly(w), k)
         if not term:
             break
-        acc = acc + term.scale(Fraction((-1) ** (k - 1), k))
-    return acc
+        _accumulate(acc, term._terms.items(), Fraction((-1) ** (k - 1), k))
+    return NCPoly._raw(acc)
 
 
 def _fold_k(p, k):
     """conc o (reduced coproduct)^(k-1) applied to a proper polynomial."""
     if k == 1:
         return p
-    acc = NCPoly.zero()
-    for (u, v), c in reduced_stuffle_coproduct(p)._terms.items():
+    acc = {}
+    for (u, v, e), c in reduced_stuffle_coproduct(p)._terms.items():
         rest = _fold_k(word_poly(v), k - 1)
-        if rest:
-            acc = acc + word_poly(u).scale(c) * rest
-    return acc
+        _accumulate(acc, (((u + x, f), b)
+                          for (x, f), b in rest._terms.items()), c, e)
+    return NCPoly._raw(acc)
 
 
 def primitive_projector_poly(p):
     """Linear extension of the projector to proper polynomials."""
-    acc = NCPoly.zero()
-    for w, c in p._terms.items():
+    acc = {}
+    for (w, e), c in p._terms.items():
         if not w:
             raise ValueError("linear extension needs a proper polynomial")
-        acc = acc + primitive_projector(w).scale(c)
-    return acc
+        _accumulate(acc, primitive_projector(w)._terms.items(), c, e)
+    return NCPoly._raw(acc)
 
 
 @lru_cache(maxsize=None)
@@ -106,14 +109,14 @@ def primitive_projector_adjoint(w):
     """Adjoint: sum over deconcatenations, iterated stuffle on the right."""
     if not w:
         raise ValueError("the adjoint projector is defined on nonempty words")
-    acc = NCPoly.zero()
+    acc = {}
     for k in range(1, len(w) + 1):
         for blocks in _block_splits(w, k):
             prod = word_poly(blocks[0])
             for b in blocks[1:]:
                 prod = stuffle_poly(prod, word_poly(b))
-            acc = acc + prod.scale(Fraction((-1) ** (k - 1), k))
-    return acc
+            _accumulate(acc, prod._terms.items(), Fraction((-1) ** (k - 1), k))
+    return NCPoly._raw(acc)
 
 
 def _block_splits(w, k):
@@ -128,43 +131,40 @@ def _block_splits(w, k):
 
 def diagonal_series(n):
     """Sum of w ox w over all words of weight <= n, including the empty word."""
-    data = {((), ()): QPoly.one()}
+    data = {((), (), 0): 1}
     for k in range(1, n + 1):
         for w in words_of_weight(k):
-            data[(w, w)] = QPoly.one()
-    return Tensor2(data)
+            data[(w, w, 0)] = 1
+    return Tensor2._raw(data)
 
 
 def log_diagonal(n):
     """Truncated log of the diagonal series in the mixed tensor algebra
     (q-stuffle on the left slot, concatenation on the right)."""
-    plus = diagonal_series(n) - Tensor2.one()
-    acc = {}
-    power = Tensor2.one()
-    for k in range(1, n + 1):
-        power = power.combine(plus, left_mul=stuffle, max_total=2 * n)
-        if not power:
-            break
-        _accumulate(acc, power._terms.items(), Fraction((-1) ** (k - 1), k))
-    return Tensor2._raw(acc)
+    return truncated_series(
+        diagonal_series(n) - Tensor2.one(),
+        lambda a, b: a.combine(b, left_mul=stuffle, max_total=2 * n),
+        log_coefficients(n))
 
 
 def log_diagonal_left_form(n):
     """Closed form: sum of w ox projector(w)."""
-    acc = Tensor2.zero()
+    acc = {}
     for k in range(1, n + 1):
         for w in words_of_weight(k):
-            acc = acc + tensor_outer(word_poly(w), primitive_projector(w))
-    return acc
+            outer = tensor_outer(word_poly(w), primitive_projector(w))
+            _accumulate(acc, outer._terms.items())
+    return Tensor2._raw(acc)
 
 
 def log_diagonal_right_form(n):
     """Closed form: sum of adjoint-projector(w) ox w."""
-    acc = Tensor2.zero()
+    acc = {}
     for k in range(1, n + 1):
         for w in words_of_weight(k):
-            acc = acc + tensor_outer(primitive_projector_adjoint(w), word_poly(w))
-    return acc
+            outer = tensor_outer(primitive_projector_adjoint(w), word_poly(w))
+            _accumulate(acc, outer._terms.items())
+    return Tensor2._raw(acc)
 
 
 def reconstruct(w):
@@ -173,16 +173,18 @@ def reconstruct(w):
     w = tuple(w)
     if not w:
         return NCPoly.one()
-    acc = NCPoly.zero()
+    acc = {}
     for tup, prod in _word_tuples(weight(w)):
-        c = prod.coeff(w)
+        c = prod._at(w)
         if not c:
             continue
         term = NCPoly.one()
         for u in tup:
             term = term * primitive_projector(u)
-        acc = acc + term.scale(c * Fraction(1, _factorial(len(tup))))
-    return acc
+        for e, a in c.items():
+            _accumulate(acc, term._terms.items(),
+                        a * Fraction(1, factorial(len(tup))), e)
+    return NCPoly._raw(acc)
 
 
 def reconstruct_adjoint(w):
@@ -191,25 +193,26 @@ def reconstruct_adjoint(w):
     w = tuple(w)
     if not w:
         return NCPoly.one()
-    acc = NCPoly.zero()
+    acc = {}
     for k in range(1, len(w) + 1):
-        c = Fraction(1, _factorial(k))
+        c = Fraction(1, factorial(k))
         for blocks in _block_splits(w, k):
             prod = primitive_projector_adjoint(blocks[0])
             for b in blocks[1:]:
                 prod = stuffle_poly(prod, primitive_projector_adjoint(b))
-            acc = acc + prod.scale(c)
-    return acc
+            _accumulate(acc, prod._terms.items(), c)
+    return NCPoly._raw(acc)
 
 
 def letter_reconstruct(s):
     """The letter identity: y_s as the q-weighted sum over compositions of s
     of products of projected letters."""
-    acc = NCPoly.zero()
+    acc = {}
     for w in words_of_weight(s):
         k = len(w)
         prod = NCPoly.one()
         for j in w:
             prod = prod * primitive_projector_letter(j)
-        acc = acc + prod.scale(QPoly.q(k - 1, Fraction(1, _factorial(k))))
-    return acc
+        _accumulate(acc, prod._terms.items(), Fraction(1, factorial(k)),
+                    k - 1)
+    return NCPoly._raw(acc)

@@ -1,108 +1,207 @@
 """Sparse noncommutative polynomials over Q[q], and their tensor squares.
 
-`NCPoly` is a finitely supported map word -> QPoly (an element of the free
-algebra on the alphabet).  Words are orthonormal for the canonical pairing.
-`Tensor2` is the analogous map (word, word) -> QPoly, used for coproducts
-and the truncated diagonal series.  Both are canonical (no stored zero
-coefficients) and treated as immutable.
+`NCPoly` is an element of the free algebra on the alphabet, stored as a
+flat map (word, e) -> a for its terms a·q^e·word; `Tensor2`, the analogous
+element of the tensor square used for coproducts and the truncated
+diagonal series, maps (u, v, e) -> a.  Every a is a nonzero int when
+integral and a Fraction otherwise (`coeff.rational`), so the products of
+the q-stuffle algebra add exponents and multiply plain rationals.  Words
+are orthonormal for the canonical pairing.  Both classes are canonical (no
+stored zero coefficient) and treated as immutable.
+
+`QPoly` appears only at the boundary: the constructors and `scale` accept
+it, and `coeff`, `pairing`, `constant_term` and `terms` return it.  The
+lookups by word behind `coeff` and `pairing` go through an index
+word -> {e: a}, built on the first lookup into a value and kept with it.
 
 The sums of both classes, and of the products, coproducts and series
 loops built on them, go through one kernel, `_accumulate`, which adds
-scaled terms into a plain dict in place.  It writes only into a dict that its
-caller has just created: the term dicts of cached values (every
-`lru_cache` of the package hands out shared objects) are read, never
-written.
+scaled and q-shifted terms into a plain dict in place.  It writes only into
+a dict that its caller has just created: the term dicts of cached values
+(every `lru_cache` of the package hands out shared objects) are read,
+never written.
 """
 
 from fractions import Fraction
+from math import factorial, lcm
+from operator import itemgetter
 
-from .coeff import QPoly, _join_signed
+from .coeff import QPoly, _join_signed, poly_latex, poly_text, qterms, rational
 from .words import weight, word_key, word_to_str, word_latex
 
-_UNIT = {0: 1}
 
-
-def _accumulate(acc, terms, c=None):
+def _accumulate(acc, terms, c=1, shift=0):
     """acc[k] += c·v for every pair (k, v) of `terms`, in place; returns acc.
 
     `acc` is a plain dict owned by the caller, never the term dict of a
-    shared value.  `terms` yields no zero coefficient; a sum that cancels is
-    dropped.  `c` (a QPoly, Fraction or int; None means one) multiplies
-    every v, and is skipped when it is one."""
-    if c is not None:
-        if not c:
-            return acc
-        one = c._terms == _UNIT if isinstance(c, QPoly) else c == 1
-        if one:
-            c = None
+    shared value.  `terms` yields flat keys, (w, e) or (u, v, e), and
+    nonzero values in the stored form; a nonzero `shift` raises every
+    exponent e by that much.  `c` (an int or Fraction) multiplies every v,
+    and is skipped when it is one.  A sum that cancels is dropped, and an
+    integral Fraction is stored as an int."""
+    if not c:
+        return acc
+    scaled = c != 1
     get = acc.get
     for k, v in terms:
-        if c is not None:
-            v = v * c
+        if shift:
+            k = (k[0], k[1] + shift) if len(k) == 2 else \
+                (k[0], k[1], k[2] + shift)
+        if scaled:  # a Fraction goes first: int * Fraction is the slow path
+            v = c * v if v.__class__ is int else v * c
+            if v.__class__ is Fraction and v.denominator == 1:
+                v = v.numerator
         s = get(k)
         if s is None:
             acc[k] = v
         else:
-            s = s + v
-            if s:
-                acc[k] = s
-            else:
+            s = v + s if s.__class__ is int else s + v
+            if not s:
                 del acc[k]
+            elif s.__class__ is Fraction and s.denominator == 1:
+                acc[k] = s.numerator
+            else:
+                acc[k] = s
     return acc
 
 
-def _qpoly(c):
-    if isinstance(c, QPoly):
-        return c
-    if isinstance(c, (int, Fraction)):
-        return QPoly.const(c)
-    raise TypeError("expected QPoly, int or Fraction")
+def _integral(x):
+    """(d, terms): the terms of x times the lcm d of the denominators of
+    its coefficients, all ints.  A bilinear sum over integral terms runs in
+    int arithmetic, and `_divided` restores the scale once per result."""
+    d = 1
+    for a in x._terms.values():
+        if a.__class__ is Fraction:
+            d = lcm(d, a.denominator)
+    if d == 1:
+        return 1, x._terms
+    return d, {k: a.numerator * (d // a.denominator)
+               for k, a in x._terms.items()}
 
 
-class NCPoly:
-    """Element of the free algebra: sparse map word -> QPoly."""
+def _divided(acc, d):
+    """The terms of acc divided by the int d, in the stored form."""
+    if d == 1:
+        return acc
+    return {k: rational(Fraction(a, d)) for k, a in acc.items()}
 
-    __slots__ = ("_terms",)
 
-    def __init__(self, terms=None):
-        data = {}
-        if terms:
-            for w, c in terms.items():
-                c = _qpoly(c)
-                if c:
-                    data[tuple(w)] = c
-        self._terms = data
+def _bilinear(word_prod, p, q, max_weight=None):
+    """Bilinear extension of a word-level product (a map (word, word) ->
+    NCPoly; None is concatenation) to the polynomials p and q.  With
+    max_weight, a pair of words whose weights sum past it is skipped
+    before it is multiplied."""
+    acc = {}
+    dp, p_terms = _integral(p)
+    dq, q_terms = _integral(q)
+    right = [(v, f, b, weight(v)) for (v, f), b in q_terms.items()]
+    for (u, e), a in p_terms.items():
+        room = None if max_weight is None else max_weight - weight(u)
+        if word_prod is None:
+            _accumulate(acc, (((u + v, e + f), b)
+                              for v, f, b, v_weight in right
+                              if room is None or v_weight <= room), a)
+            continue
+        for v, f, b, v_weight in right:
+            if room is None or v_weight <= room:
+                _accumulate(acc, word_prod(u, v)._terms.items(), a * b,
+                            e + f)
+    return NCPoly._raw(_divided(acc, dp * dq))
 
-    @classmethod
-    def zero(cls):
-        return cls()
 
-    @classmethod
-    def one(cls):
-        return cls({(): QPoly.one()})
+def exp_coefficients(n):
+    """1/k! for k = 1..n."""
+    return [Fraction(1, factorial(k)) for k in range(1, n + 1)]
 
-    @classmethod
-    def from_word(cls, w, coeff=1):
-        return cls({tuple(w): coeff})
+
+def log_coefficients(n):
+    """(-1)^(k-1)/k for k = 1..n."""
+    return [Fraction((-1) ** (k - 1), k) for k in range(1, n + 1)]
+
+
+def truncated_series(x, mul, coeffs, constant=False):
+    """Sum of c_k·x^k over the coefficients c_1, c_2, ... of `coeffs`, plus
+    one when `constant`; x^k = mul(x^(k-1), x) from x^0 = one, so `mul`
+    carries the product and its weight bound.  Stops at the first power
+    that vanishes."""
+    cls = type(x)
+    acc = dict(cls.one()._terms) if constant else {}
+    power = cls.one()
+    for c in coeffs:
+        power = mul(power, x)
+        if not power:
+            break
+        _accumulate(acc, power._terms.items(), c)
+    return cls._raw(acc)
+
+
+_NONE = {}  # the terms under a head that has none
+
+
+class _Sparse:
+    """Flat term dict shared by NCPoly and Tensor2: a key is the word, or
+    the pair of words, followed by the q-exponent."""
+
+    __slots__ = ("_terms", "_index")
 
     @classmethod
     def _raw(cls, data):
         out = cls.__new__(cls)
         out._terms = data
+        out._index = None
+        return out
+
+    @classmethod
+    def zero(cls):
+        return cls._raw({})
+
+    def _set(self, data):
+        """Fill the term dict from a map head -> QPoly | int | Fraction."""
+        terms = {}
+        for head, c in data.items():
+            for e, a in qterms(c):
+                if a:
+                    terms[head + (e,)] = rational(a)
+        self._terms = terms
+        self._index = None
+
+    def _index_of(self):
+        """The map head -> {e: a} of the terms a·q^e under each head (the
+        word, or the pair of words), built on the first call; read only."""
+        index = self._index
+        if index is None:
+            index = {}
+            head = self._head
+            for k, a in self._terms.items():
+                h = head(k)
+                d = index.get(h)
+                if d is None:
+                    index[h] = {k[-1]: a}
+                else:
+                    d[k[-1]] = a
+            self._index = index  # published only when complete
+        return index
+
+    def _at(self, head):
+        """{e: a} for the terms under `head`: a shared dict, read only."""
+        return self._index_of().get(head, _NONE)
+
+    def _grouped(self):
+        """(head, [(e, a), ...]) per head, ascending by the word order of
+        the head, exponents ascending."""
+        out = []
+        for k, a in sorted(self._terms.items(), key=self._order):
+            head = self._head(k)
+            if out and out[-1][0] == head:
+                out[-1][1].append((k[-1], a))
+            else:
+                out.append((head, [(k[-1], a)]))
         return out
 
     def terms(self):
-        """Pairs (word, coefficient) ascending by word_less."""
-        return sorted(self._terms.items(), key=lambda kv: word_key(kv[0]))
-
-    def support(self):
-        return set(self._terms)
-
-    def coeff(self, w):
-        return self._terms.get(tuple(w), QPoly.zero())
-
-    def is_zero(self):
-        return not self._terms
+        """Pairs (head, QPoly coefficient) ascending by word_less on the
+        word, or on the pair of words, of the head."""
+        return [(h, QPoly(dict(pairs))) for h, pairs in self._grouped()]
 
     def __bool__(self):
         return bool(self._terms)
@@ -111,28 +210,69 @@ class NCPoly:
         return len(self._terms)
 
     def __eq__(self, other):
-        if not isinstance(other, NCPoly):
+        if other.__class__ is not self.__class__:
             return NotImplemented
         return self._terms == other._terms
 
     __hash__ = None
 
     def __add__(self, other):
-        if not isinstance(other, NCPoly):
+        if other.__class__ is not self.__class__:
             return NotImplemented
-        return NCPoly._raw(_accumulate(dict(self._terms),
-                                       other._terms.items()))
+        return self._raw(_accumulate(dict(self._terms), other._terms.items()))
 
     def __neg__(self):
-        return NCPoly._raw({w: -c for w, c in self._terms.items()})
+        return self._raw({k: -a for k, a in self._terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, NCPoly):
+        if other.__class__ is not self.__class__:
             return NotImplemented
-        return self + (-other)
+        return self._raw(_accumulate(dict(self._terms), other._terms.items(),
+                                     -1))
 
     def scale(self, c):
-        return NCPoly._raw(_accumulate({}, self._terms.items(), _qpoly(c)))
+        """self · c for a QPoly, int or Fraction c."""
+        acc = {}
+        items = self._terms.items()
+        for e, a in qterms(c):
+            _accumulate(acc, items, a, e)
+        return self._raw(acc)
+
+    def truncate(self, n):
+        """Drop all terms of (total) weight > n."""
+        key_weight = self._weight
+        return self._raw({k: a for k, a in self._terms.items()
+                          if key_weight(k) <= n})
+
+
+class NCPoly(_Sparse):
+    """Element of the free algebra: flat map (word, q-exponent) -> rational."""
+
+    __slots__ = ()
+
+    _head = staticmethod(itemgetter(0))
+
+    @staticmethod
+    def _weight(k):
+        return weight(k[0])
+
+    @staticmethod
+    def _order(item):
+        return word_key(item[0][0]), item[0][1]
+
+    def __init__(self, terms=None):
+        """From a map word -> QPoly | int | Fraction."""
+        self._set({(tuple(w),): c for w, c in (terms or {}).items()})
+
+    @classmethod
+    def one(cls):
+        return cls._raw({((), 0): 1})
+
+    def support(self):
+        return {k[0] for k in self._terms}
+
+    def coeff(self, w):
+        return QPoly(self._at(tuple(w)))
 
     def __mul__(self, other):
         """Concatenation product (bilinear extension); scalars also accepted."""
@@ -140,11 +280,7 @@ class NCPoly:
             return self.scale(other)
         if not isinstance(other, NCPoly):
             return NotImplemented
-        data = {}
-        right = other._terms.items()
-        for u, cu in self._terms.items():
-            _accumulate(data, ((u + v, cv) for v, cv in right), cu)
-        return NCPoly._raw(data)
+        return _bilinear(None, self, other)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, QPoly)):
@@ -159,226 +295,170 @@ class NCPoly:
 
     def prepend_letter(self, s):
         """y_s * self, done without the generic product loop."""
-        return NCPoly._raw({(s,) + w: c for w, c in self._terms.items()})
+        return NCPoly._raw({((s,) + w, e): a
+                            for (w, e), a in self._terms.items()})
+
+    def _pair(self, other):
+        """The canonical pairing (words orthonormal) as {e: a}."""
+        if len(other._terms) < len(self._terms):
+            self, other = other, self
+        acc = {}
+        find = other._index_of().get
+        for (w, e), a in self._terms.items():
+            d = find(w)
+            if d is not None:
+                for f, b in d.items():
+                    acc[e + f] = acc.get(e + f, 0) + a * b
+        return {e: rational(a) for e, a in acc.items() if a}
 
     def pairing(self, other):
         """Canonical pairing: words are orthonormal."""
-        if len(other._terms) < len(self._terms):
-            self, other = other, self
-        acc = QPoly.zero()
-        for w, c in self._terms.items():
-            d = other._terms.get(w)
-            if d is not None:
-                acc = acc + c * d
-        return acc
+        return QPoly(self._pair(other))
 
     def constant_term(self):
         """Coefficient of the empty word."""
-        return self._terms.get((), QPoly.zero())
+        return QPoly({k[1]: a for k, a in self._terms.items() if not k[0]})
 
     def is_proper(self):
-        return () not in self._terms
+        return all(k[0] for k in self._terms)
 
     def proper_part(self):
-        data = {w: c for w, c in self._terms.items() if w}
-        return NCPoly._raw(data)
-
-    def truncate(self, n):
-        """Drop all terms of weight > n."""
-        data = {w: c for w, c in self._terms.items() if weight(w) <= n}
-        return NCPoly._raw(data)
-
-    def max_weight(self):
-        return max((weight(w) for w in self._terms), default=0)
-
-    def is_homogeneous(self):
-        weights = {weight(w) for w in self._terms}
-        return len(weights) <= 1
+        return NCPoly._raw({k: a for k, a in self._terms.items() if k[0]})
 
     def subs_q(self, q0):
-        """Specialize q; coefficients become degree-0 QPolys."""
-        data = {}
-        for w, c in self._terms.items():
-            v = c.eval_at(q0)
-            if v:
-                data[w] = QPoly.const(v)
-        return NCPoly._raw(data)
+        """Specialize q at the rational q0: every exponent folds into 0."""
+        q0 = rational(Fraction(q0))
+        return NCPoly._raw(_accumulate(
+            {}, (((w, 0), rational(a * q0 ** e))
+                 for (w, e), a in self._terms.items() if q0 or not e)))
 
     def to_json(self):
-        return [{"word": list(w), "coeff": c.to_json()} for w, c in self.terms()]
+        return [{"word": list(w),
+                 "coeff": [{"qpow": e, "coeff": str(a)} for e, a in pairs]}
+                for w, pairs in self._grouped()]
 
     @classmethod
     def from_json(cls, data):
         return cls({tuple(item["word"]): QPoly.from_json(item["coeff"])
                     for item in data})
 
-    def text(self):
+    def _render(self, word_str, poly_str, wrap, times):
+        """Terms joined by signs: a coefficient with several q-powers is
+        wrapped, and a coefficient of 1 or -1 is left out before a word."""
         if not self._terms:
             return "0"
         parts = []
-        for w, c in self.terms():
-            wstr = "[" + ",".join(str(s) for s in w) + "]"
+        for w, pairs in self._grouped():
+            c = poly_str(pairs) if len(pairs) == 1 else wrap % poly_str(pairs)
             if not w:
-                parts.append(c.text() if len(c._terms) == 1 else "(%s)" % c.text())
-            elif c == QPoly.one():
-                parts.append(wstr)
-            elif c == -QPoly.one():
-                parts.append("-" + wstr)
-            elif len(c._terms) == 1:
-                parts.append("%s·%s" % (c.text(), wstr))
+                parts.append(c)
+            elif pairs == [(0, 1)]:
+                parts.append(word_str(w))
+            elif pairs == [(0, -1)]:
+                parts.append("-" + word_str(w))
             else:
-                parts.append("(%s)·%s" % (c.text(), wstr))
+                parts.append(c + times + word_str(w))
         return _join_signed(parts)
 
+    def text(self):
+        return self._render(lambda w: "[%s]" % ",".join(map(str, w)),
+                            poly_text, "(%s)", "·")
+
     def latex(self):
-        if not self._terms:
-            return "0"
-        parts = []
-        for w, c in self.terms():
-            wstr = word_latex(w)
-            if not w:
-                parts.append(c.latex() if len(c._terms) == 1 else
-                             "\\left(%s\\right)" % c.latex())
-            elif c == QPoly.one():
-                parts.append(wstr)
-            elif c == -QPoly.one():
-                parts.append("-" + wstr)
-            elif len(c._terms) == 1:
-                parts.append("%s%s" % (c.latex(), wstr))
-            else:
-                parts.append("\\left(%s\\right)%s" % (c.latex(), wstr))
-        return _join_signed(parts)
+        return self._render(word_latex, poly_latex, "\\left(%s\\right)", "")
 
     def __repr__(self):
         return "NCPoly(%s)" % self.text()
 
 
 def word_poly(w):
-    return NCPoly.from_word(w)
+    return NCPoly._raw({(tuple(w), 0): 1})
 
 
-def _conc_words(u, v):
-    return NCPoly.from_word(u + v)
+class Tensor2(_Sparse):
+    """Element of the tensor square: flat map (word, word, q-exponent) ->
+    rational."""
 
+    __slots__ = ()
 
-class Tensor2:
-    """Element of the tensor square: sparse map (word, word) -> QPoly."""
+    _head = staticmethod(itemgetter(0, 1))
 
-    __slots__ = ("_terms",)
+    @staticmethod
+    def _weight(k):
+        return weight(k[0]) + weight(k[1])
+
+    @staticmethod
+    def _order(item):
+        u, v, e = item[0]
+        return word_key(u), word_key(v), e
 
     def __init__(self, terms=None):
-        data = {}
-        if terms:
-            for (u, v), c in terms.items():
-                c = _qpoly(c)
-                if c:
-                    data[(tuple(u), tuple(v))] = c
-        self._terms = data
-
-    @classmethod
-    def zero(cls):
-        return cls()
+        """From a map (word, word) -> QPoly | int | Fraction."""
+        self._set({(tuple(u), tuple(v)): c
+                   for (u, v), c in (terms or {}).items()})
 
     @classmethod
     def one(cls):
-        return cls({((), ()): QPoly.one()})
-
-    @classmethod
-    def _raw(cls, data):
-        out = cls.__new__(cls)
-        out._terms = data
-        return out
-
-    def terms(self):
-        return sorted(self._terms.items(),
-                      key=lambda kv: (word_key(kv[0][0]), word_key(kv[0][1])))
+        return cls._raw({((), (), 0): 1})
 
     def coeff(self, u, v):
-        return self._terms.get((tuple(u), tuple(v)), QPoly.zero())
+        return QPoly(self._at((tuple(u), tuple(v))))
 
-    def is_zero(self):
-        return not self._terms
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __len__(self):
-        return len(self._terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, Tensor2):
-            return NotImplemented
-        return self._terms == other._terms
-
-    __hash__ = None
-
-    def __add__(self, other):
-        if not isinstance(other, Tensor2):
-            return NotImplemented
-        return Tensor2._raw(_accumulate(dict(self._terms),
-                                        other._terms.items()))
-
-    def __neg__(self):
-        return Tensor2._raw({k: -c for k, c in self._terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, Tensor2):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, c):
-        return Tensor2._raw(_accumulate({}, self._terms.items(), _qpoly(c)))
-
-    def combine(self, other, left_mul=_conc_words, right_mul=_conc_words,
-                max_total=None):
+    def combine(self, other, left_mul=None, right_mul=None, max_total=None):
         """Slotwise product; each slot multiplied by the given word-level
-        product (a map (word, word) -> NCPoly).  Optionally truncates terms
-        whose combined slot weight exceeds max_total.
+        product (a map (word, word) -> NCPoly; None is concatenation).
+        Optionally truncates terms whose combined slot weight exceeds
+        max_total.
 
         The slot weights of each term of `other` are summed once, and the
         room left by each term of `self` is computed once."""
         acc = {}
-        weighted = [(x, y, d, weight(x) + weight(y))
-                    for (x, y), d in other._terms.items()]
-        for (u, v), c in self._terms.items():
+        d_self, self_terms = _integral(self)
+        d_other, other_terms = _integral(other)
+        weighted = [(x, y, f, d, weight(x) + weight(y))
+                    for (x, y, f), d in other_terms.items()]
+        for (u, v, e), c in self_terms.items():
             room = None if max_total is None else \
                 max_total - weight(u) - weight(v)
-            for x, y, d, xy_weight in weighted:
+            for x, y, f, d, xy_weight in weighted:
                 if room is not None and xy_weight > room:
                     continue
                 cd = c * d
-                right = right_mul(v, y)._terms.items()
-                for a, ca in left_mul(u, x)._terms.items():
-                    _accumulate(acc, (((a, b), cb) for b, cb in right),
-                                cd * ca)
-        return Tensor2._raw(acc)
+                left = (((u + x, 0), 1),) if left_mul is None else \
+                    left_mul(u, x)._terms.items()
+                right = (((v + y, 0), 1),) if right_mul is None else \
+                    right_mul(v, y)._terms.items()
+                for (a, g), ca in left:
+                    s = e + f + g
+                    _accumulate(acc, (((a, b, h + s), cb)
+                                      for (b, h), cb in right), cd * ca)
+        return Tensor2._raw(_divided(acc, d_self * d_other))
 
     def mul(self, other):
         """Componentwise concatenation: (u ox v)(x ox y) = ux ox vy."""
         return self.combine(other)
 
+    def _pair(self, p, q):
+        """Sum over (u, v) of coeff(u, v) * <p|u> * <q|v>, as {e: a}."""
+        acc = {}
+        for (u, v, e), c in self._terms.items():
+            cu = p._at(u)
+            if not cu:
+                continue
+            cv = q._at(v)
+            for f, a in cu.items():
+                for g, b in cv.items():
+                    acc[e + f + g] = acc.get(e + f + g, 0) + c * a * b
+        return {e: rational(a) for e, a in acc.items() if a}
+
     def pairing(self, p, q):
         """Sum over (u, v) of coeff(u, v) * <p|u> * <q|v>."""
-        acc = QPoly.zero()
-        for (u, v), c in self._terms.items():
-            cu = p._terms.get(u)
-            if cu is None:
-                continue
-            cv = q._terms.get(v)
-            if cv is None:
-                continue
-            acc = acc + c * cu * cv
-        return acc
-
-    def truncate(self, n):
-        """Drop terms whose total weight (both slots) exceeds n."""
-        data = {k: c for k, c in self._terms.items()
-                if weight(k[0]) + weight(k[1]) <= n}
-        return Tensor2._raw(data)
+        return QPoly(self._pair(p, q))
 
     def to_json(self):
-        return [{"left": list(u), "right": list(v), "coeff": c.to_json()}
-                for (u, v), c in self.terms()]
+        return [{"left": list(u), "right": list(v),
+                 "coeff": [{"qpow": e, "coeff": str(a)} for e, a in pairs]}
+                for (u, v), pairs in self._grouped()]
 
     @classmethod
     def from_json(cls, data):
@@ -386,17 +466,16 @@ class Tensor2:
                     QPoly.from_json(item["coeff"]) for item in data})
 
     def __repr__(self):
-        parts = ["%s·(%s ⊗ %s)" % (c.text(), word_to_str(u), word_to_str(v))
-                 for (u, v), c in self.terms()]
+        parts = ["%s·(%s ⊗ %s)" % (poly_text(pairs), word_to_str(u),
+                                   word_to_str(v))
+                 for (u, v), pairs in self._grouped()]
         return "Tensor2(%s)" % (" + ".join(parts) if parts else "0")
 
 
 def tensor_outer(p, q):
     """p ox q for NCPoly factors."""
     data = {}
-    for u, cu in p._terms.items():
-        for v, cv in q._terms.items():
-            c = cu * cv
-            if c:
-                data[(u, v)] = c
+    right = q._terms.items()
+    for (u, e), a in p._terms.items():
+        _accumulate(data, (((u, v, f), b) for (v, f), b in right), a, e)
     return Tensor2._raw(data)

@@ -14,19 +14,20 @@ deconcatenation coproduct on the stuffle side.
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from .coeff import QPoly
-from .ncpoly import NCPoly, Tensor2, _accumulate, tensor_outer, word_poly
-from .words import all_words_up_to, weight, word_key, words_of_weight
+from .ncpoly import (NCPoly, Tensor2, _accumulate, _bilinear, _divided,
+                     _integral, exp_coefficients, log_coefficients,
+                     tensor_outer, truncated_series, word_poly)
+from .words import all_words_up_to, weight, words_of_weight
 from .report import Report
-
-_Q = QPoly.q()
 
 
 def stuffle(u, v):
-    """q-stuffle of two words, as an NCPoly with QPoly coefficients."""
+    """q-stuffle of two words, as an NCPoly."""
     u, v = tuple(u), tuple(v)
-    if word_key(v) < word_key(u):  # commutative; canonical cache key
+    if v < u:  # commutative; canonical cache key
         u, v = v, u
     return _stuffle(u, v)
 
@@ -38,10 +39,11 @@ def _stuffle(u, v):
     if not v:
         return word_poly(u)
     s, t = u[0], v[0]
-    out = stuffle(u[1:], v).prepend_letter(s)
-    out = out + stuffle(u, v[1:]).prepend_letter(t)
-    out = out + stuffle(u[1:], v[1:]).prepend_letter(s + t).scale(_Q)
-    return out
+    acc = stuffle(u[1:], v).prepend_letter(s)._terms  # a fresh dict
+    _accumulate(acc, stuffle(u, v[1:]).prepend_letter(t)._terms.items())
+    _accumulate(acc, stuffle(u[1:], v[1:]).prepend_letter(s + t)
+                ._terms.items(), 1, 1)  # the contraction carries one q
+    return NCPoly._raw(acc)
 
 
 @lru_cache(maxsize=None)
@@ -55,25 +57,18 @@ def shuffle(u, v):
     return out + shuffle(u, v[1:]).prepend_letter(v[0])
 
 
-def _bilinear(word_prod, p, q):
-    acc = {}
-    for u, cu in p._terms.items():
-        for v, cv in q._terms.items():
-            _accumulate(acc, word_prod(u, v)._terms.items(), cu * cv)
-    return NCPoly._raw(acc)
+def stuffle_poly(p, q, max_weight=None):
+    """Bilinear extension of the q-stuffle to polynomials; with max_weight,
+    only the terms of weight <= max_weight."""
+    return _bilinear(stuffle, p, q, max_weight)
 
 
-def stuffle_poly(p, q):
-    """Bilinear extension of the q-stuffle to polynomials."""
-    return _bilinear(stuffle, p, q)
+def shuffle_poly(p, q, max_weight=None):
+    return _bilinear(shuffle, p, q, max_weight)
 
 
-def shuffle_poly(p, q):
-    return _bilinear(shuffle, p, q)
-
-
-def conc_poly(p, q):
-    return p * q
+def conc_poly(p, q, max_weight=None):
+    return _bilinear(None, p, q, max_weight)
 
 
 def stuffle_power_divided(p, k):
@@ -81,14 +76,7 @@ def stuffle_power_divided(p, k):
     out = NCPoly.one()
     for _ in range(k):
         out = stuffle_poly(out, p)
-    return out.scale(Fraction(1, _factorial(k)))
-
-
-def _factorial(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
+    return out.scale(Fraction(1, factorial(k)))
 
 
 @lru_cache(maxsize=None)
@@ -101,25 +89,26 @@ def deconcat_coproduct(p):
     word it returns the cached (shared, immutable) value itself."""
     if isinstance(p, tuple):
         return _deconcat_word(p)
+    d, terms = _integral(p)
     acc = {}
-    for w, c in p._terms.items():
-        _accumulate(acc, _deconcat_word(w)._terms.items(), c)
-    return Tensor2._raw(acc)
+    for (w, e), c in terms.items():
+        _accumulate(acc, _deconcat_word(w)._terms.items(), c, e)
+    return Tensor2._raw(_divided(acc, d))
 
 
 @lru_cache(maxsize=None)
 def _stuffle_coproduct_letter(s):
-    data = {((s,), ()): QPoly.one(), ((), (s,)): QPoly.one()}
+    data = {((s,), (), 0): 1, ((), (s,), 0): 1}
     for s1 in range(1, s):
-        data[((s1,), (s - s1,))] = _Q
-    return Tensor2(data)
+        data[((s1,), (s - s1,), 1)] = 1
+    return Tensor2._raw(data)
 
 
 @lru_cache(maxsize=None)
 def _stuffle_coproduct_word(w):
     out = Tensor2.one()
     for s in w:
-        out = out.mul(_stuffle_coproduct_letter(s))
+        out = out.combine(_stuffle_coproduct_letter(s))
     return out
 
 
@@ -128,10 +117,11 @@ def stuffle_coproduct(p):
     word it returns the cached (shared, immutable) value itself."""
     if isinstance(p, tuple):
         return _stuffle_coproduct_word(p)
+    d, terms = _integral(p)
     acc = {}
-    for w, c in p._terms.items():
-        _accumulate(acc, _stuffle_coproduct_word(w)._terms.items(), c)
-    return Tensor2._raw(acc)
+    for (w, e), c in terms.items():
+        _accumulate(acc, _stuffle_coproduct_word(w)._terms.items(), c, e)
+    return Tensor2._raw(_divided(acc, d))
 
 
 def counit(p):
@@ -154,12 +144,12 @@ def _primitive_by_coproduct(p, n):
 
 
 def _primitive_by_pairing(p, n):
-    pt = p.truncate(n)
+    pt = NCPoly._raw(_integral(p.truncate(n))[1])  # same zeros, int pairings
     for total in range(2, n + 1):
         for a in range(1, total):
             for u in words_of_weight(a):
                 for v in words_of_weight(total - a):
-                    if stuffle(u, v).pairing(pt):
+                    if stuffle(u, v)._pair(pt):
                         return False
     return True
 
@@ -189,27 +179,21 @@ def is_grouplike(s, n):
             for u in words_of_weight(a):
                 cu = st.coeff(u)
                 for v in words_of_weight(total - a):
-                    lhs = stuffle(u, v).pairing(st)
-                    if lhs != cu * st.coeff(v):
+                    if stuffle(u, v).pairing(st) != cu * st.coeff(v):
                         return False
     return True
 
 
 def exp_proper(p, mul=conc_poly, n=None):
-    """Truncated exponential of a proper polynomial w.r.t. the given product."""
+    """Truncated exponential of a proper polynomial w.r.t. the given product
+    (called as mul(a, b, n), keeping the terms of weight <= n)."""
     if n is None:
         raise ValueError("a weight bound is required")
     p = p.truncate(n)
     if not p.is_proper():
         raise ValueError("exp needs a proper polynomial")
-    acc = dict(NCPoly.one()._terms)
-    power = NCPoly.one()
-    for k in range(1, n + 1):
-        power = mul(power, p).truncate(n)
-        if not power:
-            break
-        _accumulate(acc, power._terms.items(), Fraction(1, _factorial(k)))
-    return NCPoly._raw(acc)
+    return truncated_series(p, lambda a, b: mul(a, b, n),
+                            exp_coefficients(n), constant=True)
 
 
 def log_one_plus(s, mul=conc_poly, n=None):
@@ -218,15 +202,8 @@ def log_one_plus(s, mul=conc_poly, n=None):
         raise ValueError("a weight bound is required")
     if s.constant_term() != QPoly.one():
         raise ValueError("log needs constant term 1")
-    x = s.proper_part().truncate(n)
-    acc = {}
-    power = NCPoly.one()
-    for k in range(1, n + 1):
-        power = mul(power, x).truncate(n)
-        if not power:
-            break
-        _accumulate(acc, power._terms.items(), Fraction((-1) ** (k - 1), k))
-    return NCPoly._raw(acc)
+    return truncated_series(s.proper_part().truncate(n),
+                            lambda a, b: mul(a, b, n), log_coefficients(n))
 
 
 def verify_axioms(n):
@@ -268,11 +245,10 @@ def verify_axioms(n):
         w_total = weight(u) + weight(v)
         for w in words_of_weight(w_total):
             checked += 1
-            if stuffle(u, v).coeff(w) != \
-                    stuffle_coproduct(w).pairing(word_poly(u), word_poly(v)):
+            if stuffle(u, v)._at(w) != stuffle_coproduct(w)._at((u, v)):
                 bad += 1
-            if (1 if u + v == w else 0) != \
-                    deconcat_coproduct(w).pairing(word_poly(u), word_poly(v)):
+            if ({0: 1} if u + v == w else {}) != \
+                    deconcat_coproduct(w)._at((u, v)):
                 bad += 1
     rep.add("product/coproduct duality (%d pairings)" % checked, bad == 0)
     return rep
@@ -281,10 +257,10 @@ def verify_axioms(n):
 def _coassociative_on(cop, w):
     left = {}
     right = {}
-    for (u, v), c in cop(w)._terms.items():
-        _accumulate(left, (((x, y, v), d)
-                           for (x, y), d in cop(u)._terms.items()), c)
-        _accumulate(right, (((u, x, y), d)
-                            for (x, y), d in cop(v)._terms.items()), c)
+    for (u, v, e), c in cop(w)._terms.items():
+        _accumulate(left, (((x, y, v, e + f), d)
+                           for (x, y, f), d in cop(u)._terms.items()), c)
+        _accumulate(right, (((u, x, y, e + f), d)
+                            for (x, y, f), d in cop(v)._terms.items()), c)
     return left == right
 

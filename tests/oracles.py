@@ -5,12 +5,14 @@ order helpers) so the checks against the library are genuine two-route
 comparisons: shuffle by interleaving enumeration, Lyndon tests by both
 classical characterizations, factorizations by exhaustive splitting, the
 classical stuffle recursions at numeric contraction coefficients, the
-classical dual-PBW (Radford) pipeline used as the q=0 reference, and the
-dense division-free inverse of a unit triangular matrix.
+classical dual-PBW (Radford) pipeline used as the q=0 reference, the
+dense division-free inverse of a unit triangular matrix, and the q-stuffle
+of polynomials by enumeration of quasi-shuffles.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import factorial
 
 
@@ -153,3 +155,40 @@ def dense_invert_unit_upper(m, zero, one):
                     acc = acc + m[i][k] * inv[k][j]
             inv[i][j] = -acc
     return inv
+
+
+def _quasi_shuffles(u, v):
+    """Every quasi-shuffle of u and v as (word, number of contractions):
+    positions 0..k-1 of the result are covered by the order-preserving
+    images A of u and B of v, and a position in both holds the sum of the
+    two letters."""
+    m, n = len(u), len(v)
+    for k in range(max(m, n), m + n + 1):
+        for a in combinations(range(k), m):
+            rest = [i for i in range(k) if i not in a]
+            for b_extra in combinations(a, m + n - k):
+                b = sorted(rest + list(b_extra))
+                letters = [0] * k
+                for i, s in zip(a, u):
+                    letters[i] += s
+                for i, s in zip(b, v):
+                    letters[i] += s
+                yield tuple(letters), m + n - k
+
+
+def brute_q_stuffle_poly(p, r):
+    """q-stuffle of two polynomials given as dicts word -> {q-exponent:
+    Fraction}, by enumerating the quasi-shuffles of every pair of words
+    (one factor of q per contraction); the same shape is returned."""
+    out = {}
+    for u, cu in p.items():
+        for v, cv in r.items():
+            for w, contractions in _quasi_shuffles(u, v):
+                poly = out.setdefault(w, {})
+                for e1, a in cu.items():
+                    for e2, b in cv.items():
+                        e = e1 + e2 + contractions
+                        poly[e] = poly.get(e, Fraction(0)) + a * b
+    return {w: {e: c for e, c in poly.items() if c}
+            for w, poly in out.items()
+            if any(poly.values())}

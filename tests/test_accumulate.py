@@ -17,7 +17,7 @@ from qstuffle.words import all_words_up_to
 
 def _deep(x):
     """Terms of an NCPoly/Tensor2 with the terms of each coefficient."""
-    return {k: dict(c._terms) for k, c in x._terms.items()}
+    return {k: dict(c.terms()) for k, c in x.terms()}
 
 
 def test_cached_values_are_never_written():
@@ -62,8 +62,8 @@ TENSORS = st.dictionaries(st.tuples(WORDS, WORDS), COEFFS, min_size=1,
 def _generic_mul(a, b):
     """Product in Q[q] by the double loop over exponents."""
     data = {}
-    for e1, c1 in a._terms.items():
-        for e2, c2 in b._terms.items():
+    for e1, c1 in a.terms():
+        for e2, c2 in b.terms():
             data[e1 + e2] = data.get(e1 + e2, 0) + c1 * c2
     return QPoly(data)
 
@@ -87,8 +87,8 @@ def test_qpoly_product_equals_double_loop(a, b):
 @given(NCPOLYS, NCPOLYS)
 def test_stuffle_poly_equals_sum_of_scaled_word_stuffles(p, r):
     expected = NCPoly.zero()
-    for u, cu in p._terms.items():
-        for v, cv in r._terms.items():
+    for u, cu in p.terms():
+        for v, cv in r.terms():
             expected = expected + stuffle(u, v).scale(cu * cv)
     assert stuffle_poly(p, r) == expected
 
@@ -98,6 +98,6 @@ def test_stuffle_poly_equals_sum_of_scaled_word_stuffles(p, r):
 def test_coproducts_equal_sums_of_scaled_word_coproducts(p):
     for cop in (stuffle_coproduct, deconcat_coproduct):
         expected = Tensor2.zero()
-        for w, c in p._terms.items():
+        for w, c in p.terms():
             expected = expected + cop(w).scale(c)
         assert cop(p) == expected

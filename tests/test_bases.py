@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,13 +13,15 @@ from qstuffle.bases import (GradedBasis, _dual_by_triangular_solve,
                             lyndon_stuffle_element, pbw_element, pi_basis,
                             pi_of_sequence, sigma_from_cfl, sigma_increasing,
                             sigma_lyndon_general, verify_duality,
-                            verify_factorization, verify_lemma3,
-                            verify_methods, verify_primitivity, xi_basis)
-from qstuffle.lyndon import (derivation_tree, is_lyndon, largest_rise_policy,
-                             lyndon_of_weight, lyndon_up_to)
+                            verify_factorization, verify_methods,
+                            verify_primitivity, xi_basis)
+from qstuffle.lyndon import (cfl_grouped, derivation_tree, is_lyndon,
+                             largest_rise_policy, lyndon_of_weight,
+                             lyndon_up_to)
 from qstuffle.ncpoly import NCPoly, word_poly
-from qstuffle.ops import is_primitive
-from qstuffle.words import all_words_up_to, word_key, words_of_weight
+from qstuffle.ops import is_primitive, stuffle_poly
+from qstuffle.report import Report
+from qstuffle.words import all_words_up_to, weight, word_key, words_of_weight
 
 
 def q(power=1, num=1, den=1):
@@ -193,6 +197,89 @@ def test_factorization():
         assert rep.ok, rep.lines()
     diag, mid, prod = factorization_forms(3)
     assert mid == diag and prod == diag
+
+
+def verify_lemma3(n, seed=20260810):
+    """Pairings of stuffles of proper series with products of primitives:
+    more stuffle factors than primitives pair to zero, and equal counts give
+    the permanent of the pairing matrix."""
+    rep = Report("primitive pairing lemma (N=%d)" % n)
+    rng = random.Random(seed)
+    lyndons = lyndon_up_to(n)
+    sigma = dual_pbw_oracle(n)
+
+    def random_proper():
+        words = all_words_up_to(n)
+        picks = rng.sample(words, k=min(3, len(words)))
+        return NCPoly({w: rng.randint(1, 5) for w in picks})
+
+    ok = True
+    for _ in range(8):
+        m = rng.randint(1, 2)
+        prims = [pbw_element(rng.choice(lyndons)) for _ in range(m)]
+        target = NCPoly.one()
+        for p in prims:
+            target = target * p
+        series = [random_proper() for _ in range(m + 1)]
+        prod = series[0]
+        for s in series[1:]:
+            prod = stuffle_poly(prod, s)
+        if prod.pairing(target):
+            ok = False
+    rep.add("more stuffle factors than primitives pair to zero (8 samples)",
+            ok)
+
+    ok = True
+    for _ in range(8):
+        m = rng.randint(1, 2)
+        prims = [pbw_element(rng.choice(lyndons)) for _ in range(m)]
+        target = NCPoly.one()
+        for p in prims:
+            target = target * p
+        series = [random_proper() for _ in range(m)]
+        prod = series[0]
+        for s in series[1:]:
+            prod = stuffle_poly(prod, s)
+        perm = QPoly.zero()
+        for assignment in itertools.permutations(range(m)):
+            term = QPoly.one()
+            for i, j in enumerate(assignment):
+                term = term * series[i].pairing(prims[j])
+            perm = perm + term
+        if prod.pairing(target) != perm:
+            ok = False
+    rep.add("equal counts give the permanent of the pairing matrix "
+            "(8 samples)", ok)
+
+    ok = True
+    for u in all_words_up_to(min(n, 4)):
+        grouped = cfl_grouped(u)
+        factors = []
+        for f, mult in grouped:
+            factors.extend([f] * mult)
+        prod = sigma.entry(factors[0])
+        for f in factors[1:]:
+            prod = stuffle_poly(prod, sigma.entry(f))
+        for v in words_of_weight(weight(u)):
+            vf = []
+            for f, mult in cfl_grouped(v):
+                vf.extend([f] * mult)
+            if len(vf) != len(factors):
+                continue
+            target = NCPoly.one()
+            for f in vf:
+                target = target * pbw_element(f)
+            perm = QPoly.zero()
+            for assignment in itertools.permutations(range(len(factors))):
+                term = QPoly.one()
+                for i, j in enumerate(assignment):
+                    term = term * (QPoly.one()
+                                   if factors[i] == vf[j] else QPoly.zero())
+                perm = perm + term
+            if prod.pairing(target) != perm:
+                ok = False
+    rep.add("dual elements instantiate the permanent formula", ok)
+    return rep
 
 
 def test_lemma3_report_and_instances():

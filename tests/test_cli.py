@@ -110,6 +110,17 @@ def test_basis_json_q_specialization(capsys):
             NCPoly.from_json(value).subs_q(Fraction(1, 2)).to_json()
 
 
+def test_basis_latex_q_specialization(capsys):
+    code, out, _ = run(capsys, "basis", "pi", "--max-weight", "3",
+                       "--format", "latex", "--q", "1/2")
+    assert code == 0
+    assert "\\Pi_{y_2} &=& y_2 - \\frac{1}{4}y_1^{2}\\\\" in out.splitlines()
+    _, symbolic, _ = run(capsys, "basis", "pi", "--max-weight", "3",
+                         "--format", "latex")
+    assert "\\Pi_{y_2} &=& y_2 - \\frac{q}{2}y_1^{2}\\\\" in \
+        symbolic.splitlines()
+
+
 @pytest.mark.parametrize("argv", [("verify", "all"), ("verify", "axioms"),
                                   ("lyndon",)])
 def test_q_is_refused_where_it_does_not_apply(capsys, argv):

@@ -1,0 +1,101 @@
+"""The flat term representation: (word, q-exponent) -> int | Fraction.
+
+Construction from QPoly coefficients (inhomogeneous ones such as 1 + q and
+1/2 - q^2 included) must round-trip through the public `terms()` view and
+drop zeros; every stored value is a nonzero int, or a Fraction that is not
+integral; the q-stuffle of polynomials must equal the enumeration of
+quasi-shuffles in `oracles`, and specializing q must commute with it."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from oracles import brute_q_stuffle_poly
+from qstuffle.coeff import QPoly
+from qstuffle.ncpoly import NCPoly, Tensor2
+from qstuffle.ops import deconcat_coproduct, stuffle, stuffle_coproduct, \
+    stuffle_poly
+from qstuffle.words import all_words_up_to, word_key
+
+WORDS = st.sampled_from(all_words_up_to(4, include_empty=True))
+RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+FIXED = [QPoly({0: 1, 1: 1}), QPoly({0: Fraction(1, 2), 2: -1}),
+         QPoly({1: 2}), QPoly({0: Fraction(3, 2)})]
+QPOLYS = st.one_of(
+    st.sampled_from(FIXED),
+    st.dictionaries(st.integers(0, 3), RATIONALS, max_size=3).map(QPoly),
+    RATIONALS, st.integers(-3, 3))
+NCPOLYS = st.dictionaries(WORDS, QPOLYS, max_size=4)
+TENSORS = st.dictionaries(st.tuples(WORDS, WORDS), QPOLYS, max_size=4)
+Q_VALUES = st.fractions(min_value=-2, max_value=2, max_denominator=5)
+
+
+def _as_qpoly(c):
+    return c if isinstance(c, QPoly) else QPoly.const(c)
+
+
+def _assert_stored_form(x):
+    for a in x._terms.values():
+        assert type(a) in (int, Fraction), a
+        assert a != 0
+        assert not (type(a) is Fraction and a.denominator == 1), a
+
+
+def _nested(p):
+    """An NCPoly as the oracle's dict word -> {q-exponent: Fraction}."""
+    return {w: dict(c.terms()) for w, c in p.terms()}
+
+
+@settings(deadline=None, max_examples=60)
+@given(NCPOLYS)
+def test_ncpoly_round_trips_through_terms_and_drops_zeros(data):
+    p = NCPoly(data)
+    _assert_stored_form(p)
+    expected = sorted(((w, _as_qpoly(c)) for w, c in data.items() if c),
+                      key=lambda wc: word_key(wc[0]))
+    assert p.terms() == expected
+    assert NCPoly(dict(p.terms())) == p
+    for w, c in expected:
+        assert p.coeff(w) == c
+
+
+@settings(deadline=None, max_examples=60)
+@given(TENSORS)
+def test_tensor_round_trips_through_terms_and_drops_zeros(data):
+    t = Tensor2(data)
+    _assert_stored_form(t)
+    expected = sorted((((u, v), _as_qpoly(c)) for (u, v), c in data.items()
+                       if c), key=lambda kc: tuple(map(word_key, kc[0])))
+    assert t.terms() == expected
+    assert Tensor2(dict(t.terms())) == t
+    for (u, v), c in expected:
+        assert t.coeff(u, v) == c
+
+
+@settings(deadline=None, max_examples=40)
+@given(NCPOLYS, NCPOLYS, Q_VALUES)
+def test_results_keep_the_stored_form(a, b, q0):
+    p, r = NCPoly(a), NCPoly(b)
+    results = [p + r, p - r, p * r, p.scale(Fraction(2, 3)),
+               p.scale(QPoly({0: 2, 1: Fraction(1, 2)})), stuffle_poly(p, r),
+               p.subs_q(q0), stuffle_coproduct(p), deconcat_coproduct(p),
+               stuffle_coproduct(p).combine(deconcat_coproduct(r),
+                                            left_mul=stuffle)]
+    for x in results:
+        _assert_stored_form(x)
+
+
+@settings(deadline=None, max_examples=40)
+@given(NCPOLYS, NCPOLYS)
+def test_stuffle_poly_equals_quasi_shuffle_enumeration(a, b):
+    p, r = NCPoly(a), NCPoly(b)
+    expected = brute_q_stuffle_poly(_nested(p), _nested(r))
+    assert _nested(stuffle_poly(p, r)) == expected
+
+
+@settings(deadline=None, max_examples=40)
+@given(NCPOLYS, NCPOLYS, Q_VALUES)
+def test_subs_q_commutes_with_stuffle_poly(a, b, q0):
+    p, r = NCPoly(a), NCPoly(b)
+    assert stuffle_poly(p, r).subs_q(q0) == \
+        stuffle_poly(p.subs_q(q0), r.subs_q(q0)).subs_q(q0)
