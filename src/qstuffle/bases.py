@@ -18,6 +18,7 @@ computations must agree with it and any mismatch is reported as a hard
 error by `verify_methods` and by the CLI's both-methods mode.
 """
 
+import json
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm
@@ -27,8 +28,9 @@ from .coeff import rational
 from .eulerian import primitive_projector_letter, diagonal_series
 from .lyndon import (cfl_grouped, converse_tree, is_lyndon, lyndon_up_to,
                      standard_factorization)
-from .ncpoly import (NCPoly, Tensor2, _accumulate, exp_coefficients,
-                     tensor_outer, truncated_series, word_poly)
+from .ncpoly import (NCPoly, Tensor2, _accumulate, _integral,
+                     exp_coefficients, tensor_outer, truncated_series,
+                     word_poly)
 from .ops import is_primitive, stuffle, stuffle_poly, stuffle_power_divided
 from .report import Report
 from .words import (all_words_up_to, weight, word_key, word_latex, word_leq,
@@ -109,40 +111,65 @@ class GradedBasis:
                 raise ValueError("%s entry at %s lacks unit leading term"
                                  % (self.kind, word_to_str(w)))
 
+    def _specialized(self, q_value):
+        """(word, entry) for every word in order; with q_value, each entry
+        is specialized at q = q_value as it is reached."""
+        for w in self.words():
+            p = self.entries[w]
+            yield w, p if q_value is None else p.subs_q(q_value)
+
     def to_json(self, q_value=None):
         """The basis as JSON data; with q_value, every entry is specialized
         at q = q_value and the value is recorded under "q"."""
-        entries = {}
-        for w in self.words():
-            p = self.entries[w]
-            if q_value is not None:
-                p = p.subs_q(q_value)
-            entries[word_to_str(w)] = p.to_json()
         data = {
             "kind": self.kind,
             "max_weight": self.max_weight,
             "generator_version": "qstuffle %s" % __version__,
-            "entries": entries,
+            "entries": {word_to_str(w): p.to_json()
+                        for w, p in self._specialized(q_value)},
         }
         if q_value is not None:
             data["q"] = str(q_value)
         return data
 
+    def json_chunks(self, q_value=None):
+        """The text of `json.dumps(self.to_json(q_value), indent=2)`, one
+        piece at a time: the scalar keys, one chunk per entry, then "q"
+        (with q_value) and the closing brace.  No value the size of the
+        document is built."""
+        head = json.dumps({"kind": self.kind, "max_weight": self.max_weight,
+                           "generator_version": "qstuffle %s" % __version__},
+                          indent=2)
+        yield head[:-2] + ',\n  "entries": {'  # head without its "\n}"
+        words = {}  # the word lists of json_text at depth 2
+        sep = "\n    "
+        for w, p in self._specialized(q_value):
+            yield "%s%s: %s" % (sep, json.dumps(word_to_str(w)),
+                                p.json_text(2, words))
+            sep = ",\n    "
+        tail = "\n  }"
+        if q_value is not None:
+            tail += ',\n  "q": %s' % json.dumps(str(q_value))
+        yield tail + "\n}"
+
+    def text_rows(self, q_value=None):
+        """Yields one text row per nonempty word; with q_value, every entry
+        is specialized at q = q_value."""
+        label = {"pi": "Pi", "sigma": "Sigma", "chi": "Chi",
+                 "xi": "Xi"}[self.kind]
+        for w, p in self._specialized(q_value):
+            if w:
+                yield "%s[%s] = %s" % (label, word_to_str(w), p.text())
+
     def latex_rows(self, q_value=None):
-        """One LaTeX row per nonempty word; with q_value, every entry is
-        specialized at q = q_value."""
+        """Yields one LaTeX row per nonempty word; with q_value, every entry
+        is specialized at q = q_value."""
         macro = {"pi": "\\Pi", "sigma": "\\Sigma", "chi": "\\chi",
                  "xi": "\\xi"}[self.kind]
-        rows = []
-        for w in self.words():
-            if not w:
-                continue
-            p = self.entries[w]
-            if q_value is not None:
-                p = p.subs_q(q_value)
-            rows.append("%s_{%s} &=& %s\\\\"
-                        % (macro, word_latex(w), p.latex()))
-        return rows
+        for w, p in self._specialized(q_value):
+            if w:
+                yield "%s_{%s} &=& %s\\\\" % (macro, word_latex(w),
+                                               p.latex())
 
 
 def pi_basis(n):
@@ -376,22 +403,30 @@ def verify_duality(n):
     One sparse product of the transposed dual family with the PBW family:
     each word x is indexed to the u with x in supp pbw(u), so only pairs
     sharing a word are ever multiplied.  A pair counts as failed when its
-    entry of the product differs from the identity's."""
+    entry of the product differs from the identity's.
+
+    The product runs in ints: each dual element is scaled by the lcm d of
+    its denominators and each PBW element pbw(u) by its own lcm d_u, so the
+    entry at (v, u) is d·d_u times the pairing, and on the diagonal the
+    identity reads d·d_v."""
     rep = Report("duality (N=%d)" % n)
     sigma = dual_pbw_oracle(n)
     words = all_words_up_to(n)
     containing = {}  # word x -> [((u, e), a)] for the terms a*q^e*x of pbw u
+    scale = {}  # u -> d_u, the lcm of the denominators of pbw(u)
     for u in words:
-        for (x, e), a in pbw_element(u)._terms.items():
+        scale[u], terms = _integral(pbw_element(u))
+        for (x, e), a in terms.items():
             containing.setdefault(x, []).append(((u, e), a))
     bad = [0] * (n + 1)  # failed pairs per weight
     cross_bad = 0
     for v in words:
-        row = {}  # (u, e) -> coefficient of q^e in <dual(v) | pbw(u)>
-        for (x, e), c in sigma.entry(v)._terms.items():
+        row = {}  # (u, e) -> d·d_u · (q^e coefficient of <dual(v)|pbw(u)>)
+        d, terms = _integral(sigma.entry(v))
+        for (x, e), c in terms.items():
             _accumulate(row, containing.get(x, ()), c, e)
         k = weight(v)
-        diagonal_ok = row.pop((v, 0), None) == 1
+        diagonal_ok = row.pop((v, 0), None) == d * scale[v]
         others = {u for u, _ in row}
         if v in others or not diagonal_ok:
             others.discard(v)

@@ -10,10 +10,10 @@ deterministic: terms are sorted and fractions canonical.
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from ._version import __version__
 from . import bases, ops
-from .coeff import rat_from_str
 from .lyndon import lyndon_of_weight
 from .ncpoly import word_poly
 from .words import all_words_up_to, word_from_str, word_to_str
@@ -61,11 +61,23 @@ def build_parser():
 
 
 def _emit(text, out):
+    """Write `text`, a str or an iterable of str written in order, to the
+    file `out` or else to sys.stdout, ending with exactly one newline."""
     if out:
         with open(out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            _write(fh, text)
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        _write(sys.stdout, text)
+
+
+def _write(fh, text):
+    last = ""
+    for chunk in (text,) if isinstance(text, str) else text:
+        if chunk:
+            fh.write(chunk)
+            last = chunk
+    if not last.endswith("\n"):
+        fh.write("\n")
 
 
 def _render_poly(p, fmt, q_value):
@@ -124,20 +136,11 @@ def _cmd_basis(args, q_value):
         basis = bases.basis_by_kind(args.kind, n, sigma_method=method)
 
     if args.format == "json":
-        _emit(json.dumps(basis.to_json(q_value), indent=2), args.out)
-        return 0
-    if args.format == "latex":
-        _emit("\n".join(basis.latex_rows(q_value)), args.out)
-        return 0
-    label = {"pi": "Pi", "sigma": "Sigma", "chi": "Chi", "xi": "Xi"}[basis.kind]
-    lines = []
-    for w in basis.words():
-        if not w:
-            continue
-        lines.append("%s[%s] = %s"
-                     % (label, word_to_str(w),
-                        _render_poly(basis.entry(w), "text", q_value)))
-    _emit("\n".join(lines), args.out)
+        _emit(basis.json_chunks(q_value), args.out)
+    else:
+        rows = basis.latex_rows(q_value) if args.format == "latex" \
+            else basis.text_rows(q_value)
+        _emit((row + "\n" for row in rows), args.out)
     return 0
 
 
@@ -171,7 +174,7 @@ def main(argv=None):
         sys.stderr.write("error: --q does not apply to %s\n" % args.command)
         return 2
     try:
-        q_value = rat_from_str(args.q) if getattr(args, "q", None) else None
+        q_value = Fraction(args.q) if getattr(args, "q", None) else None
     except (ValueError, ZeroDivisionError):
         sys.stderr.write("malformed rational for --q: %r\n" % args.q)
         return 2

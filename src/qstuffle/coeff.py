@@ -17,16 +17,6 @@ and for the flat terms alike.
 from fractions import Fraction
 
 
-def rat_from_str(s):
-    """Parse "num/den" or "num" into a Fraction."""
-    return Fraction(s)
-
-
-def rat_to_str(r):
-    """Serialize a Fraction as "num/den", omitting "/den" when den == 1."""
-    return str(r)
-
-
 def rational(x):
     """An int or Fraction as the stored form of a flat coefficient: an int
     when integral, a Fraction otherwise."""
@@ -209,11 +199,11 @@ class QPoly:
         return acc
 
     def to_json(self):
-        return [{"qpow": e, "coeff": rat_to_str(c)} for e, c in self.terms()]
+        return [{"qpow": e, "coeff": str(c)} for e, c in self.terms()]
 
     @classmethod
     def from_json(cls, data):
-        return cls({item["qpow"]: rat_from_str(item["coeff"]) for item in data})
+        return cls({item["qpow"]: Fraction(item["coeff"]) for item in data})
 
     def text(self):
         return poly_text(self.terms())

@@ -337,6 +337,29 @@ class NCPoly(_Sparse):
                  "coeff": [{"qpow": e, "coeff": str(a)} for e, a in pairs]}
                 for w, pairs in self._grouped()]
 
+    def json_text(self, depth, words):
+        """The text of `json.dumps(self.to_json(), indent=2)` nested `depth`
+        levels deep: every line after the first is indented by 2·depth more
+        spaces.  `words`, a dict the caller keeps for one depth, holds the
+        indented list of each word across calls."""
+        if not self._terms:
+            return "[]"
+        pad = "\n" + "  " * depth
+        item = pad + "  {" + pad + '    "word": %s,' + pad \
+            + '    "coeff": [%s' + pad + "    ]" + pad + "  }"
+        qterm = pad + "      {" + pad + '        "qpow": %d,' + pad \
+            + '        "coeff": "%s"' + pad + "      }"
+        items = []
+        for w, pairs in self._grouped():
+            word = words.get(w)
+            if word is None:
+                word = ("[" + ",".join(pad + "      %d" % s for s in w)
+                        + pad + "    ]") if w else "[]"
+                words[w] = word
+            items.append(item % (word, ",".join([qterm % (e, a)
+                                                 for e, a in pairs])))
+        return "[" + ",".join(items) + pad + "]"
+
     @classmethod
     def from_json(cls, data):
         return cls({tuple(item["word"]): QPoly.from_json(item["coeff"])
@@ -433,10 +456,6 @@ class Tensor2(_Sparse):
                     _accumulate(acc, (((a, b, h + s), cb)
                                       for (b, h), cb in right), cd * ca)
         return Tensor2._raw(_divided(acc, d_self * d_other))
-
-    def mul(self, other):
-        """Componentwise concatenation: (u ox v)(x ox y) = ux ox vy."""
-        return self.combine(other)
 
     def _pair(self, p, q):
         """Sum over (u, v) of coeff(u, v) * <p|u> * <q|v>, as {e: a}."""

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qstuffle.coeff import QPoly, rat_from_str, rat_to_str
+from qstuffle.coeff import QPoly
 
 
 def test_fraction_field_arithmetic():
@@ -16,10 +16,12 @@ def test_fraction_field_arithmetic():
 
 
 def test_rational_serialization():
-    assert rat_to_str(Fraction(5, 6)) == "5/6"
-    assert rat_to_str(Fraction(5, 1)) == "5"
-    assert rat_from_str("5/6") == Fraction(5, 6)
-    assert rat_from_str("-3") == Fraction(-3)
+    assert QPoly.const(Fraction(5, 6)).to_json() == \
+        [{"qpow": 0, "coeff": "5/6"}]
+    assert QPoly.const(Fraction(5, 1)).to_json() == \
+        [{"qpow": 0, "coeff": "5"}]
+    assert QPoly.from_json([{"qpow": 0, "coeff": "5/6"}]) == Fraction(5, 6)
+    assert QPoly.from_json([{"qpow": 0, "coeff": "-3"}]) == Fraction(-3)
 
 
 def q(power=1, coeff=1):

@@ -64,9 +64,9 @@ def test_pairing():
 def test_tensor_operations():
     u_v = Tensor2({((1,), (2,)): 1})
     x_y = Tensor2({((3,), (1, 1)): 1})
-    assert u_v.mul(x_y) == Tensor2({((1, 3), (2, 1, 1)): 1})
+    assert u_v.combine(x_y) == Tensor2({((1, 3), (2, 1, 1)): 1})
     assert u_v + Tensor2.zero() == u_v
-    assert Tensor2.one().mul(u_v) == u_v
+    assert Tensor2.one().combine(u_v) == u_v
 
 
 def test_tensor_pairing():

@@ -184,3 +184,25 @@ def test_verify_axioms_report():
     assert rep.ok
     assert len(rep.checks) == 4
     assert any("commutativity" in name for name, _, _ in rep.checks)
+
+
+def test_commutativity_check_sees_a_noncommutative_product(monkeypatch):
+    """`stuffle` answers both orders from one cache entry, so the check
+    must compute the other order itself.  A recursion whose contraction
+    keeps the left letter (q·y_s instead of q·y_{s+t}) is not commutative."""
+    from functools import lru_cache
+    from qstuffle import ops
+
+    @lru_cache(maxsize=None)
+    def skewed(u, v):
+        if not u or not v:
+            return word_poly(u + v)
+        s, t = u[0], v[0]
+        return ops.stuffle(u[1:], v).prepend_letter(s) \
+            + ops.stuffle(u, v[1:]).prepend_letter(t) \
+            + ops.stuffle(u[1:], v[1:]).prepend_letter(s).scale(QPoly.q())
+
+    monkeypatch.setattr(ops, "_stuffle", skewed)
+    lines = verify_axioms(3).lines()
+    assert any(line.startswith("stuffle commutativity") and
+               line.endswith("FAIL") for line in lines), lines
