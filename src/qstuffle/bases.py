@@ -10,12 +10,20 @@ Four graded families indexed by words:
                          formulas (divided stuffle powers on the Lyndon
                          factors, converse derivation trees on Lyndon words);
   * lyndon_stuffle_element -- divided stuffle powers of the raw Lyndon
-                         factors ("chi", unit lower triangular);
+                         factors ("chi", unit lower triangular): the
+                         divided-power step of the recursive dual family
+                         applied to plain words;
   * its dual ("xi", unit upper triangular, primitive on Lyndon words).
 
+Every basis is built by one helper, `_checked_basis`, from an element
+function or from the triangular solve of one, and is checked unit
+triangular.  The Lyndon PBW elements on letters are the projected letters;
+the primitivity suite also checks the general projector of `eulerian`.
+
 The triangular solve is the authority for the dual family; the recursive
-computations must agree with it and any mismatch is reported as a hard
-error by `verify_methods` and by the CLI's both-methods mode.
+computations must agree with it.  `sigma_mismatches` is the one comparison
+of the two, and any mismatch it finds is a hard error in `verify_methods`
+and in the CLI's both-methods mode.
 """
 
 import json
@@ -25,7 +33,8 @@ from math import factorial, gcd, lcm
 
 from ._version import __version__
 from .coeff import rational
-from .eulerian import primitive_projector_letter, diagonal_series
+from .eulerian import (diagonal_series, primitive_projector,
+                       primitive_projector_letter)
 from .lyndon import (cfl_grouped, converse_tree, is_lyndon, lyndon_up_to,
                      standard_factorization)
 from .ncpoly import (NCPoly, Tensor2, _accumulate, _integral,
@@ -172,13 +181,24 @@ class GradedBasis:
                                                p.latex())
 
 
-def pi_basis(n):
+def _checked_basis(kind, n, element, dual_of=None):
+    """The basis `kind` up to weight n from element(w) for every word, or,
+    when `dual_of` names the kind of that family, from its dual by the
+    triangular solve; unit triangularity is checked before it is returned.
+    `element` is passed in at call time, so a rebinding of a module-level
+    element function is always seen."""
     entries = {(): NCPoly.one()}
     for w in all_words_up_to(n):
-        entries[w] = pbw_element(w)
-    basis = GradedBasis("pi", n, entries)
+        entries[w] = element(w)
+    if dual_of is not None:
+        entries = _dual_by_triangular_solve(entries, n, dual_of)
+    basis = GradedBasis(kind, n, entries)
     basis.check_triangular()
     return basis
+
+
+def pi_basis(n):
+    return _checked_basis("pi", n, pbw_element)
 
 
 def _invert_unit_upper(rows):
@@ -269,10 +289,7 @@ def _dual_by_triangular_solve(elements, n, kind):
 
 def dual_pbw_oracle(n):
     """The dual family of the PBW elements via exact triangular solve."""
-    elements = {w: pbw_element(w) for w in all_words_up_to(n)}
-    basis = GradedBasis("sigma", n, _dual_by_triangular_solve(elements, n, "pi"))
-    basis.check_triangular()
-    return basis
+    return _checked_basis("sigma", n, pbw_element, dual_of="pi")
 
 
 def sigma_from_cfl(w, sigma_of):
@@ -351,31 +368,17 @@ def dual_pbw_element(w):
 @lru_cache(maxsize=None)
 def lyndon_stuffle_element(w):
     """Divided stuffle powers of the raw Lyndon factors of w ("chi")."""
-    w = tuple(w)
-    if not w:
-        return NCPoly.one()
-    acc = NCPoly.one()
-    for factor, mult in cfl_grouped(w):
-        acc = stuffle_poly(acc, stuffle_power_divided(word_poly(factor), mult))
-    return acc
+    return sigma_from_cfl(w, word_poly)
 
 
 def chi_basis(n):
-    entries = {(): NCPoly.one()}
-    for w in all_words_up_to(n):
-        entries[w] = lyndon_stuffle_element(w)
-    basis = GradedBasis("chi", n, entries)
-    basis.check_triangular()
-    return basis
+    return _checked_basis("chi", n, lyndon_stuffle_element)
 
 
 def xi_basis(n):
     """Dual of the chi family via triangular solve; Lyndon entries are
     primitive."""
-    elements = {w: lyndon_stuffle_element(w) for w in all_words_up_to(n)}
-    basis = GradedBasis("xi", n, _dual_by_triangular_solve(elements, n, "chi"))
-    basis.check_triangular()
-    return basis
+    return _checked_basis("xi", n, lyndon_stuffle_element, dual_of="chi")
 
 
 def basis_by_kind(kind, n, sigma_method="oracle"):
@@ -387,12 +390,7 @@ def basis_by_kind(kind, n, sigma_method="oracle"):
         return xi_basis(n)
     if kind == "sigma":
         if sigma_method == "recursive":
-            entries = {(): NCPoly.one()}
-            for w in all_words_up_to(n):
-                entries[w] = dual_pbw_element(w)
-            basis = GradedBasis("sigma", n, entries)
-            basis.check_triangular()
-            return basis
+            return _checked_basis("sigma", n, dual_pbw_element)
         return dual_pbw_oracle(n)
     raise ValueError("unknown basis kind %r" % kind)
 
@@ -448,7 +446,6 @@ def verify_duality(n):
 def verify_primitivity(n):
     """Lyndon PBW elements and projected words are primitive up to n."""
     rep = Report("primitivity (N=%d)" % n)
-    from .eulerian import primitive_projector
     lyndons = lyndon_up_to(n)
     bad = [l for l in lyndons if not is_primitive(pbw_element(l), n)]
     rep.add("pbw elements of Lyndon words (%d)" % len(lyndons), not bad,
@@ -496,16 +493,23 @@ def verify_factorization(n):
     return rep
 
 
+def sigma_mismatches(sigma):
+    """(w, recursive entry) for every word w of the oracle basis `sigma`,
+    in word order, where the recursive dual element differs from the
+    oracle's entry; lazily, so a caller may stop at the first."""
+    for w in sigma.words():
+        recursive = dual_pbw_element(w)
+        if recursive != sigma.entry(w):
+            yield w, recursive
+
+
 def verify_methods(n):
     """Recursive dual elements against the triangular-solve oracle; any
     mismatch is reported (and is treated as a hard failure by callers)."""
     rep = Report("method equivalence (N=%d)" % n)
     sigma = dual_pbw_oracle(n)
     words = all_words_up_to(n)
-    bad = []
-    for w in words:
-        if dual_pbw_element(w) != sigma.entry(w):
-            bad.append(w)
+    bad = [w for w, _ in sigma_mismatches(sigma)]
     rep.add("recursive vs oracle (%d words)" % len(words), not bad,
             "mismatches: %s" % [word_to_str(w) for w in bad] if bad else "")
     increasing = [w for w in words

@@ -16,7 +16,7 @@ from ._version import __version__
 from . import bases, ops
 from .lyndon import lyndon_of_weight
 from .ncpoly import word_poly
-from .words import all_words_up_to, word_from_str, word_to_str
+from .words import word_from_str, word_to_str
 
 
 def _add_common(p):
@@ -120,17 +120,15 @@ def _cmd_product(args, q_value):
 def _cmd_basis(args, q_value):
     n = args.max_weight
     if args.kind == "sigma" and args.sigma_method == "both":
-        oracle = bases.dual_pbw_oracle(n)
-        for w in all_words_up_to(n, include_empty=True):
-            recursive = bases.dual_pbw_element(w)
-            if recursive != oracle.entry(w):
-                sys.stderr.write(
-                    "sigma method mismatch at %s:\n  oracle:    %s\n"
-                    "  recursive: %s\n"
-                    % (word_to_str(w), oracle.entry(w).text(),
-                       recursive.text()))
-                return 1
-        basis = oracle
+        basis = bases.dual_pbw_oracle(n)
+        mismatch = next(bases.sigma_mismatches(basis), None)
+        if mismatch:
+            w, recursive = mismatch
+            sys.stderr.write(
+                "sigma method mismatch at %s:\n  oracle:    %s\n"
+                "  recursive: %s\n"
+                % (word_to_str(w), basis.entry(w).text(), recursive.text()))
+            return 1
     else:
         method = args.sigma_method if args.kind == "sigma" else "oracle"
         basis = bases.basis_by_kind(args.kind, n, sigma_method=method)

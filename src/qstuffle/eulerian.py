@@ -6,10 +6,13 @@ The projector sends a word w to
 
 (* the q-stuffle, concatenation on the right), the degree-preserving
 logarithm-of-the-identity map whose image consists of primitives.  The
-adjoint replaces the roles of the two products.  Three computations of the
-projector are provided: the defining sum over tuples of words, the closed
-formula on letters, and the convolution-logarithm recursion; they agree and
-the agreement is a standing test.
+adjoint replaces the roles of the two products.  By the duality of the
+q-stuffle with the coproduct, the inner sum is conc o (reduced
+coproduct)^(k-1) (w); `primitive_projector` computes it that way, one
+memoized fold per (word, depth).  The closed formula on letters is a second
+computation, and the defining sum over tuples of words lives in
+tests/oracles.py as the independent reference; their agreement is a
+standing test.
 """
 
 from fractions import Fraction
@@ -19,42 +22,38 @@ from math import factorial, lcm
 from .ncpoly import (NCPoly, Tensor2, _accumulate, _divided,
                      log_coefficients, tensor_outer, truncated_series,
                      word_poly)
-from .ops import reduced_stuffle_coproduct, stuffle, stuffle_poly
+from .ops import stuffle, stuffle_coproduct, stuffle_poly
 from .words import weight, words_of_weight
 
 
 @lru_cache(maxsize=None)
-def _word_tuples(n):
-    """Ordered tuples of nonempty words with total weight n, each paired
-    with its iterated q-stuffle."""
-    out = []
-    for a in range(1, n + 1):
-        for u in words_of_weight(a):
-            if a == n:
-                out.append(((u,), word_poly(u)))
-            else:
-                for tup, prod in _word_tuples(n - a):
-                    out.append(((u,) + tup, stuffle_poly(word_poly(u), prod)))
-    return tuple(out)
+def _fold(w, k):
+    """conc o (reduced coproduct)^(k-1) of the word w, as a flat term dict
+    (word, e) -> int: the sum of u_1 ... u_k over the terms
+    u_1 ox ... ox u_k of the iterated reduced coproduct.  Shared, read
+    only."""
+    if k == 1:
+        return {(w, 0): 1}
+    acc = {}
+    for (u, v, e), c in stuffle_coproduct(w)._terms.items():
+        if u and v:
+            _accumulate(acc, (((u + x, f), b)
+                              for (x, f), b in _fold(v, k - 1).items()), c, e)
+    return acc
 
 
 @lru_cache(maxsize=None)
 def primitive_projector(w):
-    """Defining tuple-sum formula."""
+    """Convolution logarithm: sum over k of ((-1)^(k-1)/k) conc o (reduced
+    coproduct)^(k-1) (w), with k up to the weight of w (the coproduct
+    splits letters, so a word of weight n has n-fold reduced terms)."""
     if not w:
         raise ValueError("the projector is defined on nonempty words")
     n = weight(w)
     d = lcm(*range(1, n + 1))  # summed in ints, scaled by d
-    acc = {(w, 0): d}
-    for tup, prod in _word_tuples(n):
-        k = len(tup)
-        if k < 2:
-            continue
-        c = prod._at(w)
-        if c:
-            word = sum(tup, ())
-            _accumulate(acc, (((word, e), a) for e, a in c.items()),
-                        (-1) ** (k - 1) * (d // k))
+    acc = {}
+    for k in range(1, n + 1):
+        _accumulate(acc, _fold(w, k).items(), (-1) ** (k - 1) * (d // k))
     return NCPoly._raw(_divided(acc, d))
 
 
@@ -65,42 +64,6 @@ def primitive_projector_letter(s):
     for l in range(2, s + 1):
         _accumulate(acc, (((w, l - 1), 1) for w in words_of_weight(s)
                           if len(w) == l), Fraction((-1) ** (l - 1), l))
-    return NCPoly._raw(acc)
-
-
-@lru_cache(maxsize=None)
-def primitive_projector_convolution(w):
-    """Convolution-log route: fold the reduced coproduct, reconcatenate."""
-    if not w:
-        raise ValueError("the projector is defined on nonempty words")
-    acc = {}
-    for k in range(1, weight(w) + 1):
-        term = _fold_k(word_poly(w), k)
-        if not term:
-            break
-        _accumulate(acc, term._terms.items(), Fraction((-1) ** (k - 1), k))
-    return NCPoly._raw(acc)
-
-
-def _fold_k(p, k):
-    """conc o (reduced coproduct)^(k-1) applied to a proper polynomial."""
-    if k == 1:
-        return p
-    acc = {}
-    for (u, v, e), c in reduced_stuffle_coproduct(p)._terms.items():
-        rest = _fold_k(word_poly(v), k - 1)
-        _accumulate(acc, (((u + x, f), b)
-                          for (x, f), b in rest._terms.items()), c, e)
-    return NCPoly._raw(acc)
-
-
-def primitive_projector_poly(p):
-    """Linear extension of the projector to proper polynomials."""
-    acc = {}
-    for (w, e), c in p._terms.items():
-        if not w:
-            raise ValueError("linear extension needs a proper polynomial")
-        _accumulate(acc, primitive_projector(w)._terms.items(), c, e)
     return NCPoly._raw(acc)
 
 
@@ -165,6 +128,21 @@ def log_diagonal_right_form(n):
             outer = tensor_outer(primitive_projector_adjoint(w), word_poly(w))
             _accumulate(acc, outer._terms.items())
     return Tensor2._raw(acc)
+
+
+@lru_cache(maxsize=None)
+def _word_tuples(n):
+    """Ordered tuples of nonempty words with total weight n, each paired
+    with its iterated q-stuffle."""
+    out = []
+    for a in range(1, n + 1):
+        for u in words_of_weight(a):
+            if a == n:
+                out.append(((u,), word_poly(u)))
+            else:
+                for tup, prod in _word_tuples(n - a):
+                    out.append(((u,) + tup, stuffle_poly(word_poly(u), prod)))
+    return tuple(out)
 
 
 def reconstruct(w):

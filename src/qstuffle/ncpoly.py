@@ -427,11 +427,11 @@ class Tensor2(_Sparse):
     def coeff(self, u, v):
         return QPoly(self._at((tuple(u), tuple(v))))
 
-    def combine(self, other, left_mul=None, right_mul=None, max_total=None):
-        """Slotwise product; each slot multiplied by the given word-level
-        product (a map (word, word) -> NCPoly; None is concatenation).
-        Optionally truncates terms whose combined slot weight exceeds
-        max_total.
+    def combine(self, other, left_mul=None, max_total=None):
+        """Slotwise product: the left slots multiplied by the given
+        word-level product (a map (word, word) -> NCPoly; None is
+        concatenation), the right slots concatenated.  Optionally truncates
+        terms whose combined slot weight exceeds max_total.
 
         The slot weights of each term of `other` are summed once, and the
         room left by each term of `self` is computed once."""
@@ -446,15 +446,11 @@ class Tensor2(_Sparse):
             for x, y, f, d, xy_weight in weighted:
                 if room is not None and xy_weight > room:
                     continue
-                cd = c * d
                 left = (((u + x, 0), 1),) if left_mul is None else \
                     left_mul(u, x)._terms.items()
-                right = (((v + y, 0), 1),) if right_mul is None else \
-                    right_mul(v, y)._terms.items()
-                for (a, g), ca in left:
-                    s = e + f + g
-                    _accumulate(acc, (((a, b, h + s), cb)
-                                      for (b, h), cb in right), cd * ca)
+                vy, s = v + y, e + f
+                _accumulate(acc, (((a, vy, g + s), ca) for (a, g), ca in left),
+                            c * d)
         return Tensor2._raw(_divided(acc, d_self * d_other))
 
     def _pair(self, p, q):

@@ -129,14 +129,6 @@ def counit(p):
     return p.constant_term()
 
 
-def reduced_stuffle_coproduct(p):
-    """Coproduct minus the two unit terms; defined on proper polynomials."""
-    if not p.is_proper():
-        raise ValueError("reduced coproduct needs a proper polynomial")
-    return stuffle_coproduct(p) - tensor_outer(p, NCPoly.one()) \
-        - tensor_outer(NCPoly.one(), p)
-
-
 def _primitive_by_coproduct(p, n):
     pt = p.truncate(n)
     expected = tensor_outer(pt, NCPoly.one()) + tensor_outer(NCPoly.one(), pt)

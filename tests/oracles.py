@@ -6,8 +6,9 @@ comparisons: shuffle by interleaving enumeration, Lyndon tests by both
 classical characterizations, factorizations by exhaustive splitting, the
 classical stuffle recursions at numeric contraction coefficients, the
 classical dual-PBW (Radford) pipeline used as the q=0 reference, the
-dense division-free inverse of a unit triangular matrix, and the q-stuffle
-of polynomials by enumeration of quasi-shuffles.
+dense division-free inverse of a unit triangular matrix, the q-stuffle
+of polynomials by enumeration of quasi-shuffles, and the primitive
+projector by its defining sum over tuples of words.
 """
 
 from fractions import Fraction
@@ -192,3 +193,46 @@ def brute_q_stuffle_poly(p, r):
     return {w: {e: c for e, c in poly.items() if c}
             for w, poly in out.items()
             if any(poly.values())}
+
+
+def _o_words_of_weight(n):
+    """Every word of weight n: the compositions of n."""
+    if not n:
+        return [()]
+    return [(a,) + rest for a in range(1, n + 1)
+            for rest in _o_words_of_weight(n - a)]
+
+
+@lru_cache(maxsize=None)
+def _o_word_tuples(n):
+    """Every ordered tuple of nonempty words of total weight n, paired with
+    its iterated q-stuffle (by brute_q_stuffle_poly); kept per weight."""
+    out = []
+    for a in range(1, n + 1):
+        for u in _o_words_of_weight(a):
+            single = {u: {0: Fraction(1)}}
+            if a == n:
+                out.append(((u,), single))
+            else:
+                for tup, prod in _o_word_tuples(n - a):
+                    out.append(((u,) + tup,
+                                brute_q_stuffle_poly(single, prod)))
+    return tuple(out)
+
+
+def projector_tuple_sum(w):
+    """The primitive projector of a nonempty word w by its defining sum:
+    ((-1)^(k-1)/k) <w | u_1 * ... * u_k> u_1 ... u_k over every k >= 1 and
+    every tuple of nonempty words; a dict word -> {q-exponent: Fraction}."""
+    out = {}
+    for tup, prod in _o_word_tuples(sum(w)):
+        c = prod.get(w)
+        if not c:
+            continue
+        k = len(tup)
+        scale = Fraction((-1) ** (k - 1), k)
+        poly = out.setdefault(sum(tup, ()), {})
+        for e, a in c.items():
+            poly[e] = poly.get(e, Fraction(0)) + scale * a
+    return {u: {e: c for e, c in poly.items() if c}
+            for u, poly in out.items() if any(poly.values())}

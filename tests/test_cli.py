@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from qstuffle import cli
-from qstuffle.ncpoly import NCPoly
+from qstuffle import bases, cli
+from qstuffle.ncpoly import NCPoly, word_poly
 from qstuffle.ops import stuffle
 from qstuffle.report import Report
 
@@ -69,6 +69,23 @@ def test_basis_text_and_both_methods(capsys):
     assert "Sigma[2,1] = 1/2·q·[3] + [2,1]" in out
     code, out, _ = run(capsys, "basis", "pi", "--max-weight", "3")
     assert "Pi[2,1] = [2,1] - [1,2]" in out
+
+
+def test_both_methods_mismatch_exits_one(capsys, monkeypatch):
+    # below weight 4 no other word's recursion reaches 2,1, so the cache of
+    # the real recursive route is left as it was
+    recursive = bases.dual_pbw_element
+
+    def wrong_at_2_1(w):
+        return word_poly((2, 1)) if tuple(w) == (2, 1) else recursive(w)
+    monkeypatch.setattr(bases, "dual_pbw_element", wrong_at_2_1)
+    code, out, err = run(capsys, "basis", "sigma", "--sigma-method", "both",
+                         "--max-weight", "3")
+    assert code == 1
+    assert out == ""
+    assert err == ("sigma method mismatch at 2,1:\n"
+                   "  oracle:    1/2·q·[3] + [2,1]\n"
+                   "  recursive: [2,1]\n")
 
 
 def test_basis_json_metadata(capsys):
