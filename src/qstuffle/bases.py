@@ -37,7 +37,7 @@ from .eulerian import (diagonal_series, primitive_projector,
                        primitive_projector_letter)
 from .lyndon import (cfl_grouped, converse_tree, is_lyndon, lyndon_up_to,
                      standard_factorization)
-from .ncpoly import (NCPoly, Tensor2, _accumulate, _integral,
+from .ncpoly import (NCPoly, Tensor2, _accumulate, _divided, _integral,
                      exp_coefficients, tensor_outer, truncated_series,
                      word_poly)
 from .ops import is_primitive, stuffle, stuffle_poly, stuffle_power_divided
@@ -64,14 +64,6 @@ def pbw_element(w):
     acc = NCPoly.one()
     for factor, mult in cfl_grouped(w):
         acc = acc * pbw_element(factor).conc_pow(mult)
-    return acc
-
-
-def pi_of_sequence(seq):
-    """Concatenation product of the basis elements of a sequence of words."""
-    acc = NCPoly.one()
-    for l in seq:
-        acc = acc * pbw_element(l)
     return acc
 
 
@@ -467,21 +459,37 @@ def _exp_tensor(t, bound):
 
 def factorization_forms(n):
     """The three truncated expressions: the diagonal series, the dual-pair
-    sum, and the decreasing product of exponentials over Lyndon words."""
+    sum, and the decreasing product of exponentials over Lyndon words.
+
+    Both sums are carried in ints.  The dual-pair sum is accumulated over
+    one common denominator.  Each exponential factor is scaled to ints
+    before it enters the product, whose running denominator is reduced by
+    the gcd after every factor; both are divided out once at the end."""
     diag = diagonal_series(n)
     sigma = dual_pbw_oracle(n)
-    mid = dict(Tensor2.one()._terms)
-    for w in all_words_up_to(n):
-        outer = tensor_outer(sigma.entry(w), pbw_element(w))
-        _accumulate(mid, outer._terms.items())
-    mid = Tensor2._raw(mid)
+    scaled = [(_integral(sigma.entry(w)), _integral(pbw_element(w)))
+              for w in all_words_up_to(n)]
+    den = lcm(*(ds * dp for (ds, _), (dp, _) in scaled))
+    mid = {((), (), 0): den}
+    for (ds, s_terms), (dp, p_terms) in scaled:
+        c = den // (ds * dp)
+        for (u, e), a in s_terms.items():
+            _accumulate(mid, (((u, v, e + f), b)
+                              for (v, f), b in p_terms.items()), a * c)
+    mid = Tensor2._raw(_divided(mid, den))
     bound = 2 * n
-    prod = Tensor2.one()
+    prod, den = Tensor2.one(), 1
     for l in sorted(lyndon_up_to(n), key=word_key, reverse=True):
-        factor = _exp_tensor(tensor_outer(sigma.entry(l), pbw_element(l)),
-                             bound)
-        prod = prod.combine(factor, left_mul=stuffle, max_total=bound)
-    return diag, mid, prod
+        d, factor = _integral(_exp_tensor(
+            tensor_outer(sigma.entry(l), pbw_element(l)), bound))
+        prod = prod.combine(Tensor2._raw(factor), left_mul=stuffle,
+                            max_total=bound)
+        den *= d
+        g = gcd(den, *prod._terms.values())
+        if g > 1:
+            prod, den = Tensor2._raw({k: a // g for k, a in
+                                      prod._terms.items()}), den // g
+    return diag, mid, Tensor2._raw(_divided(prod._terms, den))
 
 
 def verify_factorization(n):

@@ -1,4 +1,5 @@
-"""The primitive projector, its adjoint, and the log of the diagonal series.
+"""The primitive projector, its adjoint, the log of the diagonal series and
+the reconstruction of a word from projected words.
 
 The projector sends a word w to
 
@@ -12,7 +13,9 @@ coproduct)^(k-1) (w); `primitive_projector` computes it that way, one
 memoized fold per (word, depth).  The closed formula on letters is a second
 computation, and the defining sum over tuples of words lives in
 tests/oracles.py as the independent reference; their agreement is a
-standing test.
+standing test.  The closed forms of the log of the diagonal series and the
+adjoint and letter forms of the reconstruction are second routes there
+too.
 """
 
 from fractions import Fraction
@@ -20,8 +23,7 @@ from functools import lru_cache
 from math import factorial, lcm
 
 from .ncpoly import (NCPoly, Tensor2, _accumulate, _divided,
-                     log_coefficients, tensor_outer, truncated_series,
-                     word_poly)
+                     log_coefficients, truncated_series, word_poly)
 from .ops import stuffle, stuffle_coproduct, stuffle_poly
 from .words import weight, words_of_weight
 
@@ -110,26 +112,6 @@ def log_diagonal(n):
         log_coefficients(n))
 
 
-def log_diagonal_left_form(n):
-    """Closed form: sum of w ox projector(w)."""
-    acc = {}
-    for k in range(1, n + 1):
-        for w in words_of_weight(k):
-            outer = tensor_outer(word_poly(w), primitive_projector(w))
-            _accumulate(acc, outer._terms.items())
-    return Tensor2._raw(acc)
-
-
-def log_diagonal_right_form(n):
-    """Closed form: sum of adjoint-projector(w) ox w."""
-    acc = {}
-    for k in range(1, n + 1):
-        for w in words_of_weight(k):
-            outer = tensor_outer(primitive_projector_adjoint(w), word_poly(w))
-            _accumulate(acc, outer._terms.items())
-    return Tensor2._raw(acc)
-
-
 @lru_cache(maxsize=None)
 def _word_tuples(n):
     """Ordered tuples of nonempty words with total weight n, each paired
@@ -162,35 +144,4 @@ def reconstruct(w):
         for e, a in c.items():
             _accumulate(acc, term._terms.items(),
                         a * Fraction(1, factorial(len(tup))), e)
-    return NCPoly._raw(acc)
-
-
-def reconstruct_adjoint(w):
-    """Rebuild w as sum_k (1/k!) sum over deconcatenations of the iterated
-    stuffle of adjoint-projector values."""
-    w = tuple(w)
-    if not w:
-        return NCPoly.one()
-    acc = {}
-    for k in range(1, len(w) + 1):
-        c = Fraction(1, factorial(k))
-        for blocks in _block_splits(w, k):
-            prod = primitive_projector_adjoint(blocks[0])
-            for b in blocks[1:]:
-                prod = stuffle_poly(prod, primitive_projector_adjoint(b))
-            _accumulate(acc, prod._terms.items(), c)
-    return NCPoly._raw(acc)
-
-
-def letter_reconstruct(s):
-    """The letter identity: y_s as the q-weighted sum over compositions of s
-    of products of projected letters."""
-    acc = {}
-    for w in words_of_weight(s):
-        k = len(w)
-        prod = NCPoly.one()
-        for j in w:
-            prod = prod * primitive_projector_letter(j)
-        _accumulate(acc, prod._terms.items(), Fraction(1, factorial(k)),
-                    k - 1)
     return NCPoly._raw(acc)

@@ -85,21 +85,6 @@ def standard_factorization(l):
     return left, right
 
 
-def is_standard_sequence(seq):
-    """Each entry is Lyndon, and each non-letter entry's right standard
-    factor dominates every later entry."""
-    if not seq:
-        return False
-    for i, l in enumerate(seq):
-        if not is_lyndon(l):
-            return False
-        if len(l) > 1:
-            _, r = standard_factorization(l)
-            if any(word_less(r, seq[j]) for j in range(i + 1, len(seq))):
-                return False
-    return True
-
-
 def rises(seq):
     return [i for i in range(len(seq) - 1) if word_less(seq[i], seq[i + 1])]
 
@@ -165,10 +150,6 @@ def split_at_landmark(seq, i):
 
 def smallest_rise_policy(indices):
     return min(indices)
-
-
-def largest_rise_policy(indices):
-    return max(indices)
 
 
 class TreeNode:

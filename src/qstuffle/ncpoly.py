@@ -433,19 +433,21 @@ class Tensor2(_Sparse):
         concatenation), the right slots concatenated.  Optionally truncates
         terms whose combined slot weight exceeds max_total.
 
-        The slot weights of each term of `other` are summed once, and the
-        room left by each term of `self` is computed once."""
+        The terms of `other` are sorted once by their summed slot weight,
+        so the inner loop stops at the first one past the room left by a
+        term of `self`."""
         acc = {}
         d_self, self_terms = _integral(self)
         d_other, other_terms = _integral(other)
-        weighted = [(x, y, f, d, weight(x) + weight(y))
-                    for (x, y, f), d in other_terms.items()]
+        weighted = sorted(((weight(x) + weight(y), x, y, f, d)
+                           for (x, y, f), d in other_terms.items()),
+                          key=itemgetter(0))
         for (u, v, e), c in self_terms.items():
             room = None if max_total is None else \
                 max_total - weight(u) - weight(v)
-            for x, y, f, d, xy_weight in weighted:
+            for xy_weight, x, y, f, d in weighted:
                 if room is not None and xy_weight > room:
-                    continue
+                    break
                 left = (((u + x, 0), 1),) if left_mul is None else \
                     left_mul(u, x)._terms.items()
                 vy, s = v + y, e + f

@@ -13,13 +13,13 @@ deconcatenation coproduct on the stuffle side.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import factorial
 
 from .coeff import QPoly
 from .ncpoly import (NCPoly, Tensor2, _accumulate, _bilinear, _divided,
                      _integral, exp_coefficients, log_coefficients,
-                     tensor_outer, truncated_series, word_poly)
+                     truncated_series, word_poly)
 from .words import all_words_up_to, weight, words_of_weight
 from .report import Report
 
@@ -65,10 +65,6 @@ def stuffle_poly(p, q, max_weight=None):
 
 def shuffle_poly(p, q, max_weight=None):
     return _bilinear(shuffle, p, q, max_weight)
-
-
-def conc_poly(p, q, max_weight=None):
-    return _bilinear(None, p, q, max_weight)
 
 
 def stuffle_power_divided(p, k):
@@ -130,19 +126,37 @@ def counit(p):
 
 
 def _primitive_by_coproduct(p, n):
-    pt = p.truncate(n)
-    expected = tensor_outer(pt, NCPoly.one()) + tensor_outer(NCPoly.one(), pt)
-    return stuffle_coproduct(pt).truncate(n) == expected.truncate(n)
+    """Delta(p) == p ox 1 + 1 ox p on the terms of weight <= n, compared in
+    ints: both sides are built from p scaled by the lcm of its
+    denominators, and the coproduct keeps weights."""
+    _, terms = _integral(p.truncate(n))
+    cop, expected = {}, {}
+    for (w, e), c in terms.items():
+        _accumulate(cop, stuffle_coproduct(w)._terms.items(), c, e)
+        _accumulate(expected, (((w, (), e), c), (((), w, e), c)))
+    return cop == expected
+
+
+def _word_pairs(total):
+    """Each unordered pair {u, v} of nonempty words of total weight `total`
+    once: weight(u) <= weight(v), and u not after v in the enumeration
+    when the weights are equal.  stuffle(u, v) and stuffle(v, u) are one
+    cached value, so the swapped pair would repeat the same test."""
+    for a in range(1, total // 2 + 1):
+        us, vs = words_of_weight(a), words_of_weight(total - a)
+        for i, u in enumerate(us):
+            for v in (vs[i:] if 2 * a == total else vs):
+                yield u, v
 
 
 def _primitive_by_pairing(p, n):
+    """<p | u*v> = 0 for all nonempty u, v with total weight <= n.  u*v is
+    homogeneous, so only the weights present in p can pair."""
     pt = NCPoly._raw(_integral(p.truncate(n))[1])  # same zeros, int pairings
-    for total in range(2, n + 1):
-        for a in range(1, total):
-            for u in words_of_weight(a):
-                for v in words_of_weight(total - a):
-                    if stuffle(u, v)._pair(pt):
-                        return False
+    for total in sorted({weight(w) for w, _ in pt._terms}):
+        for u, v in _word_pairs(total):
+            if stuffle(u, v)._pair(pt):
+                return False
     return True
 
 
@@ -167,18 +181,16 @@ def is_grouplike(s, n):
         raise ValueError("group-like test needs constant term 1")
     st = s.truncate(n)
     for total in range(2, n + 1):
-        for a in range(1, total):
-            for u in words_of_weight(a):
-                cu = st.coeff(u)
-                for v in words_of_weight(total - a):
-                    if stuffle(u, v).pairing(st) != cu * st.coeff(v):
-                        return False
+        for u, v in _word_pairs(total):
+            if stuffle(u, v).pairing(st) != st.coeff(u) * st.coeff(v):
+                return False
     return True
 
 
-def exp_proper(p, mul=conc_poly, n=None):
+def exp_proper(p, mul=partial(_bilinear, None), n=None):
     """Truncated exponential of a proper polynomial w.r.t. the given product
-    (called as mul(a, b, n), keeping the terms of weight <= n)."""
+    (called as mul(a, b, n), keeping the terms of weight <= n; concatenation
+    by default)."""
     if n is None:
         raise ValueError("a weight bound is required")
     p = p.truncate(n)
@@ -188,7 +200,7 @@ def exp_proper(p, mul=conc_poly, n=None):
                             exp_coefficients(n), constant=True)
 
 
-def log_one_plus(s, mul=conc_poly, n=None):
+def log_one_plus(s, mul=partial(_bilinear, None), n=None):
     """Truncated logarithm of a series with constant term 1."""
     if n is None:
         raise ValueError("a weight bound is required")

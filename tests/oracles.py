@@ -1,20 +1,34 @@
-"""Independent brute-force oracles for the test suite.
+"""Independent brute-force oracles and second routes for the test suite.
 
-Everything here is deliberately self-contained (stdlib only, own word
-order helpers) so the checks against the library are genuine two-route
-comparisons: shuffle by interleaving enumeration, Lyndon tests by both
-classical characterizations, factorizations by exhaustive splitting, the
-classical stuffle recursions at numeric contraction coefficients, the
-classical dual-PBW (Radford) pipeline used as the q=0 reference, the
-dense division-free inverse of a unit triangular matrix, the q-stuffle
-of polynomials by enumeration of quasi-shuffles, and the primitive
-projector by its defining sum over tuples of words.
+The brute-force oracles are deliberately self-contained (stdlib only, own
+word order helpers) so the checks against the library are genuine
+two-route comparisons: shuffle by interleaving enumeration, Lyndon tests
+by both classical characterizations, standard sequences by their
+definition, factorizations by exhaustive splitting, the classical stuffle
+recursions at numeric contraction coefficients, the classical dual-PBW
+(Radford) pipeline used as the q=0 reference, the dense division-free
+inverse of a unit triangular matrix, the q-stuffle of polynomials by
+enumeration of quasi-shuffles, the primitive projector by its defining
+sum over tuples of words, and the pairing criterion of primitivity over
+every ordered pair of words at every weight.
+
+The last section holds second routes to library results that are built
+from library parts by another formula: products of PBW elements along a
+sequence, the adjoint and letter forms of the reconstruction identity,
+and the closed forms of the log of the diagonal series.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import factorial
+
+from qstuffle.bases import pbw_element
+from qstuffle.coeff import QPoly
+from qstuffle.eulerian import (primitive_projector, primitive_projector_adjoint,
+                               primitive_projector_letter)
+from qstuffle.ncpoly import NCPoly, Tensor2, tensor_outer, word_poly
+from qstuffle.ops import stuffle_poly
 
 
 def o_word_key(w):
@@ -74,6 +88,27 @@ def classical_stuffle(u, v, c):
     if c:
         acc(classical_stuffle(u[1:], v[1:], c), u[0] + v[0], Fraction(c))
     return out
+
+
+def is_standard_sequence(seq):
+    """Each entry is Lyndon, and each non-letter entry's right standard
+    factor (its smallest proper suffix) is not smaller than any later
+    entry."""
+    if not seq:
+        return False
+    for i, l in enumerate(seq):
+        if not o_is_lyndon_suffix(l):
+            return False
+        if len(l) > 1:
+            right = min((l[j:] for j in range(1, len(l))), key=o_word_key)
+            if any(o_word_key(right) < o_word_key(s) for s in seq[i + 1:]):
+                return False
+    return True
+
+
+def largest_rise_policy(indices):
+    """The derivation-tree policy that expands the last legal rise."""
+    return max(indices)
 
 
 def all_cfl_factorizations(w):
@@ -236,3 +271,98 @@ def projector_tuple_sum(w):
             poly[e] = poly.get(e, Fraction(0)) + scale * a
     return {u: {e: c for e, c in poly.items() if c}
             for u, poly in out.items() if any(poly.values())}
+
+
+def _o_pairing(p, r):
+    """<p | r> for dicts word -> {q-exponent: Fraction}, as the same kind
+    of dict over exponents, zeros dropped."""
+    out = {}
+    for w, cp in p.items():
+        for e1, a in cp.items():
+            for e2, b in r.get(w, {}).items():
+                out[e1 + e2] = out.get(e1 + e2, 0) + a * b
+    return {e: c for e, c in out.items() if c}
+
+
+@lru_cache(maxsize=None)
+def _o_word_stuffle(u, v):
+    return brute_q_stuffle_poly({u: {0: Fraction(1)}}, {v: {0: Fraction(1)}})
+
+
+def primitive_by_all_pairs(p, n):
+    """The pairing criterion of primitivity as stated: <p | u * v> = 0 for
+    every ordered pair of nonempty words u, v of total weight 2..n; p is a
+    dict word -> {q-exponent: Fraction}."""
+    for total in range(2, n + 1):
+        for a in range(1, total):
+            for u in _o_words_of_weight(a):
+                for v in _o_words_of_weight(total - a):
+                    if _o_pairing(p, _o_word_stuffle(u, v)):
+                        return False
+    return True
+
+
+# Second routes built from library parts.
+
+def pi_of_sequence(seq):
+    """Concatenation product of the PBW elements of a sequence of words."""
+    acc = NCPoly.one()
+    for l in seq:
+        acc = acc * pbw_element(l)
+    return acc
+
+
+def _block_splits(w, k):
+    """Splittings of w into k nonempty contiguous blocks."""
+    for cuts in combinations(range(1, len(w)), k - 1):
+        bounds = (0,) + cuts + (len(w),)
+        yield tuple(w[i:j] for i, j in zip(bounds, bounds[1:]))
+
+
+def reconstruct_adjoint(w):
+    """Rebuild w as sum_k (1/k!) sum over deconcatenations of the iterated
+    stuffle of adjoint-projector values."""
+    w = tuple(w)
+    if not w:
+        return NCPoly.one()
+    acc = NCPoly.zero()
+    for k in range(1, len(w) + 1):
+        for blocks in _block_splits(w, k):
+            prod = primitive_projector_adjoint(blocks[0])
+            for b in blocks[1:]:
+                prod = stuffle_poly(prod, primitive_projector_adjoint(b))
+            acc = acc + prod.scale(Fraction(1, factorial(k)))
+    return acc
+
+
+def letter_reconstruct(s):
+    """The letter identity: y_s as the q-weighted sum over compositions of s
+    of products of projected letters."""
+    acc = NCPoly.zero()
+    for w in _o_words_of_weight(s):
+        k = len(w)
+        prod = NCPoly.one()
+        for j in w:
+            prod = prod * primitive_projector_letter(j)
+        acc = acc + prod.scale(QPoly({k - 1: Fraction(1, factorial(k))}))
+    return acc
+
+
+def log_diagonal_left_form(n):
+    """Closed form of the log of the diagonal series: the sum of
+    w ox projector(w) over the words of weight 1..n."""
+    acc = Tensor2.zero()
+    for k in range(1, n + 1):
+        for w in _o_words_of_weight(k):
+            acc = acc + tensor_outer(word_poly(w), primitive_projector(w))
+    return acc
+
+
+def log_diagonal_right_form(n):
+    """Closed form: the sum of adjoint-projector(w) ox w."""
+    acc = Tensor2.zero()
+    for k in range(1, n + 1):
+        for w in _o_words_of_weight(k):
+            acc = acc + tensor_outer(primitive_projector_adjoint(w),
+                                     word_poly(w))
+    return acc

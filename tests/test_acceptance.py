@@ -7,16 +7,16 @@ PASS/FAIL line (run with -s to see them all).
 import time
 from fractions import Fraction
 
-from oracles import brute_shuffle, ncpoly_to_fraction_dict, radford_dual
+from oracles import (brute_shuffle, is_standard_sequence,
+                     largest_rise_policy, letter_reconstruct,
+                     ncpoly_to_fraction_dict, pi_of_sequence, radford_dual,
+                     reconstruct_adjoint)
 from qstuffle.coeff import QPoly
 from qstuffle.bases import (dual_pbw_element, dual_pbw_oracle, pbw_element,
-                            pi_of_sequence, verify_duality,
-                            verify_factorization, verify_methods,
-                            verify_primitivity)
-from qstuffle.lyndon import (derivation_tree, is_standard_sequence,
-                             largest_rise_policy, lyndon_up_to)
-from qstuffle.eulerian import (letter_reconstruct, reconstruct,
-                               reconstruct_adjoint)
+                            verify_duality, verify_factorization,
+                            verify_methods, verify_primitivity)
+from qstuffle.lyndon import derivation_tree, lyndon_up_to
+from qstuffle.eulerian import reconstruct
 from qstuffle.ncpoly import NCPoly, word_poly
 from qstuffle.ops import shuffle, stuffle, stuffle_poly
 from qstuffle.words import all_words_up_to, word_key, words_of_weight

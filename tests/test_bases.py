@@ -4,22 +4,22 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (dense_invert_unit_upper, ncpoly_to_fraction_dict,
-                     radford_dual)
+from oracles import (dense_invert_unit_upper, largest_rise_policy,
+                     ncpoly_to_fraction_dict, pi_of_sequence, radford_dual)
 from qstuffle.coeff import QPoly
 from qstuffle.bases import (GradedBasis, _dual_by_triangular_solve,
+                            _exp_tensor,
                             basis_by_kind, chi_basis, dual_pbw_element,
                             dual_pbw_oracle, factorization_forms,
                             lyndon_stuffle_element, pbw_element, pi_basis,
-                            pi_of_sequence, sigma_from_cfl, sigma_increasing,
+                            sigma_from_cfl, sigma_increasing,
                             sigma_lyndon_general, verify_duality,
                             verify_factorization, verify_methods,
                             verify_primitivity, xi_basis)
 from qstuffle.lyndon import (cfl_grouped, derivation_tree, is_lyndon,
-                             largest_rise_policy, lyndon_of_weight,
-                             lyndon_up_to)
-from qstuffle.ncpoly import NCPoly, word_poly
-from qstuffle.ops import is_primitive, stuffle_poly
+                             lyndon_of_weight, lyndon_up_to)
+from qstuffle.ncpoly import NCPoly, Tensor2, tensor_outer, word_poly
+from qstuffle.ops import is_primitive, stuffle, stuffle_poly
 from qstuffle.report import Report
 from qstuffle.words import all_words_up_to, weight, word_key, words_of_weight
 
@@ -197,6 +197,25 @@ def test_factorization():
         assert rep.ok, rep.lines()
     diag, mid, prod = factorization_forms(3)
     assert mid == diag and prod == diag
+
+
+def test_factorization_forms_equal_unscaled_routes():
+    """The integer-carried dual-pair sum and product of exponentials equal
+    the plain sum of outer products and the left-to-right chain of slot
+    products over the unscaled factors."""
+    for n in range(1, 6):
+        sigma = dual_pbw_oracle(n)
+        pair_sum = Tensor2.one()
+        for w in all_words_up_to(n):
+            pair_sum = pair_sum + tensor_outer(sigma.entry(w), pbw_element(w))
+        chain = Tensor2.one()
+        for l in sorted(lyndon_up_to(n), key=word_key, reverse=True):
+            factor = _exp_tensor(tensor_outer(sigma.entry(l), pbw_element(l)),
+                                 2 * n)
+            chain = chain.combine(factor, left_mul=stuffle, max_total=2 * n)
+        _, mid, prod = factorization_forms(n)
+        assert mid == pair_sum
+        assert prod == chain
 
 
 def verify_lemma3(n, seed=20260810):

@@ -3,12 +3,12 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (all_cfl_factorizations, o_is_lyndon_rotation,
+from oracles import (all_cfl_factorizations, is_standard_sequence,
+                     largest_rise_policy, o_is_lyndon_rotation,
                      o_is_lyndon_suffix, o_word_key)
 from qstuffle.lyndon import (cfl_factorization, cfl_grouped, converse_tree,
-                             derivation_tree, falls, is_lyndon,
-                             is_standard_sequence, landmarks,
-                             largest_rise_policy, legal_rises, lyndon_of_weight,
+                             derivation_tree, falls, is_lyndon, landmarks,
+                             legal_rises, lyndon_of_weight,
                              lyndon_up_to, merge_at_rise, rises,
                              split_at_landmark, standard_factorization,
                              swap_at_fall, swap_at_rise)

@@ -2,14 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import brute_shuffle, classical_stuffle, ncpoly_to_fraction_dict
+from oracles import (brute_shuffle, classical_stuffle, ncpoly_to_fraction_dict,
+                     primitive_by_all_pairs)
 from qstuffle.coeff import QPoly
 from qstuffle.eulerian import primitive_projector
 from qstuffle.ncpoly import NCPoly, Tensor2, tensor_outer, word_poly
-from qstuffle.ops import (counit, deconcat_coproduct, exp_proper, is_grouplike,
-                          is_primitive, log_one_plus, shuffle, stuffle,
-                          stuffle_coproduct, stuffle_poly, verify_axioms)
+from qstuffle.ops import (_primitive_by_pairing, counit, deconcat_coproduct,
+                          exp_proper, is_grouplike, is_primitive, log_one_plus,
+                          shuffle, stuffle, stuffle_coproduct, stuffle_poly,
+                          verify_axioms)
 from qstuffle.words import all_words_up_to, weight, words_of_weight
 
 
@@ -112,6 +115,50 @@ def test_friedrichs_consistency_random():
         for w in rng.sample(words, k=3):
             p = p + word_poly(w).scale(Fraction(rng.randint(-3, 3)))
         is_primitive(p, 5)
+
+
+SCALARS = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+SCALES = st.one_of(SCALARS, st.tuples(st.integers(0, 2), SCALARS).map(
+    lambda ea: QPoly({ea[0]: ea[1]})))
+
+
+def _combinations(element, lo, hi):
+    """Sums of element(w)·c over one to four random words w of weight
+    lo..hi."""
+    words = [w for w in all_words_up_to(hi) if weight(w) >= lo]
+    return st.lists(st.tuples(st.sampled_from(words), SCALES), min_size=1,
+                    max_size=4).map(lambda pairs: sum(
+                        (element(w).scale(c) for w, c in pairs),
+                        NCPoly.zero()))
+
+
+def _sum(pair):
+    return pair[0] + pair[1]
+
+
+PRIMITIVES = _combinations(primitive_projector, 1, 6)
+WORD_SUMS = _combinations(word_poly, 1, 6)
+POLYS = st.one_of(
+    PRIMITIVES, WORD_SUMS,
+    st.tuples(PRIMITIVES, WORD_SUMS).map(_sum),
+    # a primitive top over a part that may fail only at a lower weight
+    st.tuples(_combinations(primitive_projector, 4, 6),
+              _combinations(word_poly, 1, 3)).map(_sum))
+
+
+@settings(deadline=None, max_examples=60)
+@given(POLYS, st.integers(1, 6))
+@example(word_poly((1, 1)), 2)  # fails only at the split 1 + 1
+@example(word_poly((1, 1)) + primitive_projector((3,)), 3)  # not the top
+@example(primitive_projector((2, 1)).scale(QPoly.q()) + word_poly((1,)), 6)
+def test_pairing_criterion_equals_all_ordered_pairs(p, n):
+    """The pairing criterion over the weights of the support and unordered
+    pairs equals its statement over every ordered pair at every weight;
+    is_primitive, which also checks the coproduct route, agrees."""
+    expected = primitive_by_all_pairs(
+        {w: dict(c.terms()) for w, c in p.terms()}, n)
+    assert _primitive_by_pairing(p, n) == expected
+    assert is_primitive(p, n) == expected
 
 
 def test_coassociativity_to_weight_6():
