@@ -142,11 +142,11 @@ class GradedBasis:
                            "generator_version": "qstuffle %s" % __version__},
                           indent=2)
         yield head[:-2] + ',\n  "entries": {'  # head without its "\n}"
-        words = {}  # the word lists of json_text at depth 2
+        words = {}  # the indented word lists of json_text
         sep = "\n    "
         for w, p in self._specialized(q_value):
             yield "%s%s: %s" % (sep, json.dumps(word_to_str(w)),
-                                p.json_text(2, words))
+                                p.json_text(words))
             sep = ",\n    "
         tail = "\n  }"
         if q_value is not None:

@@ -8,10 +8,13 @@ key that ends in the exponent e, with a in the form `rational` gives it.
 parameter q with Fraction coefficients.  It is the boundary type: the
 input of the `NCPoly`/`Tensor2` constructors and of `scale`, and the
 output of `coeff`, `pairing`, `constant_term` and `terms`; no sum, product,
-series or verify suite computes with it.  The zero polynomial stores no
-terms; construction always normalizes.  `poly_text` and `poly_latex`
-render a coefficient from its (exponent, coefficient) pairs, for a QPoly
-and for the flat terms alike.
+series or verify suite computes with it.  Its arithmetic is plain ring
+code, every result built by the normalizing constructor, and it is kept
+apart from the accumulation kernel of `ncpoly` on purpose: it is the
+tests' independent ring (the dense solve in `tests/oracles.py`, the
+pairing checks).  A constant equals, and hashes like, the rational it is.
+`poly_text` and `poly_latex` render a coefficient from its (exponent,
+coefficient) pairs, for a QPoly and for the flat terms alike.
 """
 
 from fractions import Fraction
@@ -42,10 +45,20 @@ def _fraction(x):
     raise TypeError("expected int or Fraction, got %r" % type(x).__name__)
 
 
+def _coerce(x):
+    """x as a QPoly: a QPoly itself, an int or Fraction as a constant;
+    None for any other type."""
+    if isinstance(x, QPoly):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return QPoly.const(x)
+    return None
+
+
 class QPoly:
     """Element of Q[q]: sparse map q-exponent -> nonzero Fraction."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
         data = {}
@@ -57,7 +70,6 @@ class QPoly:
                 if c:
                     data[e] = c
         self._terms = data
-        self._hash = None
 
     @classmethod
     def zero(cls):
@@ -79,9 +91,6 @@ class QPoly:
         """Pairs (exponent, coefficient) sorted by exponent."""
         return sorted(self._terms.items())
 
-    def is_zero(self):
-        return not self._terms
-
     def __bool__(self):
         return bool(self._terms)
 
@@ -97,106 +106,59 @@ class QPoly:
         return all(c >= 0 for c in self._terms.values())
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QPoly.const(other)
-        if not isinstance(other, QPoly):
+        other = _coerce(other)
+        if other is None:
             return NotImplemented
         return self._terms == other._terms
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(tuple(sorted(self._terms.items())))
-        return self._hash
+        """A constant hashes like the rational it equals."""
+        if self.degree() <= 0:
+            return hash(self.constant_term())
+        return hash(frozenset(self._terms.items()))
 
     def __add__(self, other):
-        if not isinstance(other, QPoly):  # checked first: the common case
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = QPoly.const(other)
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
         data = dict(self._terms)
         for e, c in other._terms.items():
-            s = data.get(e)
-            if s is None:
-                data[e] = c
-            else:
-                s += c
-                if s:
-                    data[e] = s
-                else:
-                    del data[e]
-        out = QPoly.__new__(QPoly)
-        out._terms = data
-        out._hash = None
-        return out
+            data[e] = data.get(e, 0) + c
+        return QPoly(data)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = QPoly.__new__(QPoly)
-        out._terms = {e: -c for e, c in self._terms.items()}
-        out._hash = None
-        return out
+        return QPoly({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QPoly.const(other)
-        if not isinstance(other, QPoly):
+        other = _coerce(other)
+        if other is None:
             return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
 
     def __mul__(self, other):
-        if not isinstance(other, QPoly):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            c = _fraction(other)
-            if not c:
-                return QPoly()
-            out = QPoly.__new__(QPoly)
-            out._terms = {e: v * c for e, v in self._terms.items()}
-            out._hash = None
-            return out
-        a, b = self._terms, other._terms
-        if len(a) == 1 and len(b) == 1:  # monomials, almost every coefficient
-            (e1, c1), = a.items()
-            (e2, c2), = b.items()
-            data = {e1 + e2: c2 if c1 == 1 else c1 if c2 == 1 else c1 * c2}
-        else:
-            data = {}
-            for e1, c1 in a.items():
-                for e2, c2 in b.items():
-                    e = e1 + e2
-                    s = data.get(e)
-                    if s is None:
-                        data[e] = c1 * c2
-                    else:
-                        s += c1 * c2
-                        if s:
-                            data[e] = s
-                        else:
-                            del data[e]
-        out = QPoly.__new__(QPoly)
-        out._terms = data
-        out._hash = None
-        return out
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        data = {}
+        for e1, c1 in self._terms.items():
+            for e2, c2 in other._terms.items():
+                data[e1 + e2] = data.get(e1 + e2, 0) + c1 * c2
+        return QPoly(data)
 
     __rmul__ = __mul__
 
     def eval_at(self, q0):
-        """Exact Horner evaluation at q = q0 (a Fraction or int)."""
+        """The exact value at q = q0 (a Fraction or int)."""
         q0 = _fraction(q0)
-        acc = Fraction(0)
-        prev = None
-        for e in sorted(self._terms, reverse=True):
-            if prev is not None:
-                acc *= q0 ** (prev - e)
-            acc += self._terms[e]
-            prev = e
-        if prev:
-            acc *= q0 ** prev
-        return acc
+        return sum((c * q0 ** e for e, c in self._terms.items()), Fraction(0))
 
     def to_json(self):
         return [{"qpow": e, "coeff": str(c)} for e, c in self.terms()]

@@ -337,14 +337,14 @@ class NCPoly(_Sparse):
                  "coeff": [{"qpow": e, "coeff": str(a)} for e, a in pairs]}
                 for w, pairs in self._grouped()]
 
-    def json_text(self, depth, words):
-        """The text of `json.dumps(self.to_json(), indent=2)` nested `depth`
-        levels deep: every line after the first is indented by 2·depth more
-        spaces.  `words`, a dict the caller keeps for one depth, holds the
-        indented list of each word across calls."""
+    def json_text(self, words):
+        """The text of `json.dumps(self.to_json(), indent=2)` nested two
+        levels deep, as an entry of `GradedBasis.json_chunks`: every line
+        after the first is indented by 4 more spaces.  `words`, a dict the
+        caller keeps, holds the indented list of each word across calls."""
         if not self._terms:
             return "[]"
-        pad = "\n" + "  " * depth
+        pad = "\n    "
         item = pad + "  {" + pad + '    "word": %s,' + pad \
             + '    "coeff": [%s' + pad + "    ]" + pad + "  }"
         qterm = pad + "      {" + pad + '        "qpow": %d,' + pad \

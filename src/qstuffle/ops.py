@@ -80,16 +80,22 @@ def _deconcat_word(w):
     return Tensor2({(w[:i], w[i:]): 1 for i in range(len(w) + 1)})
 
 
-def deconcat_coproduct(p):
-    """Sum over all splittings w = uv of u ox v, extended linearly.  On a
-    word it returns the cached (shared, immutable) value itself."""
+def _linear(word_map, p):
+    """The linear extension to the polynomial p of a map word -> Tensor2;
+    on a word p, the map's value itself."""
     if isinstance(p, tuple):
-        return _deconcat_word(p)
+        return word_map(p)
     d, terms = _integral(p)
     acc = {}
     for (w, e), c in terms.items():
-        _accumulate(acc, _deconcat_word(w)._terms.items(), c, e)
+        _accumulate(acc, word_map(w)._terms.items(), c, e)
     return Tensor2._raw(_divided(acc, d))
+
+
+def deconcat_coproduct(p):
+    """Sum over all splittings w = uv of u ox v, extended linearly.  On a
+    word it returns the cached (shared, immutable) value itself."""
+    return _linear(_deconcat_word, p)
 
 
 @lru_cache(maxsize=None)
@@ -111,13 +117,7 @@ def _stuffle_coproduct_word(w):
 def stuffle_coproduct(p):
     """Dual coproduct of the q-stuffle; a conc-morphism on words.  On a
     word it returns the cached (shared, immutable) value itself."""
-    if isinstance(p, tuple):
-        return _stuffle_coproduct_word(p)
-    d, terms = _integral(p)
-    acc = {}
-    for (w, e), c in terms.items():
-        _accumulate(acc, _stuffle_coproduct_word(w)._terms.items(), c, e)
-    return Tensor2._raw(_divided(acc, d))
+    return _linear(_stuffle_coproduct_word, p)
 
 
 def counit(p):

@@ -96,3 +96,51 @@ def test_rendering():
     assert p.latex() == "1 - \\frac{q}{2} + q^{2}"
     assert QPoly.zero().text() == "0"
     assert QPoly.q(2, Fraction(3, 4)).latex() == "\\frac{3q^{2}}{4}"
+
+
+def test_constant_hashes_like_its_rational():
+    assert QPoly.one() in {1}
+    assert QPoly.const(Fraction(1, 2)) in {Fraction(1, 2)}
+    assert QPoly.zero() in {0}
+    assert {Fraction(-3): "c"}[QPoly.const(-3)] == "c"
+    assert {QPoly.const(Fraction(4, 2)): "c"}[2] == "c"
+    for c in (0, 1, -7, Fraction(5, 6)):
+        assert hash(QPoly.const(c)) == hash(c)
+    a = QPoly({0: 1, 3: Fraction(-2, 3)})
+    b = q(3, Fraction(-2, 3)) + QPoly.one()
+    assert a == b and hash(a) == hash(b)
+
+
+def test_rationals_on_either_side():
+    p = QPoly({0: 1, 2: Fraction(1, 3)})
+    for c in (2, Fraction(-3, 4)):
+        k = QPoly.const(c)
+        assert p + c == c + p == p + k
+        assert p - c == p - k
+        assert c - p == k - p == -(p - c)
+        assert p * c == c * p == p * k
+    assert p * 0 == 0 * p == QPoly.zero()
+
+
+def test_cancellation_leaves_zero():
+    p = QPoly({0: Fraction(1, 2), 3: -2})
+    half = Fraction(1, 2)
+    for zero in (p - p, p + (-p), -p + p, p * 0, half - QPoly.const(half)):
+        assert not zero
+        assert zero.terms() == []
+        assert zero == 0
+    product = (QPoly.one() + q()) * (QPoly.one() - q())
+    assert product.terms() == [(0, 1), (2, -1)]  # the q terms cancel
+
+
+def test_foreign_operand_raises_type_error():
+    p = QPoly({1: 1})
+    for op in (lambda: p + 0.5, lambda: 0.5 + p, lambda: p - None,
+               lambda: "a" - p, lambda: p * 1.5, lambda: [] * p):
+        with pytest.raises(TypeError):
+            op()
+    with pytest.raises(TypeError):
+        QPoly({0: 0.5})
+    with pytest.raises(TypeError):
+        p.eval_at(0.5)
+    assert p != 1.0

@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 from oracles import brute_q_stuffle_poly
 from qstuffle.coeff import QPoly
 from qstuffle.ncpoly import NCPoly, Tensor2
-from qstuffle.ops import deconcat_coproduct, stuffle, stuffle_coproduct, \
-    stuffle_poly
+from qstuffle.ops import deconcat_coproduct, shuffle_poly, stuffle, \
+    stuffle_coproduct, stuffle_poly
 from qstuffle.words import all_words_up_to, word_key
 
 WORDS = st.sampled_from(all_words_up_to(4, include_empty=True))
@@ -26,6 +26,11 @@ QPOLYS = st.one_of(
     st.dictionaries(st.integers(0, 3), RATIONALS, max_size=3).map(QPoly),
     RATIONALS, st.integers(-3, 3))
 NCPOLYS = st.dictionaries(WORDS, QPOLYS, max_size=4)
+MIXED_QPOLYS = st.one_of(  # two to four powers of q
+    st.sampled_from(FIXED[:2]),
+    st.dictionaries(st.integers(0, 4), RATIONALS.filter(bool), min_size=2,
+                    max_size=4).map(QPoly))
+MIXED_NCPOLYS = st.dictionaries(WORDS, MIXED_QPOLYS, min_size=1, max_size=4)
 TENSORS = st.dictionaries(st.tuples(WORDS, WORDS), QPOLYS, max_size=4)
 Q_VALUES = st.fractions(min_value=-2, max_value=2, max_denominator=5)
 
@@ -99,3 +104,21 @@ def test_subs_q_commutes_with_stuffle_poly(a, b, q0):
     p, r = NCPoly(a), NCPoly(b)
     assert stuffle_poly(p, r).subs_q(q0) == \
         stuffle_poly(p.subs_q(q0), r.subs_q(q0)).subs_q(q0)
+
+
+@settings(deadline=None, max_examples=60)
+@given(MIXED_NCPOLYS, Q_VALUES)
+def test_subs_q_evaluates_each_coefficient(data, q0):
+    p = NCPoly(data)
+    specialized = p.subs_q(q0)
+    for w in all_words_up_to(4, include_empty=True):
+        assert specialized.coeff(w) == p.coeff(w).eval_at(q0)
+
+
+@settings(deadline=None, max_examples=40)
+@given(NCPOLYS, NCPOLYS)
+def test_shuffle_poly_is_stuffle_poly_at_q_zero(a, b):
+    """Two independent recursions: the shuffle has no contraction term."""
+    p, r = NCPoly(a), NCPoly(b)
+    assert shuffle_poly(p.subs_q(0), r.subs_q(0)) == \
+        stuffle_poly(p, r).subs_q(0)
