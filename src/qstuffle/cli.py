@@ -62,12 +62,16 @@ def build_parser():
 
 def _emit(text, out):
     """Write `text`, a str or an iterable of str written in order, to the
-    file `out` or else to sys.stdout, ending with exactly one newline."""
-    if out:
+    file `out` or else to sys.stdout, ending with exactly one newline.  A
+    file that cannot be written is a ValueError naming it."""
+    if not out:
+        return _write(sys.stdout, text)
+    try:
         with open(out, "w") as fh:
             _write(fh, text)
-    else:
-        _write(sys.stdout, text)
+    except OSError as exc:
+        raise ValueError("cannot write %s: %s"
+                         % (out, exc.strerror or exc)) from exc
 
 
 def _write(fh, text):

@@ -135,13 +135,13 @@ def reconstruct(w):
         return NCPoly.one()
     acc = {}
     for tup, prod in _word_tuples(weight(w)):
-        c = prod._at(w)
+        c = [(e, a) for (x, e), a in prod._terms.items() if x == w]
         if not c:
             continue
         term = NCPoly.one()
         for u in tup:
             term = term * primitive_projector(u)
-        for e, a in c.items():
+        for e, a in c:
             _accumulate(acc, term._terms.items(),
                         a * Fraction(1, factorial(len(tup))), e)
     return NCPoly._raw(acc)

@@ -10,9 +10,9 @@ are orthonormal for the canonical pairing.  Both classes are canonical (no
 stored zero coefficient) and treated as immutable.
 
 `QPoly` appears only at the boundary: the constructors and `scale` accept
-it, and `coeff`, `pairing`, `constant_term` and `terms` return it.  The
-lookups by word behind `coeff` and `pairing` go through an index
-word -> {e: a}, built on the first lookup into a value and kept with it.
+it, and `coeff`, `pairing`, `constant_term` and `terms` return it.  A value
+holds its term dict and nothing else; a lookup by word groups the terms it
+needs (`_by_head`) afresh on each call.
 
 The sums of both classes, and of the products, coproducts and series
 loops built on them, go through one kernel, `_accumulate`, which adds
@@ -135,20 +135,16 @@ def truncated_series(x, mul, coeffs, constant=False):
     return cls._raw(acc)
 
 
-_NONE = {}  # the terms under a head that has none
-
-
 class _Sparse:
     """Flat term dict shared by NCPoly and Tensor2: a key is the word, or
     the pair of words, followed by the q-exponent."""
 
-    __slots__ = ("_terms", "_index")
+    __slots__ = ("_terms",)
 
     @classmethod
     def _raw(cls, data):
         out = cls.__new__(cls)
         out._terms = data
-        out._index = None
         return out
 
     @classmethod
@@ -163,28 +159,29 @@ class _Sparse:
                 if a:
                     terms[head + (e,)] = rational(a)
         self._terms = terms
-        self._index = None
 
-    def _index_of(self):
-        """The map head -> {e: a} of the terms a·q^e under each head (the
-        word, or the pair of words), built on the first call; read only."""
-        index = self._index
-        if index is None:
-            index = {}
-            head = self._head
-            for k, a in self._terms.items():
-                h = head(k)
-                d = index.get(h)
-                if d is None:
-                    index[h] = {k[-1]: a}
-                else:
-                    d[k[-1]] = a
-            self._index = index  # published only when complete
-        return index
+    def _by_head(self):
+        """A fresh map head -> {e: a} of the terms a·q^e under each head
+        (the word, or the pair of words)."""
+        out = {}
+        head = self._head
+        for k, a in self._terms.items():
+            out.setdefault(head(k), {})[k[-1]] = a
+        return out
 
-    def _at(self, head):
-        """{e: a} for the terms under `head`: a shared dict, read only."""
-        return self._index_of().get(head, _NONE)
+    def _pair_with(self, grouped):
+        """The canonical pairing (words, and pairs of words, orthonormal)
+        with the value of the same class grouped as `grouped` by
+        `_by_head`, as {e: a} with every a nonzero."""
+        acc = {}
+        head = self._head
+        for k, a in self._terms.items():
+            d = grouped.get(head(k))
+            if d is not None:
+                e = k[-1]
+                for f, b in d.items():
+                    acc[e + f] = acc.get(e + f, 0) + a * b
+        return {e: a for e, a in acc.items() if a}
 
     def _grouped(self):
         """(head, [(e, a), ...]) per head, ascending by the word order of
@@ -272,7 +269,7 @@ class NCPoly(_Sparse):
         return {k[0] for k in self._terms}
 
     def coeff(self, w):
-        return QPoly(self._at(tuple(w)))
+        return QPoly(self._by_head().get(tuple(w)))
 
     def __mul__(self, other):
         """Concatenation product (bilinear extension); scalars also accepted."""
@@ -298,22 +295,10 @@ class NCPoly(_Sparse):
         return NCPoly._raw({((s,) + w, e): a
                             for (w, e), a in self._terms.items()})
 
-    def _pair(self, other):
-        """The canonical pairing (words orthonormal) as {e: a}."""
-        if len(other._terms) < len(self._terms):
-            self, other = other, self
-        acc = {}
-        find = other._index_of().get
-        for (w, e), a in self._terms.items():
-            d = find(w)
-            if d is not None:
-                for f, b in d.items():
-                    acc[e + f] = acc.get(e + f, 0) + a * b
-        return {e: rational(a) for e, a in acc.items() if a}
-
     def pairing(self, other):
         """Canonical pairing: words are orthonormal."""
-        return QPoly(self._pair(other))
+        small, large = sorted((self, other), key=len)
+        return QPoly(large._pair_with(small._by_head()))
 
     def constant_term(self):
         """Coefficient of the empty word."""
@@ -425,7 +410,7 @@ class Tensor2(_Sparse):
         return cls._raw({((), (), 0): 1})
 
     def coeff(self, u, v):
-        return QPoly(self._at((tuple(u), tuple(v))))
+        return QPoly(self._by_head().get((tuple(u), tuple(v))))
 
     def combine(self, other, left_mul=None, max_total=None):
         """Slotwise product: the left slots multiplied by the given
@@ -455,22 +440,9 @@ class Tensor2(_Sparse):
                             c * d)
         return Tensor2._raw(_divided(acc, d_self * d_other))
 
-    def _pair(self, p, q):
-        """Sum over (u, v) of coeff(u, v) * <p|u> * <q|v>, as {e: a}."""
-        acc = {}
-        for (u, v, e), c in self._terms.items():
-            cu = p._at(u)
-            if not cu:
-                continue
-            cv = q._at(v)
-            for f, a in cu.items():
-                for g, b in cv.items():
-                    acc[e + f + g] = acc.get(e + f + g, 0) + c * a * b
-        return {e: rational(a) for e, a in acc.items() if a}
-
     def pairing(self, p, q):
         """Sum over (u, v) of coeff(u, v) * <p|u> * <q|v>."""
-        return QPoly(self._pair(p, q))
+        return QPoly(tensor_outer(p, q)._pair_with(self._by_head()))
 
     def to_json(self):
         return [{"left": list(u), "right": list(v),

@@ -185,6 +185,60 @@ def test_out_file(tmp_path, capsys):
         stuffle((1,), (1,))
 
 
+def test_out_path_that_cannot_be_written(tmp_path, capsys):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, "basis", "pi", "--max-weight", "2",
+                         "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err == "error: cannot write %s: No such file or directory\n" \
+        % target
+    assert not target.parent.exists()
+
+
+SKIPPED = {1: ["cross-weight pairs vanish (0 pairs)",
+               "stuffle commutativity (0 pairs)",
+               "stuffle associativity (0 triples)",
+               "product/coproduct duality (0 pairings)"],
+           2: ["stuffle associativity (0 triples)"]}
+
+
+@pytest.mark.parametrize("n", sorted(SKIPPED))
+def test_a_check_over_nothing_is_skipped(capsys, n):
+    code, out, _ = run(capsys, "verify", "all", "--max-weight", str(n))
+    assert code == 0
+    skipped = [line[:-len(": SKIP (nothing to check)")]
+               for line in out.splitlines()
+               if line.endswith(": SKIP (nothing to check)")]
+    assert skipped == SKIPPED[n]
+    assert all(line.endswith(("PASS", "SKIP (nothing to check)"))
+               for line in out.splitlines())
+    code, out, _ = run(capsys, "verify", "all", "--max-weight", str(n),
+                       "--format", "json")
+    assert code == 0
+    reports = json.loads(out)
+    assert all(r["ok"] for r in reports)
+    checks = [c for r in reports for c in r["checks"]]
+    assert [c["name"] for c in checks if c.get("skipped")] == SKIPPED[n]
+    for c in checks:
+        assert c["passed"] is not c.get("skipped", False)
+
+
+def test_skipped_checks_alone_do_not_pass():
+    rep = Report("nothing")
+    rep.tally("pairs (0 pairs)", 0, 0)
+    assert rep.lines() == ["pairs (0 pairs): SKIP (nothing to check)",
+                           "nothing: FAILED"]
+    assert not rep.ok
+    rep.tally("words (1 words)", 1, 0)
+    assert rep.ok
+    rep.tally("triples (2 triples)", 2, 1)
+    assert not rep.ok
+    assert rep.to_json()["checks"][0] == {
+        "name": "pairs (0 pairs)", "passed": False, "skipped": True,
+        "detail": "nothing to check"}
+
+
 def test_usage_error():
     with pytest.raises(SystemExit):
         cli.main([])

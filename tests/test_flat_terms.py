@@ -4,7 +4,9 @@ Construction from QPoly coefficients (inhomogeneous ones such as 1 + q and
 1/2 - q^2 included) must round-trip through the public `terms()` view and
 drop zeros; every stored value is a nonzero int, or a Fraction that is not
 integral; the q-stuffle of polynomials must equal the enumeration of
-quasi-shuffles in `oracles`, and specializing q must commute with it."""
+quasi-shuffles in `oracles`, and specializing q must commute with it.  The
+lookups by word (`coeff`, `pairing`) must equal brute-force sums over
+`terms()`, and the q-stuffle must be dual to its coproduct."""
 
 from fractions import Fraction
 
@@ -12,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import brute_q_stuffle_poly
 from qstuffle.coeff import QPoly
-from qstuffle.ncpoly import NCPoly, Tensor2
+from qstuffle.ncpoly import NCPoly, Tensor2, word_poly
 from qstuffle.ops import deconcat_coproduct, shuffle_poly, stuffle, \
     stuffle_coproduct, stuffle_poly
 from qstuffle.words import all_words_up_to, word_key
@@ -32,6 +34,12 @@ MIXED_QPOLYS = st.one_of(  # two to four powers of q
                     max_size=4).map(QPoly))
 MIXED_NCPOLYS = st.dictionaries(WORDS, MIXED_QPOLYS, min_size=1, max_size=4)
 TENSORS = st.dictionaries(st.tuples(WORDS, WORDS), QPOLYS, max_size=4)
+WORDS5 = all_words_up_to(5, include_empty=True)
+MIXED_NCPOLYS5 = st.dictionaries(st.sampled_from(WORDS5), MIXED_QPOLYS,
+                                 max_size=4)
+MIXED_TENSORS5 = st.dictionaries(
+    st.tuples(st.sampled_from(WORDS5), st.sampled_from(WORDS5)),
+    MIXED_QPOLYS, max_size=4)
 Q_VALUES = st.fractions(min_value=-2, max_value=2, max_denominator=5)
 
 
@@ -122,3 +130,35 @@ def test_shuffle_poly_is_stuffle_poly_at_q_zero(a, b):
     p, r = NCPoly(a), NCPoly(b)
     assert shuffle_poly(p.subs_q(0), r.subs_q(0)) == \
         stuffle_poly(p, r).subs_q(0)
+
+
+def _sum(cs):
+    return sum(cs, QPoly.zero())
+
+
+@settings(deadline=None, max_examples=40)
+@given(MIXED_NCPOLYS5, MIXED_NCPOLYS5, MIXED_TENSORS5)
+def test_lookups_by_word_equal_sums_over_terms(a, b, c):
+    """coeff and pairing group the terms they need on each call; each must
+    equal the sum over `terms()` it stands for."""
+    p, r, t = NCPoly(a), NCPoly(b), Tensor2(c)
+    for w in WORDS5:
+        assert p.coeff(w) == _sum(cp for x, cp in p.terms() if x == w)
+    assert p.pairing(r) == r.pairing(p) == _sum(
+        cp * cr for x, cp in p.terms() for y, cr in r.terms() if x == y)
+    for u, v in [head for head, _ in t.terms()] + [((1,), (2,))]:
+        assert t.coeff(u, v) == _sum(ct for head, ct in t.terms()
+                                     if head == (u, v))
+    assert t.pairing(p, r) == _sum(
+        ct * cp * cr for (u, v), ct in t.terms() for x, cp in p.terms()
+        for y, cr in r.terms() if (x, y) == (u, v))
+
+
+@settings(deadline=None, max_examples=25)
+@given(MIXED_NCPOLYS5, MIXED_NCPOLYS5)
+def test_stuffle_is_dual_to_the_stuffle_coproduct(a, b):
+    """<p*r | w> = <Delta(w) | p ox r> for every word w of weight <= 5."""
+    p, r = NCPoly(a), NCPoly(b)
+    prod = stuffle_poly(p, r)
+    for w in WORDS5:
+        assert prod.pairing(word_poly(w)) == stuffle_coproduct(w).pairing(p, r)

@@ -253,3 +253,28 @@ def test_commutativity_check_sees_a_noncommutative_product(monkeypatch):
     lines = verify_axioms(3).lines()
     assert any(line.startswith("stuffle commutativity") and
                line.endswith("FAIL") for line in lines), lines
+
+
+@pytest.mark.parametrize("name, keep", [
+    ("_stuffle_coproduct_word", lambda u, e: e == 0),  # drops the q-terms
+    ("_deconcat_word", lambda u, e: len(u) != 1)],  # drops the first split
+    ids=["stuffle", "deconcatenation"])
+def test_duality_check_sees_a_coproduct_that_is_not_dual(monkeypatch, name,
+                                                          keep):
+    """The duality line holds <u*v | w> against <u ox v | Delta(w)>.  The
+    coproduct without its contraction terms (those that carry q) is not
+    dual to the q-stuffle, and the deconcatenation without the splitting
+    after the first letter is not dual to concatenation."""
+    from qstuffle import ops
+
+    full = getattr(ops, name)
+
+    def broken(w):
+        return Tensor2._raw({(u, v, e): a
+                             for (u, v, e), a in full(w)._terms.items()
+                             if keep(u, e)})
+
+    monkeypatch.setattr(ops, name, broken)
+    lines = verify_axioms(4).lines()
+    assert any(line.startswith("product/coproduct duality") and
+               line.endswith("FAIL") for line in lines), lines
