@@ -18,7 +18,12 @@ Four graded families indexed by words:
 Every basis is built by one helper, `_checked_basis`, from an element
 function or from the triangular solve of one, and is checked unit
 triangular.  The Lyndon PBW elements on letters are the projected letters;
-the primitivity suite also checks the general projector of `eulerian`.
+the primitivity suite also checks the general projector of `eulerian`,
+each family as one list through `ops.are_primitive`.
+
+The factorization suite expands the decreasing product of exponentials
+into one pure tensor per word, by distributivity and the uniqueness of the
+Chen-Fox-Lyndon factorization (`factorization_forms`).
 
 The triangular solve is the authority for the dual family; the recursive
 computations must agree with it.  `sigma_mismatches` is the one comparison
@@ -38,9 +43,8 @@ from .eulerian import (diagonal_series, primitive_projector,
 from .lyndon import (cfl_grouped, converse_tree, is_lyndon, lyndon_up_to,
                      standard_factorization)
 from .ncpoly import (NCPoly, Tensor2, _accumulate, _divided, _integral,
-                     exp_coefficients, tensor_outer, truncated_series,
                      word_poly)
-from .ops import is_primitive, stuffle, stuffle_poly, stuffle_power_divided
+from .ops import are_primitive, stuffle_poly, stuffle_power_divided
 from .report import Report
 from .words import (all_words_up_to, weight, word_key, word_latex, word_leq,
                     word_to_str, words_of_weight)
@@ -438,58 +442,48 @@ def verify_duality(n):
 def verify_primitivity(n):
     """Lyndon PBW elements and projected words are primitive up to n."""
     rep = Report("primitivity (N=%d)" % n)
-    lyndons = lyndon_up_to(n)
-    bad = [l for l in lyndons if not is_primitive(pbw_element(l), n)]
-    rep.add("pbw elements of Lyndon words (%d)" % len(lyndons), not bad,
-            "failures: %s" % [word_to_str(l) for l in bad] if bad else "")
-    words = all_words_up_to(n)
-    bad = [w for w in words if not is_primitive(primitive_projector(w), n)]
-    rep.add("projected words (%d)" % len(words), not bad,
-            "failures: %s" % [word_to_str(w) for w in bad] if bad else "")
+    for label, ws, element in (
+            ("pbw elements of Lyndon words", lyndon_up_to(n), pbw_element),
+            ("projected words", all_words_up_to(n), primitive_projector)):
+        ok = are_primitive([element(w) for w in ws], n)
+        bad = [word_to_str(w) for w, good in zip(ws, ok) if not good]
+        rep.add("%s (%d)" % (label, len(ws)), not bad,
+                "failures: %s" % bad if bad else "")
     return rep
 
 
-def _exp_tensor(t, bound):
-    """Exponential in the mixed tensor algebra (stuffle left, conc right),
-    keeping the terms of total weight <= bound."""
-    return truncated_series(
-        t, lambda a, b: a.combine(b, left_mul=stuffle, max_total=bound),
-        exp_coefficients(bound), constant=True)
+def _pair_sum(left_of, n):
+    """1⊗1 plus the sum of left_of(w) ⊗ pbw_element(w) over the words w of
+    weight 1..n, carried in ints: each pair of factors is scaled to ints,
+    the sum is accumulated over one common denominator and divided out once
+    at the end."""
+    scaled = [(_integral(left_of(w)), _integral(pbw_element(w)))
+              for w in all_words_up_to(n)]
+    den = lcm(*(ds * dp for (ds, _), (dp, _) in scaled))
+    acc = {((), (), 0): den}
+    for (ds, s_terms), (dp, p_terms) in scaled:
+        c = den // (ds * dp)
+        for (u, e), a in s_terms.items():
+            _accumulate(acc, (((u, v, e + f), b)
+                              for (v, f), b in p_terms.items()), a * c)
+    return Tensor2._raw(_divided(acc, den))
 
 
 def factorization_forms(n):
     """The three truncated expressions: the diagonal series, the dual-pair
     sum, and the decreasing product of exponentials over Lyndon words.
 
-    Both sums are carried in ints.  The dual-pair sum is accumulated over
-    one common denominator.  Each exponential factor is scaled to ints
-    before it enters the product, whose running denominator is reduced by
-    the gcd after every factor; both are divided out once at the end."""
-    diag = diagonal_series(n)
+    The product is not multiplied out.  (a⊗b)(c⊗d) = (a*c)⊗(bd) in the
+    mixed tensor algebra and exp(σ_l⊗π_l) = Σ_k σ_l^{*k}/k! ⊗ π_l^k, so by
+    distributivity the product is a sum over one exponent k_l per Lyndon
+    word l.  By the uniqueness of the Chen-Fox-Lyndon factorization the
+    choices are the words w = l_1^k_1...l_m^k_m, each giving
+    sigma_from_cfl(w) ⊗ pbw_element(w), of total weight 2·weight(w)
+    (Reutenauer, *Free Lie Algebras*, Thm 5.3).  Both sums are `_pair_sum`.
+    """
     sigma = dual_pbw_oracle(n)
-    scaled = [(_integral(sigma.entry(w)), _integral(pbw_element(w)))
-              for w in all_words_up_to(n)]
-    den = lcm(*(ds * dp for (ds, _), (dp, _) in scaled))
-    mid = {((), (), 0): den}
-    for (ds, s_terms), (dp, p_terms) in scaled:
-        c = den // (ds * dp)
-        for (u, e), a in s_terms.items():
-            _accumulate(mid, (((u, v, e + f), b)
-                              for (v, f), b in p_terms.items()), a * c)
-    mid = Tensor2._raw(_divided(mid, den))
-    bound = 2 * n
-    prod, den = Tensor2.one(), 1
-    for l in sorted(lyndon_up_to(n), key=word_key, reverse=True):
-        d, factor = _integral(_exp_tensor(
-            tensor_outer(sigma.entry(l), pbw_element(l)), bound))
-        prod = prod.combine(Tensor2._raw(factor), left_mul=stuffle,
-                            max_total=bound)
-        den *= d
-        g = gcd(den, *prod._terms.values())
-        if g > 1:
-            prod, den = Tensor2._raw({k: a // g for k, a in
-                                      prod._terms.items()}), den // g
-    return diag, mid, Tensor2._raw(_divided(prod._terms, den))
+    return (diagonal_series(n), _pair_sum(sigma.entry, n),
+            _pair_sum(lambda w: sigma_from_cfl(w, sigma.entry), n))
 
 
 def verify_factorization(n):

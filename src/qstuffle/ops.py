@@ -149,28 +149,48 @@ def _word_pairs(total):
                 yield u, v
 
 
-def _primitive_by_pairing(p, n):
-    """<p | u*v> = 0 for all nonempty u, v with total weight <= n.  u*v is
-    homogeneous, so only the weights present in p can pair."""
-    # p scaled to ints: the same zeros, and the pairings stay in ints
-    by_word = NCPoly._raw(_integral(p.truncate(n))[1])._by_head()
-    for total in sorted({weight(w) for w in by_word}):
+def _primitive_by_pairing(ps, n):
+    """For each polynomial p of the list `ps`: <p | 1> = 0 (the counit) and
+    <p | u*v> = 0 for all nonempty u, v with total weight <= n.  One index
+    word -> [(i, e, a)] holds the terms of every p_i scaled to ints (the
+    same zeros, and the pairings stay in ints); u*v is homogeneous, so each
+    stuffle(u, v) of a weight present in the index is walked once."""
+    ok = [True] * len(ps)
+    index = {}
+    for i, p in enumerate(ps):
+        for (w, e), a in _integral(p.truncate(n))[1].items():
+            if not w:
+                ok[i] = False
+            index.setdefault(w, []).append((i, e, a))
+    for total in {weight(w) for w in index}:
         for u, v in _word_pairs(total):
-            if stuffle(u, v)._pair_with(by_word):
-                return False
-    return True
+            acc = {}  # (i, exponent) -> <p_i | u*v> at that power of q
+            for (x, f), b in stuffle(u, v)._terms.items():
+                for i, e, a in index.get(x, ()):
+                    key = i, e + f
+                    acc[key] = acc.get(key, 0) + a * b
+            for (i, _), c in acc.items():
+                if c:
+                    ok[i] = False
+    return ok
+
+
+def are_primitive(ps, n):
+    """Friedrichs test up to weight n for each polynomial of the list `ps`,
+    through the coproduct, element by element, and through the pairing
+    criterion, once for the list; the two must agree on each."""
+    verdicts = [_primitive_by_coproduct(p, n) for p in ps]
+    for p, by_cop, by_pair in zip(ps, verdicts, _primitive_by_pairing(ps, n)):
+        if by_cop != by_pair:
+            raise RuntimeError("primitivity criteria disagree on %r "
+                               "(coproduct=%s, pairing=%s)"
+                               % (p, by_cop, by_pair))
+    return verdicts
 
 
 def is_primitive(p, n):
-    """Friedrichs test up to weight n, evaluated both through the coproduct
-    and through the pairing criterion; the two must agree."""
-    by_cop = _primitive_by_coproduct(p, n)
-    by_pair = _primitive_by_pairing(p, n)
-    if by_cop != by_pair:
-        raise RuntimeError(
-            "primitivity criteria disagree on %r (coproduct=%s, pairing=%s)"
-            % (p, by_cop, by_pair))
-    return by_cop
+    """Friedrichs test of one polynomial up to weight n: are_primitive([p])."""
+    return are_primitive([p], n)[0]
 
 
 def is_grouplike(s, n):

@@ -15,7 +15,8 @@ every ordered pair of words at every weight.
 The last section holds second routes to library results that are built
 from library parts by another formula: products of PBW elements along a
 sequence, the adjoint and letter forms of the reconstruction identity,
-and the closed forms of the log of the diagonal series.
+the closed forms of the log of the diagonal series, and the decreasing
+product of exponentials of the factorization folded factor by factor.
 """
 
 from fractions import Fraction
@@ -27,8 +28,11 @@ from qstuffle.bases import pbw_element
 from qstuffle.coeff import QPoly
 from qstuffle.eulerian import (primitive_projector, primitive_projector_adjoint,
                                primitive_projector_letter)
-from qstuffle.ncpoly import NCPoly, Tensor2, tensor_outer, word_poly
-from qstuffle.ops import stuffle_poly
+from qstuffle.lyndon import lyndon_up_to
+from qstuffle.ncpoly import (NCPoly, Tensor2, exp_coefficients, tensor_outer,
+                             truncated_series, word_poly)
+from qstuffle.ops import stuffle, stuffle_poly
+from qstuffle.words import word_key
 
 
 def o_word_key(w):
@@ -290,9 +294,11 @@ def _o_word_stuffle(u, v):
 
 
 def primitive_by_all_pairs(p, n):
-    """The pairing criterion of primitivity as stated: <p | u * v> = 0 for
-    every ordered pair of nonempty words u, v of total weight 2..n; p is a
-    dict word -> {q-exponent: Fraction}."""
+    """The pairing criterion of primitivity as stated: <p | 1> = 0 (the
+    counit) and <p | u * v> = 0 for every ordered pair of nonempty words
+    u, v of total weight 2..n; p is a dict word -> {q-exponent: Fraction}."""
+    if any(p.get((), {}).values()):
+        return False
     for total in range(2, n + 1):
         for a in range(1, total):
             for u in _o_words_of_weight(a):
@@ -366,3 +372,23 @@ def log_diagonal_right_form(n):
             acc = acc + tensor_outer(primitive_projector_adjoint(w),
                                      word_poly(w))
     return acc
+
+
+def exp_tensor(t, bound):
+    """Exponential in the mixed tensor algebra (stuffle left, conc right),
+    keeping the terms of total weight <= bound: the series of slot
+    products."""
+    return truncated_series(
+        t, lambda a, b: a.combine(b, left_mul=stuffle, max_total=bound),
+        exp_coefficients(bound), constant=True)
+
+
+def exp_product_fold(sigma_of, n):
+    """The decreasing product over the Lyndon words l of weight <= n of
+    exp(sigma_of(l) ox pbw(l)), folded left to right by slot products and
+    truncated at total weight 2n."""
+    chain = Tensor2.one()
+    for l in sorted(lyndon_up_to(n), key=word_key, reverse=True):
+        factor = exp_tensor(tensor_outer(sigma_of(l), pbw_element(l)), 2 * n)
+        chain = chain.combine(factor, left_mul=stuffle, max_total=2 * n)
+    return chain

@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (dense_invert_unit_upper, largest_rise_policy,
-                     ncpoly_to_fraction_dict, pi_of_sequence, radford_dual)
+from oracles import (dense_invert_unit_upper, exp_product_fold,
+                     largest_rise_policy, ncpoly_to_fraction_dict,
+                     pi_of_sequence, radford_dual)
+from qstuffle import bases
 from qstuffle.coeff import QPoly
 from qstuffle.bases import (GradedBasis, _dual_by_triangular_solve,
-                            _exp_tensor,
                             basis_by_kind, chi_basis, dual_pbw_element,
                             dual_pbw_oracle, factorization_forms,
                             lyndon_stuffle_element, pbw_element, pi_basis,
@@ -19,7 +20,7 @@ from qstuffle.bases import (GradedBasis, _dual_by_triangular_solve,
 from qstuffle.lyndon import (cfl_grouped, derivation_tree, is_lyndon,
                              lyndon_of_weight, lyndon_up_to)
 from qstuffle.ncpoly import NCPoly, Tensor2, tensor_outer, word_poly
-from qstuffle.ops import is_primitive, stuffle, stuffle_poly
+from qstuffle.ops import is_primitive, stuffle_poly
 from qstuffle.report import Report
 from qstuffle.words import all_words_up_to, weight, word_key, words_of_weight
 
@@ -200,22 +201,34 @@ def test_factorization():
 
 
 def test_factorization_forms_equal_unscaled_routes():
-    """The integer-carried dual-pair sum and product of exponentials equal
-    the plain sum of outer products and the left-to-right chain of slot
-    products over the unscaled factors."""
-    for n in range(1, 6):
+    """The integer-carried dual-pair sum and the expanded product of
+    exponentials equal the plain sum of outer products and the
+    left-to-right chain of slot products over the unscaled factors."""
+    for n in range(1, 7):
         sigma = dual_pbw_oracle(n)
         pair_sum = Tensor2.one()
         for w in all_words_up_to(n):
             pair_sum = pair_sum + tensor_outer(sigma.entry(w), pbw_element(w))
-        chain = Tensor2.one()
-        for l in sorted(lyndon_up_to(n), key=word_key, reverse=True):
-            factor = _exp_tensor(tensor_outer(sigma.entry(l), pbw_element(l)),
-                                 2 * n)
-            chain = chain.combine(factor, left_mul=stuffle, max_total=2 * n)
+        chain = exp_product_fold(sigma.entry, n)
         _, mid, prod = factorization_forms(n)
         assert mid == pair_sum
         assert prod == chain
+
+
+def test_factorization_sees_divided_powers_by_k(monkeypatch):
+    """Divided stuffle powers that divide by k instead of k! break the
+    product of exponentials (first at the word 1,1,1) and leave the
+    dual-pair sum, which reads the dual entries of the solve, unchanged."""
+    def divided_by_k(p, k):
+        out = NCPoly.one()
+        for _ in range(k):
+            out = stuffle_poly(out, p)
+        return out.scale(Fraction(1, k))
+    monkeypatch.setattr(bases, "stuffle_power_divided", divided_by_k)
+    assert verify_factorization(4).lines() == [
+        "dual-pair sum equals the diagonal series: PASS",
+        "decreasing product of exponentials equals the diagonal series: FAIL",
+        "factorization (N=4): FAILED"]
 
 
 def verify_lemma3(n, seed=20260810):

@@ -2,18 +2,23 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import (brute_shuffle, classical_stuffle, ncpoly_to_fraction_dict,
                      primitive_by_all_pairs)
 from qstuffle.coeff import QPoly
 from qstuffle.eulerian import primitive_projector
 from qstuffle.ncpoly import NCPoly, Tensor2, tensor_outer, word_poly
-from qstuffle.ops import (_primitive_by_pairing, counit, deconcat_coproduct,
-                          exp_proper, is_grouplike, is_primitive, log_one_plus,
-                          shuffle, stuffle, stuffle_coproduct, stuffle_poly,
-                          verify_axioms)
+from qstuffle.ops import (_primitive_by_pairing, are_primitive, counit,
+                          deconcat_coproduct, exp_proper, is_grouplike,
+                          is_primitive, log_one_plus, shuffle, stuffle,
+                          stuffle_coproduct, stuffle_poly, verify_axioms)
 from qstuffle.words import all_words_up_to, weight, words_of_weight
+
+
+def _as_dict(p):
+    """p as the oracles' dict word -> {q-exponent: Fraction}."""
+    return {w: dict(c.terms()) for w, c in p.terms()}
 
 
 def _pairs(total):
@@ -106,6 +111,15 @@ def test_is_primitive():
     assert is_primitive(primitive_projector((2,)), 4)
 
 
+@pytest.mark.parametrize("p", [NCPoly.one(), NCPoly.one() + word_poly((1,))])
+def test_constant_term_is_not_primitive(p):
+    """<p | 1> = 0 (the counit) is part of the pairing criterion, so both
+    routes, and the full criterion, say False on a nonzero constant term."""
+    assert _primitive_by_pairing([p], 3) == [False]
+    assert not is_primitive(p, 3)
+    assert not primitive_by_all_pairs(_as_dict(p), 3)
+
+
 def test_friedrichs_consistency_random():
     # is_primitive raises if the coproduct and pairing criteria disagree
     rng = random.Random(99)
@@ -155,10 +169,44 @@ def test_pairing_criterion_equals_all_ordered_pairs(p, n):
     """The pairing criterion over the weights of the support and unordered
     pairs equals its statement over every ordered pair at every weight;
     is_primitive, which also checks the coproduct route, agrees."""
-    expected = primitive_by_all_pairs(
-        {w: dict(c.terms()) for w, c in p.terms()}, n)
-    assert _primitive_by_pairing(p, n) == expected
+    expected = primitive_by_all_pairs(_as_dict(p), n)
+    assert _primitive_by_pairing([p], n) == [expected]
     assert is_primitive(p, n) == expected
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(POLYS, min_size=1, max_size=5), st.integers(1, 6))
+def test_pairing_criterion_on_a_list_is_per_element(ps, n):
+    """The shared index causes no cross-talk: the verdict on
+    each element of a list is the full criterion on that element alone,
+    and are_primitive, which also checks the coproduct route, agrees."""
+    expected = [primitive_by_all_pairs(_as_dict(p), n) for p in ps]
+    assert _primitive_by_pairing(ps, n) == expected
+    assert are_primitive(ps, n) == expected
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(PRIMITIVES, min_size=1, max_size=4), WORD_SUMS, st.data())
+def test_one_non_primitive_among_primitives_is_the_only_one_flagged(
+        prims, odd, data):
+    """A non-primitive element inserted anywhere into a list of primitive
+    ones is the one element both routes flag."""
+    assume(not primitive_by_all_pairs(_as_dict(odd), 6))
+    at = data.draw(st.integers(0, len(prims)))
+    ps = prims[:at] + [odd] + prims[at:]
+    expected = [True] * len(ps)
+    expected[at] = False
+    assert _primitive_by_pairing(ps, 6) == expected
+    assert are_primitive(ps, 6) == expected
+
+
+def test_criteria_disagreeing_on_one_element_is_an_error(monkeypatch):
+    """A disagreement of the two routes on one element of a list raises,
+    naming that element."""
+    import qstuffle.ops as ops
+    monkeypatch.setattr(ops, "_primitive_by_coproduct", lambda p, n: True)
+    with pytest.raises(RuntimeError, match=r"disagree on NCPoly\(\[2\]\)"):
+        are_primitive([word_poly((1,)), word_poly((2,))], 4)
 
 
 def test_coassociativity_to_weight_6():
