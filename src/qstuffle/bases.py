@@ -8,7 +8,8 @@ Four graded families indexed by words:
                          computed either by an exact triangular solve per
                          weight class (the oracle) or by the recursive
                          formulas (divided stuffle powers on the Lyndon
-                         factors, converse derivation trees on Lyndon words);
+                         factors, a sum over the converse derivation tree
+                         on a Lyndon word);
   * lyndon_stuffle_element -- divided stuffle powers of the raw Lyndon
                          factors ("chi", unit lower triangular): the
                          divided-power step of the recursive dual family
@@ -40,10 +41,10 @@ from ._version import __version__
 from .coeff import rational
 from .eulerian import (diagonal_series, primitive_projector,
                        primitive_projector_letter)
-from .lyndon import (cfl_grouped, converse_tree, is_lyndon, lyndon_up_to,
-                     standard_factorization)
+from .lyndon import (cfl_factorization, cfl_grouped, converse_tree,
+                     is_lyndon, lyndon_up_to, standard_factorization)
 from .ncpoly import (NCPoly, Tensor2, _accumulate, _divided, _integral,
-                     word_poly)
+                     _product_into, word_poly)
 from .ops import are_primitive, stuffle_poly, stuffle_power_divided
 from .report import Report
 from .words import (all_words_up_to, weight, word_key, word_latex, word_leq,
@@ -55,20 +56,24 @@ def pbw_element(w):
     """Basis element of the concatenation algebra attached to w: the
     projected letter for a letter, the bracket of the standard factors for
     a longer Lyndon word, the product over the decreasing Lyndon
-    factorization in general."""
+    factorization in general; carried in ints, with the product of the
+    factors' scales divided out once."""
     w = tuple(w)
     if not w:
         return NCPoly.one()
     if is_lyndon(w):
         if len(w) == 1:
             return primitive_projector_letter(w[0])
-        left, right = standard_factorization(w)
-        a, b = pbw_element(left), pbw_element(right)
-        return a * b - b * a
-    acc = NCPoly.one()
-    for factor, mult in cfl_grouped(w):
-        acc = acc * pbw_element(factor).conc_pow(mult)
-    return acc
+        (da, a), (db, b) = (_integral(pbw_element(f))
+                            for f in standard_factorization(w))
+        acc = _product_into(_product_into({}, None, a, b), None, b, a, -1)
+        return NCPoly._raw(_divided(acc, da * db))
+    factors = [_integral(pbw_element(f)) for f in cfl_factorization(w)]
+    den, acc = factors[0]
+    for d, terms in factors[1:]:
+        acc = _product_into({}, None, acc, terms)
+        den *= d
+    return NCPoly._raw(_divided(acc, den))
 
 
 class GradedBasis:
@@ -294,8 +299,9 @@ def sigma_from_cfl(w, sigma_of):
     w = tuple(w)
     if not w:
         return NCPoly.one()
-    acc = NCPoly.one()
-    for factor, mult in cfl_grouped(w):
+    (factor, mult), *rest = cfl_grouped(w)
+    acc = stuffle_power_divided(sigma_of(factor), mult)
+    for factor, mult in rest:
         acc = stuffle_poly(acc, stuffle_power_divided(sigma_of(factor), mult))
     return acc
 
@@ -324,10 +330,14 @@ def _add_headed(acc, s, i, tail):
 def sigma_lyndon_general(w, sigma_of):
     """Dual element of any Lyndon word via the converse derivation tree.
 
-    Every node occurrence T (occurrences count derivation paths) splits as a
-    letters-prefix of length i >= 1 followed by a weakly decreasing tail of
-    Lyndon words; each split contributes q^(i-1)/i! times the contracted
-    letter times the dual element of the concatenated tail.
+    The tree holds all sequences that derive to (w) under the smallest-rise
+    policy.  Every node occurrence T (occurrences count derivation paths)
+    splits as a letters-prefix of length i >= 1 followed by a weakly
+    decreasing tail of Lyndon words; each split contributes q^(i-1)/i!
+    times the contracted letter times the dual element of the concatenated
+    tail.  The recursion is as stated by Bui, Duchamp, Hoang Ngoc Minh, Ngo
+    and Tollu (J. Symbolic Comput. 75, 2016, arXiv:1312.5296), not quoted
+    from PAPER.md, which holds only the abstract.
     """
     w = tuple(w)
     if not is_lyndon(w):
@@ -391,8 +401,9 @@ def basis_by_kind(kind, n, sigma_method="oracle"):
     raise ValueError("unknown basis kind %r" % kind)
 
 
-def verify_duality(n):
-    """<dual(v) | pbw(u)> is 1 exactly when u = v, for weights <= n.
+def verify_duality(n, sigma=None):
+    """<dual(v) | pbw(u)> is 1 exactly when u = v, for weights <= n, with
+    the dual family `sigma` (by default the triangular solve).
 
     One sparse product of the transposed dual family with the PBW family:
     each word x is indexed to the u with x in supp pbw(u), so only pairs
@@ -404,7 +415,8 @@ def verify_duality(n):
     entry at (v, u) is d·d_u times the pairing, and on the diagonal the
     identity reads d·d_v."""
     rep = Report("duality (N=%d)" % n)
-    sigma = dual_pbw_oracle(n)
+    if sigma is None:
+        sigma = dual_pbw_oracle(n)
     words = all_words_up_to(n)
     containing = {}  # word x -> [((u, e), a)] for the terms a*q^e*x of pbw u
     scale = {}  # u -> d_u, the lcm of the denominators of pbw(u)
@@ -469,9 +481,10 @@ def _pair_sum(left_of, n):
     return Tensor2._raw(_divided(acc, den))
 
 
-def factorization_forms(n):
+def factorization_forms(n, sigma=None):
     """The three truncated expressions: the diagonal series, the dual-pair
-    sum, and the decreasing product of exponentials over Lyndon words.
+    sum, and the decreasing product of exponentials over Lyndon words, with
+    the dual family `sigma` (by default the triangular solve).
 
     The product is not multiplied out.  (a⊗b)(c⊗d) = (a*c)⊗(bd) in the
     mixed tensor algebra and exp(σ_l⊗π_l) = Σ_k σ_l^{*k}/k! ⊗ π_l^k, so by
@@ -481,14 +494,15 @@ def factorization_forms(n):
     sigma_from_cfl(w) ⊗ pbw_element(w), of total weight 2·weight(w)
     (Reutenauer, *Free Lie Algebras*, Thm 5.3).  Both sums are `_pair_sum`.
     """
-    sigma = dual_pbw_oracle(n)
+    if sigma is None:
+        sigma = dual_pbw_oracle(n)
     return (diagonal_series(n), _pair_sum(sigma.entry, n),
             _pair_sum(lambda w: sigma_from_cfl(w, sigma.entry), n))
 
 
-def verify_factorization(n):
+def verify_factorization(n, sigma=None):
     rep = Report("factorization (N=%d)" % n)
-    diag, mid, prod = factorization_forms(n)
+    diag, mid, prod = factorization_forms(n, sigma)
     rep.add("dual-pair sum equals the diagonal series", mid == diag)
     rep.add("decreasing product of exponentials equals the diagonal series",
             prod == diag)

@@ -148,10 +148,12 @@ def _cmd_basis(args, q_value):
 
 def _cmd_verify(args):
     n = args.max_weight
+    sigma = bases.dual_pbw_oracle(n) if args.suite in (
+        "all", "duality", "factorization") else None  # one solve for both
     suites = {
-        "duality": lambda: bases.verify_duality(n),
+        "duality": lambda: bases.verify_duality(n, sigma),
         "primitivity": lambda: bases.verify_primitivity(n),
-        "factorization": lambda: bases.verify_factorization(n),
+        "factorization": lambda: bases.verify_factorization(n, sigma),
         "axioms": lambda: ops.verify_axioms(n),
     }
     names = list(suites) if args.suite == "all" else [args.suite]

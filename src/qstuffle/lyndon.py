@@ -4,8 +4,8 @@ A Lyndon word (for the order with y_1 largest) is a nonempty word strictly
 smaller than every proper suffix.  This module provides the predicate,
 graded generation, the Chen-Fox-Lyndon and standard factorizations, and the
 rewriting machinery on standard sequences: rises, legal rises, the merge
-(lambda) and swap (rho) moves, their inverses at falls and landmarks, and
-the resulting derivation / converse-derivation trees.
+(lambda) and swap (rho) moves, and the derivation trees and their converse
+(that of (l) holds every sequence deriving to (l) by smallest rises).
 
 All sequence indices are 0-based.
 """
@@ -113,41 +113,6 @@ def swap_at_rise(seq, i):
     return seq[:i] + (seq[i + 1], seq[i]) + seq[i + 2:]
 
 
-def falls(seq):
-    """Indices i with entries 0..i all letters and entry i > entry i+1."""
-    out = []
-    for i in range(len(seq) - 1):
-        if any(len(seq[j]) != 1 for j in range(i + 1)):
-            break
-        if word_less(seq[i + 1], seq[i]):
-            out.append(i)
-    return out
-
-
-def landmarks(seq):
-    """Indices i with entries 0..i-1 letters and entry i of length >= 2.
-
-    At most one index qualifies: the first non-letter position.
-    """
-    for i in range(len(seq)):
-        if len(seq[i]) >= 2:
-            return [i]
-    return []
-
-
-def swap_at_fall(seq, i):
-    if i not in falls(seq):
-        raise ValueError("index %d is not a fall of %r" % (i, seq))
-    return seq[:i] + (seq[i + 1], seq[i]) + seq[i + 2:]
-
-
-def split_at_landmark(seq, i):
-    if i not in landmarks(seq):
-        raise ValueError("index %d is not a landmark of %r" % (i, seq))
-    left, right = standard_factorization(seq[i])
-    return seq[:i] + (left, right) + seq[i + 1:]
-
-
 def smallest_rise_policy(indices):
     return min(indices)
 
@@ -210,13 +175,20 @@ def derivation_tree(seq, policy=smallest_rise_policy, _op=None, _index=None):
 
 
 def converse_tree(seq, _op=None, _index=None):
-    """Expand a sequence by the inverse moves: a swap at every fall and a
-    split at every landmark.  Node occurrences count derivation paths, so
-    the same sequence may label several nodes."""
+    """Expand a sequence s by the inverse steps of `derivation_tree`: the
+    children are every t that gives s by a swap (rho) or a merge (lambda) at
+    its smallest legal rise i, namely s with entries i, i+1 swapped, or with
+    entry i split by its standard factorization.  Node occurrences count
+    derivation paths, so the same sequence may label several nodes."""
     seq = tuple(tuple(w) for w in seq)
+    candidates = [("rho", i, seq[:i] + (seq[i + 1], seq[i]) + seq[i + 2:])
+                  for i in range(len(seq) - 1)]
+    candidates += [("lambda", i,
+                    seq[:i] + standard_factorization(w) + seq[i + 1:])
+                   for i, w in enumerate(seq) if len(w) >= 2]
     children = []
-    for i in falls(seq):
-        children.append(converse_tree(swap_at_fall(seq, i), "rho", i))
-    for i in landmarks(seq):
-        children.append(converse_tree(split_at_landmark(seq, i), "lambda", i))
+    for op, i, t in candidates:
+        lr = legal_rises(t)
+        if lr and smallest_rise_policy(lr) == i:
+            children.append(converse_tree(t, op, i))
     return TreeNode(seq, _op, _index, children)

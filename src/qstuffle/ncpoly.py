@@ -14,12 +14,11 @@ it, and `coeff`, `pairing`, `constant_term` and `terms` return it.  A value
 holds its term dict and nothing else; a lookup by word groups the terms it
 needs (`_by_head`) afresh on each call.
 
-The sums of both classes, and of the products, coproducts and series
-loops built on them, go through one kernel, `_accumulate`, which adds
-scaled and q-shifted terms into a plain dict in place.  It writes only into
-a dict that its caller has just created: the term dicts of cached values
-(every `lru_cache` of the package hands out shared objects) are read,
-never written.
+The sums of both classes go through one kernel, `_accumulate`, and the
+products of polynomials through its int-only counterpart `_product_into`.
+Both write only into a dict that their caller has just created: the term
+dicts of cached values (every `lru_cache` of the package hands out shared
+objects) are read, never written.
 """
 
 from fractions import Fraction
@@ -80,33 +79,46 @@ def _integral(x):
 
 
 def _divided(acc, d):
-    """The terms of acc divided by the int d, in the stored form."""
+    """The int terms of acc divided by the int d, in the stored form."""
     if d == 1:
         return acc
-    return {k: rational(Fraction(a, d)) for k, a in acc.items()}
+    return {k: Fraction(a, d) if a % d else a // d for k, a in acc.items()}
 
 
-def _bilinear(word_prod, p, q, max_weight=None):
-    """Bilinear extension of a word-level product (a map (word, word) ->
-    NCPoly; None is concatenation) to the polynomials p and q.  With
-    max_weight, a pair of words whose weights sum past it is skipped
-    before it is multiplied."""
-    acc = {}
-    dp, p_terms = _integral(p)
-    dq, q_terms = _integral(q)
+def _product_into(acc, word_prod, p_terms, q_terms, c=1, max_weight=None):
+    """acc += c·(p·q) in place, all in ints, under a word-level product (a
+    map (word, word) -> NCPoly with int coefficients; None is
+    concatenation); returns acc without the terms that cancel.  With
+    max_weight, a pair of words whose weights sum past it is skipped."""
+    get = acc.get
     right = [(v, f, b, weight(v)) for (v, f), b in q_terms.items()]
     for (u, e), a in p_terms.items():
         room = None if max_weight is None else max_weight - weight(u)
-        if word_prod is None:
-            _accumulate(acc, (((u + v, e + f), b)
-                              for v, f, b, v_weight in right
-                              if room is None or v_weight <= room), a)
-            continue
+        ac = a * c
         for v, f, b, v_weight in right:
-            if room is None or v_weight <= room:
-                _accumulate(acc, word_prod(u, v)._terms.items(), a * b,
-                            e + f)
-    return NCPoly._raw(_divided(acc, dp * dq))
+            if room is not None and v_weight > room:
+                continue
+            if word_prod is None:
+                k = (u + v, e + f)
+                acc[k] = get(k, 0) + ac * b
+                continue
+            s, abc = e + f, ac * b
+            for (x, g), t in word_prod(u, v)._terms.items():
+                k = (x, g + s)
+                acc[k] = get(k, 0) + abc * t
+    for k in [k for k, a in acc.items() if not a]:
+        del acc[k]
+    return acc
+
+
+def _bilinear(word_prod, p, q, max_weight=None):
+    """Bilinear extension of a word-level product (see `_product_into`) to
+    the polynomials p and q, carried in ints."""
+    dp, p_terms = _integral(p)
+    dq, q_terms = _integral(q)
+    return NCPoly._raw(_divided(
+        _product_into({}, word_prod, p_terms, q_terms, 1, max_weight),
+        dp * dq))
 
 
 def exp_coefficients(n):
@@ -283,12 +295,6 @@ class NCPoly(_Sparse):
         if isinstance(other, (int, Fraction, QPoly)):
             return self.scale(other)
         return NotImplemented
-
-    def conc_pow(self, k):
-        out = NCPoly.one()
-        for _ in range(k):
-            out = out * self
-        return out
 
     def prepend_letter(self, s):
         """y_s * self, done without the generic product loop."""

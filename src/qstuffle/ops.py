@@ -12,14 +12,13 @@ y_s ox 1 + 1 ox y_s + q sum y_{s1} ox y_{s2} over s1+s2=s), with the
 deconcatenation coproduct on the stuffle side.
 """
 
-from fractions import Fraction
 from functools import lru_cache, partial
 from math import factorial
 
 from .coeff import QPoly
 from .ncpoly import (NCPoly, Tensor2, _accumulate, _bilinear, _divided,
-                     _integral, exp_coefficients, log_coefficients,
-                     truncated_series, word_poly)
+                     _integral, _product_into, exp_coefficients,
+                     log_coefficients, truncated_series, word_poly)
 from .words import all_words_up_to, weight, words_of_weight
 from .report import Report
 
@@ -68,11 +67,15 @@ def shuffle_poly(p, q, max_weight=None):
 
 
 def stuffle_power_divided(p, k):
-    """k-th stuffle power divided by k!."""
-    out = NCPoly.one()
-    for _ in range(k):
-        out = stuffle_poly(out, p)
-    return out.scale(Fraction(1, factorial(k)))
+    """k-th stuffle power divided by k!: p scaled to ints once, k-1 stuffle
+    products in ints, and the scale d^k·k! divided out once."""
+    if k < 2:
+        return p if k else NCPoly.one()
+    d, terms = _integral(p)
+    acc = terms
+    for _ in range(k - 1):
+        acc = _product_into({}, stuffle, acc, terms)
+    return NCPoly._raw(_divided(acc, d ** k * factorial(k)))
 
 
 @lru_cache(maxsize=None)

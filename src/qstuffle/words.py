@@ -4,7 +4,8 @@ A word is a tuple of positive integer letter indices; () is the empty word.
 The alphabet carries the total order y_1 > y_2 > ..., so a LARGER index is a
 SMALLER letter.  Words are compared lexicographically with the convention
 that a proper prefix is smaller than its extensions; `word_key` realizes
-this as an ordinary Python tuple comparison on negated indices.
+this as an ordinary Python tuple comparison on negated indices, built once
+per distinct word and cached (at most about 2^N words up to weight N).
 """
 
 from functools import lru_cache
@@ -22,6 +23,7 @@ def letter_less(a, b):
     return a > b
 
 
+@lru_cache(maxsize=None)
 def word_key(w):
     return tuple(-s for s in w)
 

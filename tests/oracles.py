@@ -28,11 +28,11 @@ from qstuffle.bases import pbw_element
 from qstuffle.coeff import QPoly
 from qstuffle.eulerian import (primitive_projector, primitive_projector_adjoint,
                                primitive_projector_letter)
-from qstuffle.lyndon import lyndon_up_to
+from qstuffle.lyndon import lyndon_up_to, standard_factorization
 from qstuffle.ncpoly import (NCPoly, Tensor2, exp_coefficients, tensor_outer,
                              truncated_series, word_poly)
 from qstuffle.ops import stuffle, stuffle_poly
-from qstuffle.words import word_key
+from qstuffle.words import word_key, word_less
 
 
 def o_word_key(w):
@@ -113,6 +113,46 @@ def is_standard_sequence(seq):
 def largest_rise_policy(indices):
     """The derivation-tree policy that expands the last legal rise."""
     return max(indices)
+
+
+def falls(seq):
+    """Indices i with entries 0..i all letters and entry i > entry i+1.
+
+    Swaps at falls and splits at landmarks stay inside the all-letters
+    prefix, so a tree built from them misses sequences such as
+    (3),(2),(2,1) under 3,2,1,2, which reach the tree by a swap at their
+    smallest legal rise; `lyndon.converse_tree` inverts that step."""
+    out = []
+    for i in range(len(seq) - 1):
+        if any(len(seq[j]) != 1 for j in range(i + 1)):
+            break
+        if word_less(seq[i + 1], seq[i]):
+            out.append(i)
+    return out
+
+
+def landmarks(seq):
+    """Indices i with entries 0..i-1 letters and entry i of length >= 2.
+
+    At most one index qualifies: the first non-letter position.
+    """
+    for i in range(len(seq)):
+        if len(seq[i]) >= 2:
+            return [i]
+    return []
+
+
+def swap_at_fall(seq, i):
+    if i not in falls(seq):
+        raise ValueError("index %d is not a fall of %r" % (i, seq))
+    return seq[:i] + (seq[i + 1], seq[i]) + seq[i + 2:]
+
+
+def split_at_landmark(seq, i):
+    if i not in landmarks(seq):
+        raise ValueError("index %d is not a landmark of %r" % (i, seq))
+    left, right = standard_factorization(seq[i])
+    return seq[:i] + (left, right) + seq[i + 1:]
 
 
 def all_cfl_factorizations(w):
@@ -257,6 +297,15 @@ def _o_word_tuples(n):
                     out.append(((u,) + tup,
                                 brute_q_stuffle_poly(single, prod)))
     return tuple(out)
+
+
+def stuffle_power_by_fractions(p, k):
+    """k-fold stuffle_poly from the unit, then divided by k!: the divided
+    stuffle power with every intermediate product in Fractions."""
+    out = NCPoly.one()
+    for _ in range(k):
+        out = stuffle_poly(out, p)
+    return out.scale(Fraction(1, factorial(k)))
 
 
 def projector_tuple_sum(w):

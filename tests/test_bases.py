@@ -18,7 +18,8 @@ from qstuffle.bases import (GradedBasis, _dual_by_triangular_solve,
                             verify_factorization, verify_methods,
                             verify_primitivity, xi_basis)
 from qstuffle.lyndon import (cfl_grouped, derivation_tree, is_lyndon,
-                             lyndon_of_weight, lyndon_up_to)
+                             lyndon_of_weight, lyndon_up_to,
+                             standard_factorization)
 from qstuffle.ncpoly import NCPoly, Tensor2, tensor_outer, word_poly
 from qstuffle.ops import is_primitive, stuffle_poly
 from qstuffle.report import Report
@@ -160,6 +161,32 @@ def test_sigma_lyndon_general_examples():
 def test_method_equivalence():
     rep = verify_methods(6)
     assert rep.ok, rep.lines()
+
+
+def test_recursion_equals_the_oracle_to_weight_9():
+    """Exhaustive: the recursive dual element of every word of weight <= 9
+    (511 words, 126 of them Lyndon) equals the triangular solve."""
+    oracle = dual_pbw_oracle(9)
+    bad = [w for w in all_words_up_to(9)
+           if dual_pbw_element(w) != oracle.entry(w)]
+    assert bad == []
+
+
+def test_pbw_element_equals_the_operator_route():
+    """The int-carried bracket and product equal ab - ba and the product of
+    the factors built with the NCPoly operators."""
+    for w in all_words_up_to(7):
+        if len(w) == 1:
+            continue
+        if is_lyndon(w):
+            a, b = (pbw_element(f) for f in standard_factorization(w))
+            expected = a * b - b * a
+        else:
+            expected = NCPoly.one()
+            for factor, mult in cfl_grouped(w):
+                for _ in range(mult):
+                    expected = expected * pbw_element(factor)
+        assert pbw_element(w) == expected, w
 
 
 def test_chi_and_xi():

@@ -159,6 +159,20 @@ def test_verify_exit_codes(capsys):
     assert data[0]["ok"] is True
 
 
+def test_verify_all_solves_once(capsys, monkeypatch):
+    """The duality and factorization suites read one triangular solve."""
+    solves = []
+
+    def counted(n):
+        solves.append(n)
+        return oracle(n)
+    oracle = bases.dual_pbw_oracle
+    monkeypatch.setattr(bases, "dual_pbw_oracle", counted)
+    code, out, _ = run(capsys, "verify", "all", "--max-weight", "4")
+    assert code == 0
+    assert solves == [4]
+
+
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_max_weight_below_one_is_refused(capsys, value):
     for argv in (("basis", "sigma"), ("verify", "all")):

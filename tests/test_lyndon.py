@@ -3,15 +3,14 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (all_cfl_factorizations, is_standard_sequence,
-                     largest_rise_policy, o_is_lyndon_rotation,
-                     o_is_lyndon_suffix, o_word_key)
+from oracles import (all_cfl_factorizations, falls, is_standard_sequence,
+                     landmarks, largest_rise_policy, o_is_lyndon_rotation,
+                     o_is_lyndon_suffix, o_word_key, split_at_landmark,
+                     swap_at_fall)
 from qstuffle.lyndon import (cfl_factorization, cfl_grouped, converse_tree,
-                             derivation_tree, falls, is_lyndon, landmarks,
-                             legal_rises, lyndon_of_weight,
-                             lyndon_up_to, merge_at_rise, rises,
-                             split_at_landmark, standard_factorization,
-                             swap_at_fall, swap_at_rise)
+                             derivation_tree, is_lyndon, legal_rises,
+                             lyndon_of_weight, lyndon_up_to, merge_at_rise,
+                             rises, standard_factorization, swap_at_rise)
 from qstuffle.words import all_words_up_to, word_key, word_less, words_of_weight
 
 
@@ -203,3 +202,24 @@ def test_tree_json_export():
     assert data["op"] is None
     ops = {child["op"] for child in data["children"]}
     assert ops == {"lambda", "rho"}
+
+
+def test_converse_tree_inverts_smallest_rise_steps():
+    """(3),(2),(2,1) steps to (3),(2,1),(2) by a swap at its smallest legal
+    rise, 1, although entry 2 is not a letter; the tree of 3,2,1,2 holds
+    it."""
+    seqs = [node.seq for node in converse_tree(((3, 2, 1, 2),)).nodes()]
+    assert ((3,), (2,), (2, 1)) in seqs
+    assert ((3,), (2, 1), (2,)) in seqs
+
+
+def test_converse_tree_children_derive_their_parent():
+    """Every child t of a node s derives s in one step at min(legal
+    rises(t)), the index the child records; every node derives to (l)."""
+    for l in lyndon_up_to(7):
+        for node in converse_tree((l,)).nodes():
+            for child in node.children:
+                t, i = child.seq, child.index
+                assert min(legal_rises(t)) == i
+                move = merge_at_rise if child.op == "lambda" else swap_at_rise
+                assert move(t, i) == node.seq

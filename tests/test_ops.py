@@ -5,14 +5,16 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import (brute_shuffle, classical_stuffle, ncpoly_to_fraction_dict,
-                     primitive_by_all_pairs)
+                     primitive_by_all_pairs,
+                     stuffle_power_by_fractions)
 from qstuffle.coeff import QPoly
 from qstuffle.eulerian import primitive_projector
 from qstuffle.ncpoly import NCPoly, Tensor2, tensor_outer, word_poly
 from qstuffle.ops import (_primitive_by_pairing, are_primitive, counit,
                           deconcat_coproduct, exp_proper, is_grouplike,
                           is_primitive, log_one_plus, shuffle, stuffle,
-                          stuffle_coproduct, stuffle_poly, verify_axioms)
+                          stuffle_coproduct, stuffle_poly,
+                          stuffle_power_divided, verify_axioms)
 from qstuffle.words import all_words_up_to, weight, words_of_weight
 
 
@@ -172,6 +174,15 @@ def test_pairing_criterion_equals_all_ordered_pairs(p, n):
     expected = primitive_by_all_pairs(_as_dict(p), n)
     assert _primitive_by_pairing([p], n) == [expected]
     assert is_primitive(p, n) == expected
+
+
+@settings(deadline=None, max_examples=40)
+@given(_combinations(word_poly, 1, 3), st.integers(0, 3))
+def test_stuffle_power_divided_equals_the_fraction_route(p, k):
+    """The int-carried divided power equals k-fold stuffle_poly in
+    Fractions divided by k!, on polynomials with fractional coefficients
+    and powers of q."""
+    assert stuffle_power_divided(p, k) == stuffle_power_by_fractions(p, k)
 
 
 @settings(deadline=None, max_examples=40)

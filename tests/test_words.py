@@ -81,3 +81,11 @@ def test_word_latex():
     assert word_latex((3, 1, 1)) == "y_3y_1^{2}"
     assert word_latex(()) == "1"
     assert word_latex((2, 1)) == "y_2y_1"
+
+
+def test_memoized_word_key_equals_the_formula():
+    """The cached key is the negated-index tuple, and a second call returns
+    the stored tuple itself."""
+    for w in all_words_up_to(8, include_empty=True):
+        assert word_key(w) == tuple(-s for s in w) == word_key.__wrapped__(w)
+        assert word_key(w) is word_key(w)
