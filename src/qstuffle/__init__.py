@@ -13,28 +13,28 @@ from .words import (weight, letter_less, word_less, words_of_weight,
                     word_to_str, word_from_str)
 from .ncpoly import NCPoly, Tensor2, tensor_outer, word_poly
 from .lyndon import (is_lyndon, lyndon_of_weight, cfl_factorization,
-                     standard_factorization, derivation_tree, converse_tree)
+                     standard_factorization, converse_tree)
 from .ops import (stuffle, shuffle, stuffle_poly, shuffle_poly,
-                  stuffle_coproduct, deconcat_coproduct, counit,
-                  is_primitive, is_grouplike, exp_proper, log_one_plus)
+                  stuffle_coproduct, deconcat_coproduct, is_primitive,
+                  is_grouplike, exp_proper, log_one_plus)
 from .eulerian import (primitive_projector, primitive_projector_adjoint,
                        diagonal_series, log_diagonal, reconstruct)
 from .bases import (pbw_element, dual_pbw_oracle, dual_pbw_element,
                     lyndon_stuffle_element, xi_basis, pi_basis, chi_basis,
                     GradedBasis, verify_duality, verify_factorization,
-                    verify_methods, verify_primitivity)
+                    verify_primitivity)
 
 __all__ = [
     "__version__", "QPoly", "NCPoly", "Tensor2", "tensor_outer", "word_poly",
     "weight", "letter_less", "word_less", "words_of_weight", "word_to_str",
     "word_from_str", "is_lyndon", "lyndon_of_weight", "cfl_factorization",
-    "standard_factorization", "derivation_tree", "converse_tree", "stuffle",
-    "shuffle", "stuffle_poly", "shuffle_poly", "stuffle_coproduct",
-    "deconcat_coproduct", "counit", "is_primitive", "is_grouplike",
-    "exp_proper", "log_one_plus", "primitive_projector",
+    "standard_factorization", "converse_tree", "stuffle", "shuffle",
+    "stuffle_poly", "shuffle_poly", "stuffle_coproduct",
+    "deconcat_coproduct", "is_primitive", "is_grouplike", "exp_proper",
+    "log_one_plus", "primitive_projector",
     "primitive_projector_adjoint", "diagonal_series", "log_diagonal",
     "reconstruct", "pbw_element", "dual_pbw_oracle", "dual_pbw_element",
     "lyndon_stuffle_element", "xi_basis", "pi_basis", "chi_basis",
-    "GradedBasis", "verify_duality", "verify_factorization", "verify_methods",
+    "GradedBasis", "verify_duality", "verify_factorization",
     "verify_primitivity",
 ]

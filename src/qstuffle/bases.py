@@ -8,7 +8,7 @@ Four graded families indexed by words:
                          computed either by an exact triangular solve per
                          weight class (the oracle) or by the recursive
                          formulas (divided stuffle powers on the Lyndon
-                         factors, a sum over the converse derivation tree
+                         factors, a sum over the converse derivation map
                          on a Lyndon word);
   * lyndon_stuffle_element -- divided stuffle powers of the raw Lyndon
                          factors ("chi", unit lower triangular): the
@@ -28,8 +28,8 @@ Chen-Fox-Lyndon factorization (`factorization_forms`).
 
 The triangular solve is the authority for the dual family; the recursive
 computations must agree with it.  `sigma_mismatches` is the one comparison
-of the two, and any mismatch it finds is a hard error in `verify_methods`
-and in the CLI's both-methods mode.
+of the two, and any mismatch it finds is a hard error in the CLI's
+both-methods mode.
 """
 
 import json
@@ -306,45 +306,24 @@ def sigma_from_cfl(w, sigma_of):
     return acc
 
 
-def sigma_increasing(w, sigma_of):
-    """Dual element of a Lyndon word with weakly increasing letters
-    (weakly decreasing indices): peel letter prefixes with the contraction
-    coefficient q^(i-1)/i!."""
-    w = tuple(w)
-    if not is_lyndon(w):
-        raise ValueError("needs a Lyndon word")
-    if any(w[i] < w[i + 1] for i in range(len(w) - 1)):
-        raise ValueError("letters are not weakly increasing")
-    acc = {}
-    for i in range(1, len(w) + 1):
-        _add_headed(acc, sum(w[:i]), i, sigma_of(w[i:]))
-    return NCPoly._raw(acc)
-
-
-def _add_headed(acc, s, i, tail):
-    """acc += q^(i-1)/i! · y_s · tail, in place."""
-    _accumulate(acc, ((((s,) + x, f), b) for (x, f), b in tail._terms.items()),
-                Fraction(1, factorial(i)), i - 1)
-
-
 def sigma_lyndon_general(w, sigma_of):
-    """Dual element of any Lyndon word via the converse derivation tree.
+    """Dual element of any Lyndon word via the converse derivation map.
 
-    The tree holds all sequences that derive to (w) under the smallest-rise
-    policy.  Every node occurrence T (occurrences count derivation paths)
-    splits as a letters-prefix of length i >= 1 followed by a weakly
-    decreasing tail of Lyndon words; each split contributes q^(i-1)/i!
-    times the contracted letter times the dual element of the concatenated
-    tail.  The recursion is as stated by Bui, Duchamp, Hoang Ngoc Minh, Ngo
-    and Tollu (J. Symbolic Comput. 75, 2016, arXiv:1312.5296), not quoted
-    from PAPER.md, which holds only the abstract.
+    The map holds every sequence that derives to (w) under the
+    smallest-rise policy, with its number of derivation paths.  Each such
+    sequence T splits as a letters-prefix of length i >= 1 followed by a
+    weakly decreasing tail of Lyndon words; each split contributes
+    q^(i-1)/i! times the contracted letter times the dual element of the
+    concatenated tail, once per derivation path.  The recursion is as
+    stated by Bui, Duchamp, Hoang Ngoc Minh, Ngo and Tollu (J. Symbolic
+    Comput. 75, 2016, arXiv:1312.5296), not quoted from PAPER.md, which
+    holds only the abstract.
     """
     w = tuple(w)
     if not is_lyndon(w):
         raise ValueError("needs a Lyndon word")
     acc = {}
-    for node in converse_tree((w,)).nodes():
-        seq = node.seq
+    for seq, paths in converse_tree((w,)).items():
         for i in range(1, len(seq) + 1):
             if len(seq[i - 1]) != 1:
                 break
@@ -352,15 +331,17 @@ def sigma_lyndon_general(w, sigma_of):
             if any(not word_leq(tail[t + 1], tail[t])
                    for t in range(len(tail) - 1)):
                 continue
-            _add_headed(acc, sum(x[0] for x in seq[:i]), i,
-                        sigma_of(sum(tail, ())))
+            s = sum(x[0] for x in seq[:i])
+            _accumulate(acc, ((((s,) + x, f), b) for (x, f), b
+                              in sigma_of(sum(tail, ()))._terms.items()),
+                        Fraction(paths, factorial(i)), i - 1)
     return NCPoly._raw(acc)
 
 
 @lru_cache(maxsize=None)
 def dual_pbw_element(w):
     """Recursive dual element: divided stuffle powers over the Lyndon
-    factorization, converse derivation trees on Lyndon words."""
+    factorization, converse derivation maps on Lyndon words."""
     w = tuple(w)
     if not w:
         return NCPoly.one()
@@ -517,23 +498,3 @@ def sigma_mismatches(sigma):
         recursive = dual_pbw_element(w)
         if recursive != sigma.entry(w):
             yield w, recursive
-
-
-def verify_methods(n):
-    """Recursive dual elements against the triangular-solve oracle; any
-    mismatch is reported (and is treated as a hard failure by callers)."""
-    rep = Report("method equivalence (N=%d)" % n)
-    sigma = dual_pbw_oracle(n)
-    words = all_words_up_to(n)
-    bad = [w for w, _ in sigma_mismatches(sigma)]
-    rep.add("recursive vs oracle (%d words)" % len(words), not bad,
-            "mismatches: %s" % [word_to_str(w) for w in bad] if bad else "")
-    increasing = [w for w in words
-                  if is_lyndon(w)
-                  and all(w[i] >= w[i + 1] for i in range(len(w) - 1))]
-    bad = [w for w in increasing
-           if sigma_increasing(w, dual_pbw_element) != sigma.entry(w)]
-    rep.add("increasing-letter recursion vs oracle (%d words)"
-            % len(increasing), not bad)
-    return rep
-

@@ -9,6 +9,7 @@ deterministic: terms are sorted and fractions canonical.
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -65,7 +66,9 @@ def _emit(text, out):
     file `out` or else to sys.stdout, ending with exactly one newline.  A
     file that cannot be written is a ValueError naming it."""
     if not out:
-        return _write(sys.stdout, text)
+        _write(sys.stdout, text)
+        sys.stdout.flush()  # a closed pipe raises here, inside main's try
+        return
     try:
         with open(out, "w") as fh:
             _write(fh, text)
@@ -194,6 +197,12 @@ def main(argv=None):
     except ValueError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point stdout at devnull, so that
+        # the interpreter's final flush does not raise again, and end
+        # quietly (the recipe of the "Note on SIGPIPE" in Python's docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     parser.error("unknown command")
 
 

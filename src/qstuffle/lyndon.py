@@ -2,10 +2,10 @@
 
 A Lyndon word (for the order with y_1 largest) is a nonempty word strictly
 smaller than every proper suffix.  This module provides the predicate,
-graded generation, the Chen-Fox-Lyndon and standard factorizations, and the
-rewriting machinery on standard sequences: rises, legal rises, the merge
-(lambda) and swap (rho) moves, and the derivation trees and their converse
-(that of (l) holds every sequence deriving to (l) by smallest rises).
+graded generation, the Chen-Fox-Lyndon and standard factorizations, the
+rises and legal rises of standard sequences, and the converse derivation
+map: every sequence that derives to (l) by merge (lambda) and swap (rho)
+moves at its smallest legal rise, with its number of derivation paths.
 
 All sequence indices are 0-based.
 """
@@ -98,97 +98,39 @@ def legal_rises(seq):
     return out
 
 
-def merge_at_rise(seq, i):
-    """Replace entries i, i+1 by their concatenation (a Lyndon word)."""
-    if i not in legal_rises(seq):
-        raise ValueError("index %d is not a legal rise of %r" % (i, seq))
-    merged = seq[i] + seq[i + 1]
-    assert is_lyndon(merged)
-    return seq[:i] + (merged,) + seq[i + 2:]
+def converse_tree(seq):
+    """The sequences that derive to `seq` by smallest-rise steps, each
+    mapped to its number of derivation paths (`seq` itself to 1).
 
-
-def swap_at_rise(seq, i):
-    if i not in legal_rises(seq):
-        raise ValueError("index %d is not a legal rise of %r" % (i, seq))
-    return seq[:i] + (seq[i + 1], seq[i]) + seq[i + 2:]
-
-
-def smallest_rise_policy(indices):
-    return min(indices)
-
-
-class TreeNode:
-    """Node of a derivation or converse-derivation tree.
-
-    `op` labels the move that produced the node from its parent
-    (None at the root, else "lambda" / "rho" with the index used).
-    """
-
-    __slots__ = ("seq", "op", "index", "children")
-
-    def __init__(self, seq, op=None, index=None, children=()):
-        self.seq = seq
-        self.op = op
-        self.index = index
-        self.children = tuple(children)
-
-    def is_leaf(self):
-        return not self.children
-
-    def leaves(self):
-        if self.is_leaf():
-            yield self
-        else:
-            for ch in self.children:
-                yield from ch.leaves()
-
-    def nodes(self):
-        yield self
-        for ch in self.children:
-            yield from ch.nodes()
-
-    def to_json(self):
-        return {
-            "label": ";".join(",".join(str(s) for s in w) for w in self.seq),
-            "op": self.op,
-            "children": [ch.to_json() for ch in self.children],
-        }
-
-    def __repr__(self):
-        return "TreeNode(%r, op=%r)" % (self.seq, self.op)
-
-
-def derivation_tree(seq, policy=smallest_rise_policy, _op=None, _index=None):
-    """Expand a standard sequence at policy-chosen legal rises until every
-    leaf is a decreasing sequence.  Termination: the merge move shortens
-    the sequence, the swap move removes an ascending adjacent pair."""
+    One step back from a sequence s gives every t whose move at its
+    smallest legal rise i yields s: s with entries i, i+1 swapped (rho), or
+    with entry i split by its standard factorization (lambda).  Each
+    distinct sequence is expanded once, and the path counts are summed in
+    one pass over a topological order, every sequence before its steps back
+    (a step back lengthens the sequence or adds an ascending pair, so
+    there is no cycle)."""
     seq = tuple(tuple(w) for w in seq)
-    lr = legal_rises(seq)
-    if not lr:
-        return TreeNode(seq, _op, _index)
-    i = policy(lr)
-    children = (
-        derivation_tree(merge_at_rise(seq, i), policy, "lambda", i),
-        derivation_tree(swap_at_rise(seq, i), policy, "rho", i),
-    )
-    return TreeNode(seq, _op, _index, children)
+    back = {}
+    order = []  # every sequence after all of its steps back
 
+    def expand(s):
+        back[s] = steps = []
+        candidates = [(i, s[:i] + (s[i + 1], s[i]) + s[i + 2:])
+                      for i in range(len(s) - 1)]
+        candidates += [(i, s[:i] + standard_factorization(w) + s[i + 1:])
+                       for i, w in enumerate(s) if len(w) >= 2]
+        for i, t in candidates:
+            lr = legal_rises(t)
+            if lr and min(lr) == i:
+                steps.append(t)
+                if t not in back:
+                    expand(t)
+        order.append(s)
 
-def converse_tree(seq, _op=None, _index=None):
-    """Expand a sequence s by the inverse steps of `derivation_tree`: the
-    children are every t that gives s by a swap (rho) or a merge (lambda) at
-    its smallest legal rise i, namely s with entries i, i+1 swapped, or with
-    entry i split by its standard factorization.  Node occurrences count
-    derivation paths, so the same sequence may label several nodes."""
-    seq = tuple(tuple(w) for w in seq)
-    candidates = [("rho", i, seq[:i] + (seq[i + 1], seq[i]) + seq[i + 2:])
-                  for i in range(len(seq) - 1)]
-    candidates += [("lambda", i,
-                    seq[:i] + standard_factorization(w) + seq[i + 1:])
-                   for i, w in enumerate(seq) if len(w) >= 2]
-    children = []
-    for op, i, t in candidates:
-        lr = legal_rises(t)
-        if lr and smallest_rise_policy(lr) == i:
-            children.append(converse_tree(t, op, i))
-    return TreeNode(seq, _op, _index, children)
+    expand(seq)
+    paths = dict.fromkeys(back, 0)
+    paths[seq] = 1
+    for s in reversed(order):
+        for t in back[s]:
+            paths[t] += paths[s]
+    return paths

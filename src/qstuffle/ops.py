@@ -123,11 +123,6 @@ def stuffle_coproduct(p):
     return _linear(_stuffle_coproduct_word, p)
 
 
-def counit(p):
-    """Coefficient of the empty word."""
-    return p.constant_term()
-
-
 def _primitive_by_coproduct(p, n):
     """Delta(p) == p ox 1 + 1 ox p on the terms of weight <= n, compared in
     ints: both sides are built from p scaled by the lcm of its

@@ -12,13 +12,17 @@ enumeration of quasi-shuffles, the primitive projector by its defining
 sum over tuples of words, and the pairing criterion of primitivity over
 every ordered pair of words at every weight.
 
-The last section holds second routes to library results that are built
-from library parts by another formula: products of PBW elements along a
-sequence, the adjoint and letter forms of the reconstruction identity,
-the closed forms of the log of the diagonal series, and the decreasing
-product of exponentials of the factorization folded factor by factor.
+Second routes to library results are built from library parts by another
+formula.  Next to the sequence helpers: the forward derivation trees, as
+their leaves counted per path, which the converse derivation map must
+match.  In the last section: the increasing-letter recursion of the dual
+elements, products of PBW elements along a sequence, the adjoint and
+letter forms of the reconstruction identity, the closed forms of the log
+of the diagonal series, and the decreasing product of exponentials of the
+factorization folded factor by factor.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -28,7 +32,7 @@ from qstuffle.bases import pbw_element
 from qstuffle.coeff import QPoly
 from qstuffle.eulerian import (primitive_projector, primitive_projector_adjoint,
                                primitive_projector_letter)
-from qstuffle.lyndon import lyndon_up_to, standard_factorization
+from qstuffle.lyndon import legal_rises, lyndon_up_to, standard_factorization
 from qstuffle.ncpoly import (NCPoly, Tensor2, exp_coefficients, tensor_outer,
                              truncated_series, word_poly)
 from qstuffle.ops import stuffle, stuffle_poly
@@ -110,9 +114,47 @@ def is_standard_sequence(seq):
     return True
 
 
-def largest_rise_policy(indices):
-    """The derivation-tree policy that expands the last legal rise."""
-    return max(indices)
+def standard_sequences(total_weight, max_len):
+    """The standard sequences of at most max_len Lyndon words, of total
+    weight <= total_weight."""
+    singles = lyndon_up_to(total_weight)
+    seqs = []
+    pool = [()]
+    for _ in range(max_len):
+        pool = [s + (l,) for s in pool for l in singles
+                if sum(map(sum, s)) + sum(l) <= total_weight]
+        seqs.extend(pool)
+    return [s for s in seqs if is_standard_sequence(s)]
+
+
+def merge_at_rise(seq, i):
+    """Replace entries i, i+1 by their concatenation (a Lyndon word)."""
+    if i not in legal_rises(seq):
+        raise ValueError("index %d is not a legal rise of %r" % (i, seq))
+    merged = seq[i] + seq[i + 1]
+    assert o_is_lyndon_suffix(merged)
+    return seq[:i] + (merged,) + seq[i + 2:]
+
+
+def swap_at_rise(seq, i):
+    if i not in legal_rises(seq):
+        raise ValueError("index %d is not a legal rise of %r" % (i, seq))
+    return seq[:i] + (seq[i + 1], seq[i]) + seq[i + 2:]
+
+
+def derivation_leaves(seq, policy=min):
+    """The leaves of the derivation tree of a standard sequence, each
+    counted once per path: expand at the legal rise that `policy` picks, by
+    a merge (lambda) and a swap (rho), until no legal rise is left.  The
+    merge shortens the sequence and the swap removes an ascending adjacent
+    pair, so the expansion ends.  `lyndon.converse_tree` walks the same
+    steps backwards, at the smallest legal rise."""
+    lr = legal_rises(seq)
+    if not lr:
+        return Counter({seq: 1})
+    i = policy(lr)
+    return (derivation_leaves(merge_at_rise(seq, i), policy)
+            + derivation_leaves(swap_at_rise(seq, i), policy))
 
 
 def falls(seq):
@@ -358,6 +400,23 @@ def primitive_by_all_pairs(p, n):
 
 
 # Second routes built from library parts.
+
+def sigma_increasing(w, sigma_of):
+    """Dual element of a Lyndon word with weakly increasing letters
+    (weakly decreasing indices): peel letter prefixes with the contraction
+    coefficient q^(i-1)/i!."""
+    w = tuple(w)
+    if not o_is_lyndon_suffix(w):
+        raise ValueError("needs a Lyndon word")
+    if any(w[i] < w[i + 1] for i in range(len(w) - 1)):
+        raise ValueError("letters are not weakly increasing")
+    acc = NCPoly.zero()
+    for i in range(1, len(w) + 1):
+        head = word_poly((sum(w[:i]),))
+        acc = acc + (head * sigma_of(w[i:])).scale(
+            QPoly.q(i - 1, Fraction(1, factorial(i))))
+    return acc
+
 
 def pi_of_sequence(seq):
     """Concatenation product of the PBW elements of a sequence of words."""

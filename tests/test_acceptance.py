@@ -7,15 +7,13 @@ PASS/FAIL line (run with -s to see them all).
 import time
 from fractions import Fraction
 
-from oracles import (brute_shuffle, is_standard_sequence,
-                     largest_rise_policy, letter_reconstruct,
+from oracles import (brute_shuffle, derivation_leaves, letter_reconstruct,
                      ncpoly_to_fraction_dict, pi_of_sequence, radford_dual,
-                     reconstruct_adjoint)
+                     reconstruct_adjoint, standard_sequences)
 from qstuffle.coeff import QPoly
 from qstuffle.bases import (dual_pbw_element, dual_pbw_oracle, pbw_element,
-                            verify_duality, verify_factorization,
-                            verify_methods, verify_primitivity)
-from qstuffle.lyndon import derivation_tree, lyndon_up_to
+                            sigma_mismatches, verify_duality,
+                            verify_factorization, verify_primitivity)
 from qstuffle.eulerian import reconstruct
 from qstuffle.ncpoly import NCPoly, word_poly
 from qstuffle.ops import shuffle, stuffle, stuffle_poly
@@ -200,41 +198,27 @@ def test_criterion_6_specializations():
 
 def test_criterion_7_method_equivalence():
     def check():
-        rep = verify_methods(6)
-        assert rep.ok, "method mismatch is a build failure: %s" % rep.lines()
+        bad = [w for w, _ in sigma_mismatches(dual_pbw_oracle(6))]
+        assert not bad, "method mismatch is a build failure: %s" % bad
 
     _criterion(7, "recursive dual elements equal the triangular-solve oracle "
                   "for every word of weight <= 6", check)
 
 
-def _standard_sequences(total_weight, max_len):
-    singles = lyndon_up_to(total_weight)
-    seqs = []
-    pool = [()]
-    for _ in range(max_len):
-        pool = [s + (l,) for s in pool for l in singles
-                if sum(map(sum, s)) + sum(l) <= total_weight]
-        seqs.extend(pool)
-    return [s for s in seqs if is_standard_sequence(s)]
-
-
 def test_criterion_8_derivation_tree_lemma():
     def check():
-        seqs = _standard_sequences(5, 3)
+        seqs = standard_sequences(5, 3)
         assert seqs
         for seq in seqs + [((4,), (2,), (1,))]:
             sums = []
-            for policy in (None, largest_rise_policy):
-                tree = derivation_tree(seq) if policy is None else \
-                    derivation_tree(seq, policy)
+            for policy in (min, max):
                 total = NCPoly.zero()
-                for leaf in tree.leaves():
-                    total = total + pi_of_sequence(leaf.seq)
+                for leaf, paths in derivation_leaves(seq, policy).items():
+                    total = total + pi_of_sequence(leaf).scale(paths)
                 sums.append(total)
             assert sums[0] == sums[1] == pi_of_sequence(seq)
-        leaves = sorted(
-            (leaf.seq for leaf in derivation_tree(((4,), (2,), (1,))).leaves()),
-            key=lambda s: tuple(map(word_key, s)))
+        leaves = sorted(derivation_leaves(((4,), (2,), (1,))).elements(),
+                        key=lambda s: tuple(map(word_key, s)))
         assert leaves == sorted([
             ((4, 2, 1),), ((2, 1), (4,)), ((4, 1, 2),),
             ((2,), (4, 1)), ((1,), (4, 2)), ((1,), (2,), (4,)),

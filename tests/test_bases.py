@@ -4,22 +4,21 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (dense_invert_unit_upper, exp_product_fold,
-                     largest_rise_policy, ncpoly_to_fraction_dict,
-                     pi_of_sequence, radford_dual)
+from oracles import (dense_invert_unit_upper, derivation_leaves,
+                     exp_product_fold, ncpoly_to_fraction_dict,
+                     pi_of_sequence, radford_dual, sigma_increasing)
 from qstuffle import bases
 from qstuffle.coeff import QPoly
 from qstuffle.bases import (GradedBasis, _dual_by_triangular_solve,
                             basis_by_kind, chi_basis, dual_pbw_element,
                             dual_pbw_oracle, factorization_forms,
                             lyndon_stuffle_element, pbw_element, pi_basis,
-                            sigma_from_cfl, sigma_increasing,
-                            sigma_lyndon_general, verify_duality,
-                            verify_factorization, verify_methods,
-                            verify_primitivity, xi_basis)
-from qstuffle.lyndon import (cfl_grouped, derivation_tree, is_lyndon,
-                             lyndon_of_weight, lyndon_up_to,
-                             standard_factorization)
+                            sigma_from_cfl, sigma_lyndon_general,
+                            sigma_mismatches, verify_duality,
+                            verify_factorization, verify_primitivity,
+                            xi_basis)
+from qstuffle.lyndon import (cfl_grouped, is_lyndon, lyndon_of_weight,
+                             lyndon_up_to, standard_factorization)
 from qstuffle.ncpoly import NCPoly, Tensor2, tensor_outer, word_poly
 from qstuffle.ops import is_primitive, stuffle_poly
 from qstuffle.report import Report
@@ -159,8 +158,8 @@ def test_sigma_lyndon_general_examples():
 
 
 def test_method_equivalence():
-    rep = verify_methods(6)
-    assert rep.ok, rep.lines()
+    bad = [w for w, _ in sigma_mismatches(dual_pbw_oracle(6))]
+    assert not bad, bad
 
 
 def test_recursion_equals_the_oracle_to_weight_9():
@@ -378,15 +377,13 @@ def test_q0_matches_classical_radford():
 
 def test_derivation_tree_lemma_paper_example():
     seq = ((4,), (2,), (1,))
-    for policy in (None, largest_rise_policy):
-        tree = derivation_tree(seq) if policy is None else \
-            derivation_tree(seq, policy)
+    for policy in (min, max):
         total = NCPoly.zero()
-        for leaf in tree.leaves():
-            total = total + pi_of_sequence(leaf.seq)
+        for leaf, paths in derivation_leaves(seq, policy).items():
+            total = total + pi_of_sequence(leaf).scale(paths)
         assert total == pi_of_sequence(seq)
     # the six leaves of the default tree, as basis products
-    leaves = sorted((leaf.seq for leaf in derivation_tree(seq).leaves()),
+    leaves = sorted(derivation_leaves(seq).elements(),
                     key=lambda s: tuple(map(word_key, s)))
     assert leaves == sorted([
         ((4, 2, 1),), ((2, 1), (4,)), ((4, 1, 2),),

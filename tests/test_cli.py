@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -251,6 +254,23 @@ def test_skipped_checks_alone_do_not_pass():
     assert rep.to_json()["checks"][0] == {
         "name": "pairs (0 pairs)", "passed": False, "skipped": True,
         "detail": "nothing to check"}
+
+
+def test_closed_pipe_ends_quietly():
+    """A reader that closes stdout early ends the run with exit code 1 and
+    nothing on stderr.  The output at weight 9 (318 KB) is far larger than
+    a pipe's buffer, so the writer meets the closed pipe mid-stream."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qstuffle.cli", "basis", "xi",
+         "--max-weight", "9"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout.readline() == b"Xi[1] = [1]\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=300) == 1
+    assert err == b""
 
 
 def test_usage_error():

@@ -1,16 +1,17 @@
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (all_cfl_factorizations, falls, is_standard_sequence,
-                     landmarks, largest_rise_policy, o_is_lyndon_rotation,
-                     o_is_lyndon_suffix, o_word_key, split_at_landmark,
-                     swap_at_fall)
+from oracles import (all_cfl_factorizations, derivation_leaves, falls,
+                     is_standard_sequence, landmarks, merge_at_rise,
+                     o_is_lyndon_rotation, o_is_lyndon_suffix, o_word_key,
+                     split_at_landmark, standard_sequences, swap_at_fall,
+                     swap_at_rise)
 from qstuffle.lyndon import (cfl_factorization, cfl_grouped, converse_tree,
-                             derivation_tree, is_lyndon, legal_rises,
-                             lyndon_of_weight, lyndon_up_to, merge_at_rise,
-                             rises, standard_factorization, swap_at_rise)
+                             is_lyndon, legal_rises, lyndon_of_weight,
+                             lyndon_up_to, rises, standard_factorization)
 from qstuffle.words import all_words_up_to, word_key, word_less, words_of_weight
 
 
@@ -137,19 +138,18 @@ def test_falls_landmarks_and_inverses():
         split_at_landmark(((2,), (1,)), 0)
 
 
-def _leaf_seqs(tree):
-    return sorted((leaf.seq for leaf in tree.leaves()),
-                  key=lambda s: tuple(map(word_key, s)))
+def _leaf_seqs(leaves):
+    return sorted(leaves.elements(), key=lambda s: tuple(map(word_key, s)))
 
 
 def test_derivation_tree_examples():
-    tree = derivation_tree(((2,), (1,)))
-    assert _leaf_seqs(tree) == [((2, 1),), ((1,), (2,))]
+    leaves = derivation_leaves(((2,), (1,)))
+    assert _leaf_seqs(leaves) == [((2, 1),), ((1,), (2,))]
 
-    tree = derivation_tree(((2, 1), (3,)))
-    assert tree.is_leaf()  # decreasing sequence
+    seq = ((2, 1), (3,))
+    assert derivation_leaves(seq) == Counter({seq: 1})  # decreasing sequence
 
-    tree = derivation_tree(((4,), (2,), (1,)))
+    leaves = derivation_leaves(((4,), (2,), (1,)))
     expected = sorted([
         ((4, 2, 1),),
         ((2, 1), (4,)),
@@ -158,68 +158,72 @@ def test_derivation_tree_examples():
         ((1,), (4, 2)),
         ((1,), (2,), (4,)),
     ], key=lambda s: tuple(map(word_key, s)))
-    assert _leaf_seqs(tree) == expected
-
-
-def _standard_sequences(total_weight, max_len):
-    singles = lyndon_up_to(total_weight)
-    seqs = []
-    pool = [()]
-    for _ in range(max_len):
-        pool = [s + (l,) for s in pool for l in singles
-                if sum(map(sum, s)) + sum(l) <= total_weight]
-        seqs.extend(pool)
-    return [s for s in seqs if is_standard_sequence(s)]
+    assert _leaf_seqs(leaves) == expected
 
 
 def test_derivation_tree_terminates_and_leaves_decrease():
-    for seq in _standard_sequences(5, 3):
-        for policy in (None, largest_rise_policy):
-            tree = derivation_tree(seq) if policy is None \
-                else derivation_tree(seq, policy)
-            for leaf in tree.leaves():
-                assert legal_rises(leaf.seq) == []
-                assert all(not word_less(leaf.seq[i], leaf.seq[i + 1])
-                           for i in range(len(leaf.seq) - 1))
+    for seq in standard_sequences(5, 3):
+        for policy in (min, max):
+            for leaf in derivation_leaves(seq, policy):
+                assert legal_rises(leaf) == []
+                assert all(not word_less(leaf[i], leaf[i + 1])
+                           for i in range(len(leaf) - 1))
 
 
 def test_converse_tree_examples():
-    tree = converse_tree(((2, 1),))
-    assert [ch.seq for ch in tree.children] == [((2,), (1,))]
-    assert tree.children[0].op == "lambda"
+    assert converse_tree(((2, 1),)) == {((2, 1),): 1, ((2,), (1,)): 1}
+    assert merge_at_rise(((2,), (1,)), 0) == ((2, 1),)  # a lambda step
 
-    assert converse_tree(((1,),)).is_leaf()
+    assert converse_tree(((1,),)) == {((1,),): 1}
 
-    tree = converse_tree(((3, 1, 2),))
-    assert [ch.seq for ch in tree.children] == [((3, 1), (2,))]
-    grandchildren = [g.seq for g in tree.children[0].children]
-    assert grandchildren == [((3,), (1,), (2,))]
-
-
-def test_tree_json_export():
-    data = derivation_tree(((2,), (1,))).to_json()
-    assert data["label"] == "2;1"
-    assert data["op"] is None
-    ops = {child["op"] for child in data["children"]}
-    assert ops == {"lambda", "rho"}
+    assert converse_tree(((3, 1, 2),)) == {
+        ((3, 1, 2),): 1, ((3, 1), (2,)): 1, ((3,), (1,), (2,)): 1,
+        ((3,), (2,), (1,)): 1}
+    assert merge_at_rise(((3, 1), (2,)), 0) == ((3, 1, 2),)
+    assert merge_at_rise(((3,), (1,), (2,)), 0) == ((3, 1), (2,))
 
 
 def test_converse_tree_inverts_smallest_rise_steps():
     """(3),(2),(2,1) steps to (3),(2,1),(2) by a swap at its smallest legal
-    rise, 1, although entry 2 is not a letter; the tree of 3,2,1,2 holds
+    rise, 1, although entry 2 is not a letter; the map of 3,2,1,2 holds
     it."""
-    seqs = [node.seq for node in converse_tree(((3, 2, 1, 2),)).nodes()]
-    assert ((3,), (2,), (2, 1)) in seqs
-    assert ((3,), (2, 1), (2,)) in seqs
+    paths = converse_tree(((3, 2, 1, 2),))
+    assert ((3,), (2,), (2, 1)) in paths
+    assert ((3,), (2, 1), (2,)) in paths
 
 
 def test_converse_tree_children_derive_their_parent():
-    """Every child t of a node s derives s in one step at min(legal
-    rises(t)), the index the child records; every node derives to (l)."""
+    """Every sequence t of the map of (l) other than (l) steps, at
+    min(legal_rises(t)), to a sequence of the map, and its path count is
+    the sum of the counts of its two one-step results."""
     for l in lyndon_up_to(7):
-        for node in converse_tree((l,)).nodes():
-            for child in node.children:
-                t, i = child.seq, child.index
-                assert min(legal_rises(t)) == i
-                move = merge_at_rise if child.op == "lambda" else swap_at_rise
-                assert move(t, i) == node.seq
+        paths = converse_tree((l,))
+        assert paths[(l,)] == 1
+        for t, count in paths.items():
+            if t == (l,):
+                continue
+            i = min(legal_rises(t))
+            steps = (merge_at_rise(t, i), swap_at_rise(t, i))
+            assert count == sum(paths.get(s, 0) for s in steps) >= 1
+
+
+def test_converse_tree_matches_derivation_leaves():
+    """Two routes to the same counts: the inverse steps from (l) and the
+    forward moves from t reach each other along the same paths."""
+    seqs = standard_sequences(7, 7)
+    maps = {l: converse_tree((l,)) for l in lyndon_up_to(7)}
+    for paths in maps.values():
+        assert set(paths) <= set(seqs)
+    for t in seqs:
+        leaves = derivation_leaves(t)
+        for l, paths in maps.items():
+            assert paths.get(t, 0) == leaves[(l,)]
+
+
+def test_converse_tree_totals():
+    """Path counts and distinct sequences over the Lyndon words of weight
+    <= 9 and <= 11, as the trees that listed every path gave them."""
+    for n, total, keys in ((9, 842, 715), (11, 7114, 4673)):
+        maps = [converse_tree((l,)) for l in lyndon_up_to(n)]
+        assert sum(sum(m.values()) for m in maps) == total
+        assert sum(len(m) for m in maps) == keys

@@ -10,7 +10,7 @@ from oracles import (brute_shuffle, classical_stuffle, ncpoly_to_fraction_dict,
 from qstuffle.coeff import QPoly
 from qstuffle.eulerian import primitive_projector
 from qstuffle.ncpoly import NCPoly, Tensor2, tensor_outer, word_poly
-from qstuffle.ops import (_primitive_by_pairing, are_primitive, counit,
+from qstuffle.ops import (_primitive_by_pairing, are_primitive,
                           deconcat_coproduct, exp_proper, is_grouplike,
                           is_primitive, log_one_plus, shuffle, stuffle,
                           stuffle_coproduct, stuffle_poly,
@@ -102,9 +102,10 @@ def test_product_coproduct_duality():
 
 
 def test_counit():
-    assert counit(NCPoly.one()) == QPoly.one()
-    assert counit(word_poly((2, 1))) == QPoly.zero()
-    assert counit(NCPoly.one().scale(3) + word_poly((1,))) == QPoly.const(3)
+    assert NCPoly.one().constant_term() == QPoly.one()
+    assert word_poly((2, 1)).constant_term() == QPoly.zero()
+    assert (NCPoly.one().scale(3) + word_poly((1,))).constant_term() == \
+        QPoly.const(3)
 
 
 def test_is_primitive():
