@@ -47,8 +47,8 @@ from .ncpoly import (NCPoly, Tensor2, _accumulate, _divided, _integral,
                      _product_into, word_poly)
 from .ops import are_primitive, stuffle_poly, stuffle_power_divided
 from .report import Report
-from .words import (all_words_up_to, weight, word_key, word_latex, word_leq,
-                    word_to_str, words_of_weight)
+from .words import (all_words_up_to, decode_word, encode_word, weight,
+                    word_latex, word_leq, word_to_str, words_of_weight)
 
 
 @lru_cache(maxsize=None)
@@ -103,20 +103,20 @@ class GradedBasis:
         for w in self.words():
             if not w:
                 continue
-            p = self.entries[w]
-            lead_ok = p._terms.get((w, 0)) == 1
-            w_weight, w_key = weight(w), word_key(w)
+            p, c = self.entries[w], encode_word(w)
+            lead_ok = p._terms.get((c, 0)) == 1
+            w_weight = c.bit_length()
             for v, e in p._terms:
-                if v == w:
+                if v == c:
                     lead_ok = lead_ok and not e
                     continue
-                if weight(v) != w_weight:
+                if v.bit_length() != w_weight:
                     raise ValueError("%s entry at %s is not homogeneous"
                                      % (self.kind, word_to_str(w)))
-                if up != (word_key(v) > w_key):
+                if up != (v > c):  # within a weight, code order is word order
                     raise ValueError("%s entry at %s breaks triangularity at %s"
                                      % (self.kind, word_to_str(w),
-                                        word_to_str(v)))
+                                        word_to_str(decode_word(v))))
             if not lead_ok:
                 raise ValueError("%s entry at %s lacks unit leading term"
                                  % (self.kind, word_to_str(w)))
@@ -242,7 +242,8 @@ def _dual_by_triangular_solve(elements, n, kind):
         ws = list(words_of_weight(k))
         if not upper:
             ws.reverse()  # present the lower triangular case as upper
-        index = {w: i for i, w in enumerate(ws)}
+        index = {encode_word(w): i for i, w in enumerate(ws)}
+        codes = list(index)
         rows = []
         for i, w in enumerate(ws):
             row = {}  # column -> (word, q-exponent, rational)
@@ -251,12 +252,13 @@ def _dual_by_triangular_solve(elements, n, kind):
                 if j is None or j < i:
                     raise ValueError(
                         "family is not unit triangular at %s (term %s)"
-                        % (word_to_str(w), word_to_str(v)))
+                        % (word_to_str(w), word_to_str(decode_word(v))))
                 if j in row:
                     raise ValueError(
                         "family entry at %s has a coefficient at %s that is "
-                        "not a monomial" % (word_to_str(w), word_to_str(v)))
-                row[j] = (v, e, a)
+                        "not a monomial"
+                        % (word_to_str(w), word_to_str(ws[j])))
+                row[j] = (ws[j], e, a)
             for j, (v, e, a) in row.items():
                 shift = len(v) - len(w)
                 if e != abs(shift):
@@ -281,7 +283,7 @@ def _dual_by_triangular_solve(elements, n, kind):
         for i, (nums, den) in enumerate(_invert_unit_upper(rows)):
             v = ws[i]
             for j, c in nums.items():
-                columns[j][(v, abs(len(v) - len(ws[j])))] = \
+                columns[j][(codes[i], abs(len(v) - len(ws[j])))] = \
                     rational(Fraction(c, den))
         for w, data in zip(ws, columns):
             entries[w] = NCPoly._raw(data)
@@ -322,6 +324,7 @@ def sigma_lyndon_general(w, sigma_of):
     w = tuple(w)
     if not is_lyndon(w):
         raise ValueError("needs a Lyndon word")
+    top = 1 << (weight(w) - 1)  # a tail with its contracted letter weighs w
     acc = {}
     for seq, paths in converse_tree((w,)).items():
         for i in range(1, len(seq) + 1):
@@ -331,8 +334,7 @@ def sigma_lyndon_general(w, sigma_of):
             if any(not word_leq(tail[t + 1], tail[t])
                    for t in range(len(tail) - 1)):
                 continue
-            s = sum(x[0] for x in seq[:i])
-            _accumulate(acc, ((((s,) + x, f), b) for (x, f), b
+            _accumulate(acc, (((x | top, f), b) for (x, f), b
                               in sigma_of(sum(tail, ()))._terms.items()),
                         Fraction(paths, factorial(i)), i - 1)
     return NCPoly._raw(acc)
@@ -401,25 +403,27 @@ def verify_duality(n, sigma=None):
     words = all_words_up_to(n)
     containing = {}  # word x -> [((u, e), a)] for the terms a*q^e*x of pbw u
     scale = {}  # u -> d_u, the lcm of the denominators of pbw(u)
-    for u in words:
-        scale[u], terms = _integral(pbw_element(u))
+    for w in words:
+        u = encode_word(w)  # u and v are word codes from here on
+        scale[u], terms = _integral(pbw_element(w))
         for (x, e), a in terms.items():
             containing.setdefault(x, []).append(((u, e), a))
     bad = [0] * (n + 1)  # failed pairs per weight
     cross_bad = 0
-    for v in words:
+    for w in words:
         row = {}  # (u, e) -> d·d_u · (q^e coefficient of <dual(v)|pbw(u)>)
-        d, terms = _integral(sigma.entry(v))
+        d, terms = _integral(sigma.entry(w))
         for (x, e), c in terms.items():
             _accumulate(row, containing.get(x, ()), c, e)
-        k = weight(v)
+        v = encode_word(w)
+        k = v.bit_length()
         diagonal_ok = row.pop((v, 0), None) == d * scale[v]
         others = {u for u, _ in row}
         if v in others or not diagonal_ok:
             others.discard(v)
             bad[k] += 1
         for u in others:
-            if weight(u) == k:
+            if u.bit_length() == k:
                 bad[k] += 1
             else:
                 cross_bad += 1
@@ -453,13 +457,16 @@ def _pair_sum(left_of, n):
     scaled = [(_integral(left_of(w)), _integral(pbw_element(w)))
               for w in all_words_up_to(n)]
     den = lcm(*(ds * dp for (ds, _), (dp, _) in scaled))
-    acc = {((), (), 0): den}
+    acc = {(0, 0, 0): den}
+    get = acc.get
     for (ds, s_terms), (dp, p_terms) in scaled:
         c = den // (ds * dp)
         for (u, e), a in s_terms.items():
-            _accumulate(acc, (((u, v, e + f), b)
-                              for (v, f), b in p_terms.items()), a * c)
-    return Tensor2._raw(_divided(acc, den))
+            a *= c
+            for (v, f), b in p_terms.items():
+                key = (u, v, e + f)
+                acc[key] = get(key, 0) + a * b
+    return Tensor2._raw(_divided({k: a for k, a in acc.items() if a}, den))
 
 
 def factorization_forms(n, sigma=None):

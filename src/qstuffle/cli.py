@@ -171,9 +171,21 @@ def _cmd_verify(args):
     return 0 if all(r.ok for r in reports) else 1
 
 
+def _joined_q(argv):
+    """argv with `--q -1/2` joined into `--q=-1/2`: argparse reads a value
+    that starts with "-" as an option unless it is a plain number, and a
+    negative fraction is not."""
+    for i, arg in enumerate(argv[:-1]):
+        value = argv[i + 1]
+        if arg == "--q" and value[:1] == "-" and value[1:2].isdigit():
+            return argv[:i] + ["--q=" + value] + argv[i + 2:]
+    return argv
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_joined_q(list(sys.argv[1:] if argv is None
+                                            else argv)))
     if args.max_weight < 1:
         sys.stderr.write("error: --max-weight must be >= 1\n")
         return 2

@@ -25,22 +25,26 @@ from math import factorial, lcm
 from .ncpoly import (NCPoly, Tensor2, _accumulate, _divided,
                      log_coefficients, truncated_series, word_poly)
 from .ops import stuffle, stuffle_coproduct, stuffle_poly
-from .words import weight, words_of_weight
+from .words import codes_of_weight, encode_word, weight, words_of_weight
 
 
 @lru_cache(maxsize=None)
 def _fold(w, k):
-    """conc o (reduced coproduct)^(k-1) of the word w, as a flat term dict
-    (word, e) -> int: the sum of u_1 ... u_k over the terms
-    u_1 ox ... ox u_k of the iterated reduced coproduct.  Shared, read
+    """conc o (reduced coproduct)^(k-1) of the word code w, as a flat term
+    dict (word code, e) -> int: the sum of u_1 ... u_k over the terms
+    u_1 ox ... ox u_k of the iterated reduced coproduct.  Every coefficient
+    of the coproduct is a positive int, so no sum cancels.  Shared, read
     only."""
     if k == 1:
         return {(w, 0): 1}
     acc = {}
+    get = acc.get
     for (u, v, e), c in stuffle_coproduct(w)._terms.items():
         if u and v:
-            _accumulate(acc, (((u + x, f), b)
-                              for (x, f), b in _fold(v, k - 1).items()), c, e)
+            u <<= v.bit_length()  # the fold keeps the weight of v
+            for (x, f), b in _fold(v, k - 1).items():
+                key = (u | x, e + f)
+                acc[key] = get(key, 0) + c * b
     return acc
 
 
@@ -51,21 +55,21 @@ def primitive_projector(w):
     splits letters, so a word of weight n has n-fold reduced terms)."""
     if not w:
         raise ValueError("the projector is defined on nonempty words")
-    n = weight(w)
+    n, c = weight(w), encode_word(w)
     d = lcm(*range(1, n + 1))  # summed in ints, scaled by d
     acc = {}
     for k in range(1, n + 1):
-        _accumulate(acc, _fold(w, k).items(), (-1) ** (k - 1) * (d // k))
+        _accumulate(acc, _fold(c, k).items(), (-1) ** (k - 1) * (d // k))
     return NCPoly._raw(_divided(acc, d))
 
 
 @lru_cache(maxsize=None)
 def primitive_projector_letter(s):
     """Closed formula on letters: the contraction corrections only."""
-    acc = {((s,), 0): 1}
+    acc = {(1 << (s - 1), 0): 1}
     for l in range(2, s + 1):
-        _accumulate(acc, (((w, l - 1), 1) for w in words_of_weight(s)
-                          if len(w) == l), Fraction((-1) ** (l - 1), l))
+        _accumulate(acc, (((w, l - 1), 1) for w in codes_of_weight(s)
+                          if w.bit_count() == l), Fraction((-1) ** (l - 1), l))
     return NCPoly._raw(acc)
 
 
@@ -96,10 +100,7 @@ def _block_splits(w, k):
 
 def diagonal_series(n):
     """Sum of w ox w over all words of weight <= n, including the empty word."""
-    data = {((), (), 0): 1}
-    for k in range(1, n + 1):
-        for w in words_of_weight(k):
-            data[(w, w, 0)] = 1
+    data = {(w, w, 0): 1 for w in range(1 << n)}  # the codes of weight <= n
     return Tensor2._raw(data)
 
 
@@ -134,8 +135,9 @@ def reconstruct(w):
     if not w:
         return NCPoly.one()
     acc = {}
+    code = encode_word(w)
     for tup, prod in _word_tuples(weight(w)):
-        c = [(e, a) for (x, e), a in prod._terms.items() if x == w]
+        c = [(e, a) for (x, e), a in prod._terms.items() if x == code]
         if not c:
             continue
         term = NCPoly.one()

@@ -3,11 +3,14 @@
 `NCPoly` is an element of the free algebra on the alphabet, stored as a
 flat map (word, e) -> a for its terms a·q^e·word; `Tensor2`, the analogous
 element of the tensor square used for coproducts and the truncated
-diagonal series, maps (u, v, e) -> a.  Every a is a nonzero int when
-integral and a Fraction otherwise (`coeff.rational`), so the products of
-the q-stuffle algebra add exponents and multiply plain rationals.  Words
-are orthonormal for the canonical pairing.  Both classes are canonical (no
-stored zero coefficient) and treated as immutable.
+diagonal series, maps (u, v, e) -> a.  A word in a key is its int code
+(`words.encode_word`), so the kernels hash ints; the constructors,
+lookups, `terms`, JSON and rendering take and give tuple words.  Every a
+is a nonzero int when integral and a Fraction otherwise
+(`coeff.rational`), so the products of the q-stuffle algebra add exponents
+and multiply plain rationals.  Words are orthonormal for the canonical
+pairing.  Both classes are canonical (no stored zero coefficient) and
+treated as immutable.
 
 `QPoly` appears only at the boundary: the constructors and `scale` accept
 it, and `coeff`, `pairing`, `constant_term` and `terms` return it.  A value
@@ -26,7 +29,7 @@ from math import factorial, lcm
 from operator import itemgetter
 
 from .coeff import QPoly, _join_signed, poly_latex, poly_text, qterms, rational
-from .words import weight, word_key, word_to_str, word_latex
+from .words import decode_word, word_code, word_key, word_to_str, word_latex
 
 
 def _accumulate(acc, terms, c=1, shift=0):
@@ -87,19 +90,19 @@ def _divided(acc, d):
 
 def _product_into(acc, word_prod, p_terms, q_terms, c=1, max_weight=None):
     """acc += c·(p·q) in place, all in ints, under a word-level product (a
-    map (word, word) -> NCPoly with int coefficients; None is
+    map of two word codes -> NCPoly with int coefficients; None is
     concatenation); returns acc without the terms that cancel.  With
     max_weight, a pair of words whose weights sum past it is skipped."""
     get = acc.get
-    right = [(v, f, b, weight(v)) for (v, f), b in q_terms.items()]
+    right = [(v, f, b, v.bit_length()) for (v, f), b in q_terms.items()]
     for (u, e), a in p_terms.items():
-        room = None if max_weight is None else max_weight - weight(u)
+        room = None if max_weight is None else max_weight - u.bit_length()
         ac = a * c
         for v, f, b, v_weight in right:
             if room is not None and v_weight > room:
                 continue
             if word_prod is None:
-                k = (u + v, e + f)
+                k = (u << v_weight | v, e + f)
                 acc[k] = get(k, 0) + ac * b
                 continue
             s, abc = e + f, ac * b
@@ -148,8 +151,8 @@ def truncated_series(x, mul, coeffs, constant=False):
 
 
 class _Sparse:
-    """Flat term dict shared by NCPoly and Tensor2: a key is the word, or
-    the pair of words, followed by the q-exponent."""
+    """Flat term dict shared by NCPoly and Tensor2: a key is the word code,
+    or the pair of codes, followed by the q-exponent."""
 
     __slots__ = ("_terms",)
 
@@ -196,15 +199,16 @@ class _Sparse:
         return {e: a for e, a in acc.items() if a}
 
     def _grouped(self):
-        """(head, [(e, a), ...]) per head, ascending by the word order of
-        the head, exponents ascending."""
-        out = []
+        """(head, [(e, a), ...]) per head, its words decoded to tuples,
+        ascending by the word order of the head, exponents ascending."""
+        out, last = [], None
         for k, a in sorted(self._terms.items(), key=self._order):
             head = self._head(k)
-            if out and out[-1][0] == head:
+            if head == last:
                 out[-1][1].append((k[-1], a))
             else:
-                out.append((head, [(k[-1], a)]))
+                out.append((self._decode(head), [(k[-1], a)]))
+                last = head
         return out
 
     def terms(self):
@@ -255,15 +259,16 @@ class _Sparse:
 
 
 class NCPoly(_Sparse):
-    """Element of the free algebra: flat map (word, q-exponent) -> rational."""
+    """Element of the free algebra: flat map (code, q-exponent) -> rational."""
 
     __slots__ = ()
 
     _head = staticmethod(itemgetter(0))
+    _decode = staticmethod(decode_word)
 
     @staticmethod
     def _weight(k):
-        return weight(k[0])
+        return k[0].bit_length()
 
     @staticmethod
     def _order(item):
@@ -271,17 +276,17 @@ class NCPoly(_Sparse):
 
     def __init__(self, terms=None):
         """From a map word -> QPoly | int | Fraction."""
-        self._set({(tuple(w),): c for w, c in (terms or {}).items()})
+        self._set({(word_code(w),): c for w, c in (terms or {}).items()})
 
     @classmethod
     def one(cls):
-        return cls._raw({((), 0): 1})
+        return cls._raw({(0, 0): 1})
 
     def support(self):
-        return {k[0] for k in self._terms}
+        return {decode_word(k[0]) for k in self._terms}
 
     def coeff(self, w):
-        return QPoly(self._by_head().get(tuple(w)))
+        return QPoly(self._by_head().get(word_code(w)))
 
     def __mul__(self, other):
         """Concatenation product (bilinear extension); scalars also accepted."""
@@ -295,11 +300,6 @@ class NCPoly(_Sparse):
         if isinstance(other, (int, Fraction, QPoly)):
             return self.scale(other)
         return NotImplemented
-
-    def prepend_letter(self, s):
-        """y_s * self, done without the generic product loop."""
-        return NCPoly._raw({((s,) + w, e): a
-                            for (w, e), a in self._terms.items()})
 
     def pairing(self, other):
         """Canonical pairing: words are orthonormal."""
@@ -386,20 +386,22 @@ class NCPoly(_Sparse):
 
 
 def word_poly(w):
-    return NCPoly._raw({(tuple(w), 0): 1})
+    """The word w, a tuple or its code, as an NCPoly."""
+    return NCPoly._raw({(word_code(w), 0): 1})
 
 
 class Tensor2(_Sparse):
-    """Element of the tensor square: flat map (word, word, q-exponent) ->
+    """Element of the tensor square: flat map (code, code, q-exponent) ->
     rational."""
 
     __slots__ = ()
 
     _head = staticmethod(itemgetter(0, 1))
+    _decode = staticmethod(lambda h: (decode_word(h[0]), decode_word(h[1])))
 
     @staticmethod
     def _weight(k):
-        return weight(k[0]) + weight(k[1])
+        return k[0].bit_length() + k[1].bit_length()
 
     @staticmethod
     def _order(item):
@@ -408,19 +410,19 @@ class Tensor2(_Sparse):
 
     def __init__(self, terms=None):
         """From a map (word, word) -> QPoly | int | Fraction."""
-        self._set({(tuple(u), tuple(v)): c
+        self._set({(word_code(u), word_code(v)): c
                    for (u, v), c in (terms or {}).items()})
 
     @classmethod
     def one(cls):
-        return cls._raw({((), (), 0): 1})
+        return cls._raw({(0, 0, 0): 1})
 
     def coeff(self, u, v):
-        return QPoly(self._by_head().get((tuple(u), tuple(v))))
+        return QPoly(self._by_head().get((word_code(u), word_code(v))))
 
     def combine(self, other, left_mul=None, max_total=None):
         """Slotwise product: the left slots multiplied by the given
-        word-level product (a map (word, word) -> NCPoly; None is
+        word-level product (a map of two word codes -> NCPoly; None is
         concatenation), the right slots concatenated.  Optionally truncates
         terms whose combined slot weight exceeds max_total.
 
@@ -430,18 +432,18 @@ class Tensor2(_Sparse):
         acc = {}
         d_self, self_terms = _integral(self)
         d_other, other_terms = _integral(other)
-        weighted = sorted(((weight(x) + weight(y), x, y, f, d)
+        weighted = sorted(((x.bit_length() + y.bit_length(), x, y, f, d)
                            for (x, y, f), d in other_terms.items()),
                           key=itemgetter(0))
         for (u, v, e), c in self_terms.items():
             room = None if max_total is None else \
-                max_total - weight(u) - weight(v)
+                max_total - u.bit_length() - v.bit_length()
             for xy_weight, x, y, f, d in weighted:
                 if room is not None and xy_weight > room:
                     break
-                left = (((u + x, 0), 1),) if left_mul is None else \
-                    left_mul(u, x)._terms.items()
-                vy, s = v + y, e + f
+                left = (((u << x.bit_length() | x, 0), 1),) \
+                    if left_mul is None else left_mul(u, x)._terms.items()
+                vy, s = v << y.bit_length() | y, e + f
                 _accumulate(acc, (((a, vy, g + s), ca) for (a, g), ca in left),
                             c * d)
         return Tensor2._raw(_divided(acc, d_self * d_other))

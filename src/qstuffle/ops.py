@@ -9,7 +9,8 @@ ring.  Dropping the contraction term gives the plain shuffle, kept as a
 separate implementation so the q=0 specialization is a genuine check.
 The concatenation bialgebra carries the dual coproduct (on letters:
 y_s ox 1 + 1 ox y_s + q sum y_{s1} ox y_{s2} over s1+s2=s), with the
-deconcatenation coproduct on the stuffle side.
+deconcatenation coproduct on the stuffle side.  The word-level kernels
+run on the int codes of `words.encode_word`.
 """
 
 from functools import lru_cache, partial
@@ -19,41 +20,52 @@ from .coeff import QPoly
 from .ncpoly import (NCPoly, Tensor2, _accumulate, _bilinear, _divided,
                      _integral, _product_into, exp_coefficients,
                      log_coefficients, truncated_series, word_poly)
-from .words import all_words_up_to, weight, words_of_weight
+from .words import codes_of_weight, decode_word, word_code
 from .report import Report
 
 
 def stuffle(u, v):
-    """q-stuffle of two words, as an NCPoly."""
-    u, v = tuple(u), tuple(v)
-    if v < u:  # commutative; canonical cache key
-        u, v = v, u
-    return _stuffle(u, v)
+    """q-stuffle of two words (tuples or codes), as an NCPoly."""
+    u, v = word_code(u), word_code(v)
+    return _stuffle(u, v) if u <= v else _stuffle(v, u)  # commutative
+
+
+def _headed(p, top, shift=0):
+    """The terms of p with the bit `top` set in every word and every
+    q-exponent raised by shift: a letter prepended to each word, when the
+    letter and the homogeneous p weigh n together and top = 1 << (n - 1)."""
+    return (((x | top, e + shift), a) for (x, e), a in p._terms.items())
+
+
+def _rest(u):
+    """The code u without its first letter."""
+    return u ^ 1 << (u.bit_length() - 1)
 
 
 @lru_cache(maxsize=None)
 def _stuffle(u, v):
-    if not u:
-        return word_poly(v)
-    if not v:
-        return word_poly(u)
-    s, t = u[0], v[0]
-    acc = stuffle(u[1:], v).prepend_letter(s)._terms  # a fresh dict
-    _accumulate(acc, stuffle(u, v[1:]).prepend_letter(t)._terms.items())
-    _accumulate(acc, stuffle(u[1:], v[1:]).prepend_letter(s + t)
-                ._terms.items(), 1, 1)  # the contraction carries one q
+    if not u or not v:
+        return word_poly(u | v)
+    top = 1 << (u.bit_length() + v.bit_length() - 1)
+    acc = _accumulate({}, _headed(stuffle(_rest(u), v), top))
+    _accumulate(acc, _headed(stuffle(u, _rest(v)), top))
+    # the contraction carries one q
+    _accumulate(acc, _headed(stuffle(_rest(u), _rest(v)), top, 1))
     return NCPoly._raw(acc)
 
 
-@lru_cache(maxsize=None)
 def shuffle(u, v):
-    """Plain shuffle (no contraction term); independent recursion."""
-    if not u:
-        return word_poly(v)
-    if not v:
-        return word_poly(u)
-    out = shuffle(u[1:], v).prepend_letter(u[0])
-    return out + shuffle(u, v[1:]).prepend_letter(v[0])
+    """Plain shuffle of two words (tuples or codes); independent recursion."""
+    return _shuffle(word_code(u), word_code(v))
+
+
+@lru_cache(maxsize=None)
+def _shuffle(u, v):
+    if not u or not v:
+        return word_poly(u | v)
+    top = 1 << (u.bit_length() + v.bit_length() - 1)
+    acc = _accumulate({}, _headed(_shuffle(_rest(u), v), top))
+    return NCPoly._raw(_accumulate(acc, _headed(_shuffle(u, _rest(v)), top)))
 
 
 def stuffle_poly(p, q, max_weight=None):
@@ -80,14 +92,18 @@ def stuffle_power_divided(p, k):
 
 @lru_cache(maxsize=None)
 def _deconcat_word(w):
-    return Tensor2({(w[:i], w[i:]): 1 for i in range(len(w) + 1)})
+    """u ox v for every splitting w = uv: v is the low i bits of the code,
+    a word when i = 0 or bit i - 1 (where a letter starts) is set."""
+    return Tensor2._raw({(w >> i, w & ((1 << i) - 1), 0): 1
+                         for i in range(w.bit_length() + 1)
+                         if not i or w >> (i - 1) & 1})
 
 
 def _linear(word_map, p):
-    """The linear extension to the polynomial p of a map word -> Tensor2;
-    on a word p, the map's value itself."""
-    if isinstance(p, tuple):
-        return word_map(p)
+    """The linear extension to the polynomial p of a map word code ->
+    Tensor2; on a word p, a tuple or its code, the map's value itself."""
+    if isinstance(p, (int, tuple)):
+        return word_map(word_code(p))
     d, terms = _integral(p)
     acc = {}
     for (w, e), c in terms.items():
@@ -103,16 +119,16 @@ def deconcat_coproduct(p):
 
 @lru_cache(maxsize=None)
 def _stuffle_coproduct_letter(s):
-    data = {((s,), (), 0): 1, ((), (s,), 0): 1}
+    data = {(1 << (s - 1), 0, 0): 1, (0, 1 << (s - 1), 0): 1}
     for s1 in range(1, s):
-        data[((s1,), (s - s1,), 1)] = 1
+        data[(1 << (s1 - 1), 1 << (s - s1 - 1), 1)] = 1
     return Tensor2._raw(data)
 
 
 @lru_cache(maxsize=None)
 def _stuffle_coproduct_word(w):
     out = Tensor2.one()
-    for s in w:
+    for s in decode_word(w):
         out = out.combine(_stuffle_coproduct_letter(s))
     return out
 
@@ -125,25 +141,28 @@ def stuffle_coproduct(p):
 
 def _primitive_by_coproduct(p, n):
     """Delta(p) == p ox 1 + 1 ox p on the terms of weight <= n, compared in
-    ints: both sides are built from p scaled by the lcm of its
-    denominators, and the coproduct keeps weights."""
+    ints: the difference of the two sides, built from p scaled by the lcm
+    of its denominators, vanishes (the coproduct keeps weights)."""
     _, terms = _integral(p.truncate(n))
-    cop, expected = {}, {}
+    diff = {}
+    get = diff.get
     for (w, e), c in terms.items():
-        _accumulate(cop, stuffle_coproduct(w)._terms.items(), c, e)
-        _accumulate(expected, (((w, (), e), c), (((), w, e), c)))
-    return cop == expected
+        for (u, v, f), d in stuffle_coproduct(w)._terms.items():
+            key = (u, v, e + f)
+            diff[key] = get(key, 0) + c * d
+        for key in ((w, 0, e), (0, w, e)):
+            diff[key] = get(key, 0) - c
+    return not any(diff.values())
 
 
 def _word_pairs(total):
-    """Each unordered pair {u, v} of nonempty words of total weight `total`
-    once: weight(u) <= weight(v), and u not after v in the enumeration
-    when the weights are equal.  stuffle(u, v) and stuffle(v, u) are one
-    cached value, so the swapped pair would repeat the same test."""
+    """Each unordered pair {u, v} of nonempty word codes of total weight
+    `total` once, u <= v.  stuffle(u, v) and stuffle(v, u) are one cached
+    value, so the swapped pair would repeat the same test."""
     for a in range(1, total // 2 + 1):
-        us, vs = words_of_weight(a), words_of_weight(total - a)
-        for i, u in enumerate(us):
-            for v in (vs[i:] if 2 * a == total else vs):
+        vs = codes_of_weight(total - a)
+        for u in codes_of_weight(a):
+            for v in (range(u, vs.stop) if 2 * a == total else vs):
                 yield u, v
 
 
@@ -160,7 +179,7 @@ def _primitive_by_pairing(ps, n):
             if not w:
                 ok[i] = False
             index.setdefault(w, []).append((i, e, a))
-    for total in {weight(w) for w in index}:
+    for total in {w.bit_length() for w in index}:
         for u, v in _word_pairs(total):
             acc = {}  # (i, exponent) -> <p_i | u*v> at that power of q
             for (x, f), b in stuffle(u, v)._terms.items():
@@ -237,7 +256,7 @@ def verify_axioms(n):
     rep = Report("axioms (N=%d)" % n)
 
     pairs = [(u, v) for a in range(1, n) for b in range(1, n - a + 1)
-             for u in words_of_weight(a) for v in words_of_weight(b)]
+             for u in codes_of_weight(a) for v in codes_of_weight(b)]
     # stuffle() serves both orders from one cache entry: recompute the
     # other order through the uncached recursion
     bad = sum(1 for u, v in pairs
@@ -248,8 +267,8 @@ def verify_axioms(n):
     triples = [(u, v, w)
                for a in range(1, n - 1) for b in range(1, n - a)
                for c in range(1, n - a - b + 1)
-               for u in words_of_weight(a) for v in words_of_weight(b)
-               for w in words_of_weight(c)]
+               for u in codes_of_weight(a) for v in codes_of_weight(b)
+               for w in codes_of_weight(c)]
     bad = 0
     for u, v, w in triples:
         lhs = stuffle_poly(stuffle(u, v), word_poly(w))
@@ -260,7 +279,7 @@ def verify_axioms(n):
               len(triples), bad)
 
     bad = 0
-    words = all_words_up_to(n)
+    words = range(1, 1 << n)  # the codes of the words of weight 1..n
     for w in words:
         for cop in (stuffle_coproduct, deconcat_coproduct):
             if not _coassociative_on(cop, w):
@@ -272,13 +291,13 @@ def verify_axioms(n):
     # (u, v, w, e) -> a over the nonempty u, v
     products = {(u, v, w, e): a for u, v in pairs
                 for (w, e), a in stuffle(u, v)._terms.items()}
-    concatenations = {(u, v, u + v, 0): 1 for u, v in pairs}
+    concatenations = {(u, v, u << v.bit_length() | v, 0): 1 for u, v in pairs}
 
     def split(cop):
         return {(u, v, w, e): a for w in words
                 for (u, v, e), a in cop(w)._terms.items() if u and v}
 
-    checked = sum(len(words_of_weight(weight(u) + weight(v)))
+    checked = sum(1 << (u.bit_length() + v.bit_length() - 1)
                   for u, v in pairs)
     rep.tally("product/coproduct duality (%d pairings)" % checked, checked,
               products != split(stuffle_coproduct)
@@ -287,12 +306,15 @@ def verify_axioms(n):
 
 
 def _coassociative_on(cop, w):
-    left = {}
-    right = {}
+    """(cop ox id) cop(w) == (id ox cop) cop(w), as an int difference."""
+    diff = {}
+    get = diff.get
     for (u, v, e), c in cop(w)._terms.items():
-        _accumulate(left, (((x, y, v, e + f), d)
-                           for (x, y, f), d in cop(u)._terms.items()), c)
-        _accumulate(right, (((u, x, y, e + f), d)
-                            for (x, y, f), d in cop(v)._terms.items()), c)
-    return left == right
+        for (x, y, f), d in cop(u)._terms.items():
+            key = (x, y, v, e + f)
+            diff[key] = get(key, 0) + c * d
+        for (x, y, f), d in cop(v)._terms.items():
+            key = (u, x, y, e + f)
+            diff[key] = get(key, 0) - c * d
+    return not any(diff.values())
 

@@ -6,6 +6,13 @@ SMALLER letter.  Words are compared lexicographically with the convention
 that a proper prefix is smaller than its extensions; `word_key` realizes
 this as an ordinary Python tuple comparison on negated indices, built once
 per distinct word and cached (at most about 2^N words up to weight N).
+
+The term dicts of `ncpoly` key a word by its int code (`encode_word`):
+y_s is the bits 1 0^(s-1), a word the concatenation of its letters' bits,
+and () is 0.  The bit length of a code is the weight, uv is
+`u << v.bit_length() | v`, and the codes of weight n are the ints of bit
+length n, ascending in word order.  The API takes and returns tuples; the
+word-level products and coproducts also take codes (`word_code`).
 """
 
 from functools import lru_cache
@@ -25,7 +32,8 @@ def letter_less(a, b):
 
 @lru_cache(maxsize=None)
 def word_key(w):
-    return tuple(-s for s in w)
+    """The sort key of a word given as a tuple or as its code."""
+    return tuple(-s for s in (decode_word(w) if w.__class__ is int else w))
 
 
 def word_less(u, v):
@@ -36,13 +44,37 @@ def word_leq(u, v):
     return word_key(u) <= word_key(v)
 
 
-def _compositions(n):
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in _compositions(n - first):
-            yield (first,) + rest
+@lru_cache(maxsize=None)
+def encode_word(w):
+    """The int code of the word w (a tuple)."""
+    c = 0
+    for s in w:
+        c = c << s | 1 << (s - 1)
+    return c
+
+
+@lru_cache(maxsize=None)
+def decode_word(c):
+    """The word (a tuple) of the int code c: each letter is the distance
+    from the leading bit to the leading bit of the rest."""
+    w = []
+    n = c.bit_length()
+    while c:
+        c ^= 1 << (n - 1)
+        m = c.bit_length()
+        w.append(n - m)
+        n = m
+    return tuple(w)
+
+
+def word_code(w):
+    """The int code of a word given as a tuple, or as its code already."""
+    return w if w.__class__ is int else encode_word(tuple(w))
+
+
+def codes_of_weight(n):
+    """The codes of the words of weight n, in the order of words_of_weight."""
+    return range(1 << (n - 1), 1 << n)
 
 
 @lru_cache(maxsize=None)
@@ -50,8 +82,7 @@ def words_of_weight(n):
     """All 2^(n-1) compositions of n, ascending by word_less."""
     if n < 1:
         raise ValueError("weight must be >= 1")
-    out = sorted(_compositions(n), key=word_key)
-    return tuple(out)
+    return tuple(map(decode_word, codes_of_weight(n)))
 
 
 def all_words_up_to(n, include_empty=False):

@@ -150,6 +150,16 @@ def test_q_is_refused_where_it_does_not_apply(capsys, argv):
     assert err == "error: --q does not apply to %s\n" % argv[0]
 
 
+def test_negative_fraction_q_with_a_space(capsys):
+    """`--q -1/2` reads the value as `--q=-1/2` does (argparse alone takes
+    "-1/2" for an option), and both print the same bytes."""
+    spaced = run(capsys, "basis", "xi", "--max-weight", "2", "--q", "-1/2")
+    joined = run(capsys, "basis", "xi", "--max-weight", "2", "--q=-1/2")
+    assert spaced == joined
+    assert spaced[0] == 0 and spaced[1] == \
+        "Xi[1] = [1]\nXi[2] = [2] + 1/4·[1,1]\nXi[1,1] = [1,1]\n"
+
+
 def test_verify_exit_codes(capsys):
     code, out, _ = run(capsys, "verify", "duality", "--max-weight", "3")
     assert code == 0

@@ -15,7 +15,8 @@ from qstuffle.ops import (_primitive_by_pairing, are_primitive,
                           is_primitive, log_one_plus, shuffle, stuffle,
                           stuffle_coproduct, stuffle_poly,
                           stuffle_power_divided, verify_axioms)
-from qstuffle.words import all_words_up_to, weight, words_of_weight
+from qstuffle.words import (all_words_up_to, decode_word, weight,
+                            words_of_weight)
 
 
 def _as_dict(p):
@@ -301,13 +302,13 @@ def test_commutativity_check_sees_a_noncommutative_product(monkeypatch):
     from qstuffle import ops
 
     @lru_cache(maxsize=None)
-    def skewed(u, v):
+    def skewed(u, v):  # the cached kernel takes word codes
+        u, v = decode_word(u), decode_word(v)
         if not u or not v:
             return word_poly(u + v)
-        s, t = u[0], v[0]
-        return ops.stuffle(u[1:], v).prepend_letter(s) \
-            + ops.stuffle(u, v[1:]).prepend_letter(t) \
-            + ops.stuffle(u[1:], v[1:]).prepend_letter(s).scale(QPoly.q())
+        s, t = word_poly(u[:1]), word_poly(v[:1])
+        return s * ops.stuffle(u[1:], v) + t * ops.stuffle(u, v[1:]) \
+            + s * ops.stuffle(u[1:], v[1:]).scale(QPoly.q())
 
     monkeypatch.setattr(ops, "_stuffle", skewed)
     lines = verify_axioms(3).lines()
@@ -317,7 +318,8 @@ def test_commutativity_check_sees_a_noncommutative_product(monkeypatch):
 
 @pytest.mark.parametrize("name, keep", [
     ("_stuffle_coproduct_word", lambda u, e: e == 0),  # drops the q-terms
-    ("_deconcat_word", lambda u, e: len(u) != 1)],  # drops the first split
+    ("_deconcat_word",  # drops the first split; u is a word code
+     lambda u, e: len(decode_word(u)) != 1)],
     ids=["stuffle", "deconcatenation"])
 def test_duality_check_sees_a_coproduct_that_is_not_dual(monkeypatch, name,
                                                           keep):

@@ -1,10 +1,12 @@
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
-from qstuffle.words import (all_words_up_to, letter_less, weight,
-                            word_from_str, word_key, word_latex, word_less,
-                            word_to_str, words_of_weight)
+from qstuffle.words import (all_words_up_to, codes_of_weight, decode_word,
+                            encode_word, letter_less, weight, word_from_str,
+                            word_key, word_latex, word_less, word_to_str,
+                            words_of_weight)
 
 
 def test_weight():
@@ -89,3 +91,48 @@ def test_memoized_word_key_equals_the_formula():
     for w in all_words_up_to(8, include_empty=True):
         assert word_key(w) == tuple(-s for s in w) == word_key.__wrapped__(w)
         assert word_key(w) is word_key(w)
+
+
+def _compositions(n):
+    """Every word of weight n, built letter by letter (not from the codes)."""
+    if n == 0:
+        return [()]
+    return [(s,) + rest for s in range(1, n + 1)
+            for rest in _compositions(n - s)]
+
+
+def test_int_codes_exhaustively_to_weight_12():
+    """y_s is the bits 1 0^(s-1) and a word their concatenation: the code
+    is injective, its bit length is the weight, concatenation is a shift
+    and an or, the leading bits give the first letter and the tail, and
+    within a weight the int order is the word order."""
+    assert encode_word(()) == 0 and decode_word(0) == ()
+    seen = {}
+    for n in range(1, 13):
+        ws = _compositions(n)
+        for w in ws:
+            c = encode_word(w)
+            assert c not in seen, (w, seen.get(c))
+            seen[c] = w
+            assert decode_word(c) == w
+            assert c.bit_length() == weight(w) == n
+            tail = c ^ 1 << (n - 1)
+            assert n - tail.bit_length() == w[0]
+            assert tail == encode_word(w[1:])
+            for i in range(len(w) + 1):  # every pair u, v with uv = w
+                cu, cv = encode_word(w[:i]), encode_word(w[i:])
+                assert cu << cv.bit_length() | cv == c
+        assert sorted(ws, key=word_key) == \
+            sorted(ws, key=encode_word) == list(words_of_weight(n))
+        assert [encode_word(w) for w in words_of_weight(n)] == \
+            list(codes_of_weight(n))
+
+
+WORDS = st.lists(st.integers(1, 12), max_size=12).map(tuple)
+
+
+@given(WORDS, WORDS)
+def test_code_of_a_concatenation(u, v):
+    cu, cv = encode_word(u), encode_word(v)
+    assert cu << cv.bit_length() | cv == encode_word(u + v)
+    assert decode_word(cu << weight(v) | cv) == u + v
