@@ -26,10 +26,11 @@ The factorization suite expands the decreasing product of exponentials
 into one pure tensor per word, by distributivity and the uniqueness of the
 Chen-Fox-Lyndon factorization (`factorization_forms`).
 
-The triangular solve is the authority for the dual family; the recursive
-computations must agree with it.  `sigma_mismatches` is the one comparison
-of the two, and any mismatch it finds is a hard error in the CLI's
-both-methods mode.
+The triangular solve inverts each weight class in ints, one inverse row
+packed into one big int (`_invert_unit_upper`), and is the authority for
+the dual family; the recursive computations must agree with it.
+`sigma_mismatches` is the one comparison of the two, and any mismatch it
+finds is a hard error in the CLI's both-methods mode.
 """
 
 import json
@@ -38,7 +39,6 @@ from functools import lru_cache
 from math import factorial, gcd, lcm
 
 from ._version import __version__
-from .coeff import rational
 from .eulerian import (diagonal_series, primitive_projector,
                        primitive_projector_letter)
 from .lyndon import (cfl_factorization, cfl_grouped, converse_tree,
@@ -203,25 +203,46 @@ def pi_basis(n):
 
 
 def _invert_unit_upper(rows):
-    """Inverse of a unit upper triangular rational matrix given by its
-    strictly upper rows {column: Fraction}, one per row.
+    """Inverse of a unit upper triangular rational matrix, given by its
+    strictly upper rows (d, {column: int c}) for the entries c/d.  Back-
+    substitution from the last row, inv_i = e_i - sum_k a_ik inv_k, with
+    each inverse row packed into one int of W-bit slots (Kronecker
+    substitution): one big-int multiply-add per a_ik.  W starts at 64 and
+    doubles, for the whole class, while a slot may overflow.  Row i of the
+    inverse is its numerators at columns i, i+1, ..., reduced by their gcd;
+    the first, on the diagonal, is their denominator."""
+    width = 64
+    while (inv := _packed_inverse(rows, width)) is None:
+        width *= 2
+    return inv
 
-    Back-substitution from the last row, inv_i = e_i - sum_k a_ik inv_k.
-    Each inverse row is returned as (numerators {column: int}, denominator)
-    over one common denominator, reduced by the gcd of all its entries."""
-    inv = [None] * len(rows)
-    for i in range(len(rows) - 1, -1, -1):
-        terms = [(a, inv[k]) for k, a in rows[i].items()]
-        den = 1
-        for a, (_, d) in terms:
-            den = lcm(den, a.denominator * d)
-        acc = {i: den}
-        for a, (nums, d) in terms:
-            scale = a.numerator * (den // (a.denominator * d))
-            for j, c in nums.items():
-                acc[j] = acc.get(j, 0) - scale * c
-        g = gcd(den, *acc.values())
-        inv[i] = ({j: c // g for j, c in acc.items() if c}, den // g)
+
+def _packed_inverse(rows, width):
+    """`_invert_unit_upper` with W = `width` (a multiple of 8) bits per
+    slot, or None when a row is not provably exact.  Column j lies in slot
+    len(rows) - 1 - j, so a row ends at its diagonal.  A row is decoded
+    only once d·den + sum |scale_k|·max|inv_k| < 2^(W-1) bounds every
+    slot: 2^(W-1) added to each then makes it a W-bit unsigned field."""
+    size, step = len(rows), width // 8
+    half = 1 << (width - 1)
+    offset = half * ((1 << width * size) - 1) // ((1 << width) - 1)
+    packed, peak, inv = [0] * size, [0] * size, [None] * size
+    for i in range(size - 1, -1, -1):
+        d, row = rows[i]
+        den = lcm(*(inv[k][0] for k in row))
+        acc, bound = d * den << width * (size - 1 - i), d * den
+        for k, c in row.items():
+            scale = c * (den // inv[k][0])
+            acc -= scale * packed[k]
+            bound += abs(scale) * peak[k]
+        if bound >= half:
+            return None
+        raw = (acc + offset).to_bytes(step * size, "big")
+        nums = [int.from_bytes(raw[b:b + step], "big") - half
+                for b in range(step * i, step * size, step)]
+        g = gcd(*nums)  # nums[0] = d·den > 0
+        nums = [c // g for c in nums]
+        packed[i], peak[i], inv[i] = acc // g, max(map(abs, nums)), nums
     return inv
 
 
@@ -234,7 +255,9 @@ def _dual_by_triangular_solve(elements, n, kind):
     family (the q-stuffle trades one letter for one factor of q).  The
     matrix of a weight class is then M = D^-1 A D with D = diag(q^(+-len))
     and A rational, so M^-1 = D^-1 A^-1 D: only A is inverted, and q is
-    restored from the lengths of the two words."""
+    restored from the lengths of the two words: the set bits of their codes,
+    one per letter.  A row of A is read in ints through `_integral`, times
+    the scale d of its element, so its diagonal reads d."""
     upper = kind in GradedBasis.TRIANGULAR_UP
     entries = {(): NCPoly.one()}
     direction = 0  # sign of len v - len w over the family, once seen
@@ -244,10 +267,12 @@ def _dual_by_triangular_solve(elements, n, kind):
             ws.reverse()  # present the lower triangular case as upper
         index = {encode_word(w): i for i, w in enumerate(ws)}
         codes = list(index)
+        lengths = [c.bit_count() for c in codes]
         rows = []
         for i, w in enumerate(ws):
-            row = {}  # column -> (word, q-exponent, rational)
-            for (v, e), a in elements[w]._terms.items():
+            row = {}  # column -> (q-exponent, int)
+            d, terms = _integral(elements[w])
+            for (v, e), a in terms.items():
                 j = index.get(v)
                 if j is None or j < i:
                     raise ValueError(
@@ -258,33 +283,34 @@ def _dual_by_triangular_solve(elements, n, kind):
                         "family entry at %s has a coefficient at %s that is "
                         "not a monomial"
                         % (word_to_str(w), word_to_str(ws[j])))
-                row[j] = (ws[j], e, a)
-            for j, (v, e, a) in row.items():
-                shift = len(v) - len(w)
+                row[j] = (e, a)
+            for j, (e, a) in row.items():
+                shift = lengths[j] - lengths[i]
                 if e != abs(shift):
                     raise ValueError(
                         "family entry at %s has q-exponent %d at %s, not the "
                         "length difference %d"
-                        % (word_to_str(w), e, word_to_str(v), abs(shift)))
+                        % (word_to_str(w), e, word_to_str(ws[j]), abs(shift)))
                 if shift:
                     if shift * direction < 0:
                         raise ValueError(
                             "family mixes both directions of length change "
                             "(entry at %s, term %s)"
-                            % (word_to_str(w), word_to_str(v)))
+                            % (word_to_str(w), word_to_str(ws[j])))
                     direction = shift
                 row[j] = a
-            if row.pop(i, None) != 1:
+            if row.pop(i, None) != d:
                 raise ValueError("family lacks unit diagonal at %s"
                                  % word_to_str(w))
-            rows.append(row)
+            rows.append((d, row))
         # dual of row family with matrix M is given by columns of M^-1
         columns = [{} for _ in ws]
-        for i, (nums, den) in enumerate(_invert_unit_upper(rows)):
-            v = ws[i]
-            for j, c in nums.items():
-                columns[j][(codes[i], abs(len(v) - len(ws[j])))] = \
-                    rational(Fraction(c, den))
+        for i, nums in enumerate(_invert_unit_upper(rows)):
+            code, length, den = codes[i], lengths[i], nums[0]
+            for column, c, other in zip(columns[i:], nums, lengths[i:]):
+                if c:
+                    column[code, abs(length - other)] = \
+                        Fraction(c, den) if c % den else c // den
         for w, data in zip(ws, columns):
             entries[w] = NCPoly._raw(data)
     return entries

@@ -111,9 +111,17 @@ def _cmd_lyndon(args):
     return 0
 
 
+# The stuffle and shuffle of two words recurse once per letter.
+MAX_PRODUCT_LETTERS = 256
+
+
 def _cmd_product(args, q_value):
     u = word_from_str(args.u)
     v = word_from_str(args.v)
+    if args.kind != "conc" and len(u) + len(v) > MAX_PRODUCT_LETTERS:
+        raise ValueError("the %s of two words takes at most %d letters in "
+                         "all, not %d" % (args.kind, MAX_PRODUCT_LETTERS,
+                                          len(u) + len(v)))
     if args.kind == "stuffle":
         p = ops.stuffle(u, v)
     elif args.kind == "shuffle":

@@ -12,6 +12,10 @@ and multiply plain rationals.  Words are orthonormal for the canonical
 pairing.  Both classes are canonical (no stored zero coefficient) and
 treated as immutable.
 
+Rendering (`terms`, JSON, text, LaTeX) sorts the plain int keys: within
+one weight, code order is word order, and only an NCPoly of mixed weights
+sorts again by `word_key`.
+
 `QPoly` appears only at the boundary: the constructors and `scale` accept
 it, and `coeff`, `pairing`, `constant_term` and `terms` return it.  A value
 holds its term dict and nothing else; a lookup by word groups the terms it
@@ -198,16 +202,20 @@ class _Sparse:
                     acc[e + f] = acc.get(e + f, 0) + a * b
         return {e: a for e, a in acc.items() if a}
 
+    def _sorted(self):
+        """The term keys ascending by the word order of the head, then e."""
+        return sorted(self._terms, key=self._order)
+
     def _grouped(self):
         """(head, [(e, a), ...]) per head, its words decoded to tuples,
         ascending by the word order of the head, exponents ascending."""
-        out, last = [], None
-        for k, a in sorted(self._terms.items(), key=self._order):
-            head = self._head(k)
+        out, last, terms = [], None, self._terms
+        for k in self._sorted():
+            head, pair = self._head(k), (k[-1], terms[k])
             if head == last:
-                out[-1][1].append((k[-1], a))
+                out[-1][1].append(pair)
             else:
-                out.append((self._decode(head), [(k[-1], a)]))
+                out.append((self._decode(head), [pair]))
                 last = head
         return out
 
@@ -258,6 +266,15 @@ class _Sparse:
                           if key_weight(k) <= n})
 
 
+# The pieces of `NCPoly.json_text`, one per term.
+_PAD = "\n    "
+_TERM = _PAD.join(["", "      {", '        "qpow": %d,',
+                   '        "coeff": "%s"', "      }"])
+_ITEM = _PAD.join(["", "  {", '    "word": %s,', '    "coeff": [']) + _TERM
+_END_ITEM = _PAD.join(["", "    ]", "  }"])
+_NEXT_ITEM = _END_ITEM + "," + _ITEM
+
+
 class NCPoly(_Sparse):
     """Element of the free algebra: flat map (code, q-exponent) -> rational."""
 
@@ -271,8 +288,16 @@ class NCPoly(_Sparse):
         return k[0].bit_length()
 
     @staticmethod
-    def _order(item):
-        return word_key(item[0][0]), item[0][1]
+    def _order(k):
+        return word_key(k[0]), k[1]
+
+    def _sorted(self):
+        """As `_Sparse._sorted`: the codes of one weight ascend in word
+        order, so only mixed weights (first and last code) use word_key."""
+        keys = sorted(self._terms)
+        if keys and keys[0][0].bit_length() != keys[-1][0].bit_length():
+            keys.sort(key=self._order)
+        return keys
 
     def __init__(self, terms=None):
         """From a map word -> QPoly | int | Fraction."""
@@ -332,24 +357,27 @@ class NCPoly(_Sparse):
         """The text of `json.dumps(self.to_json(), indent=2)` nested two
         levels deep, as an entry of `GradedBasis.json_chunks`: every line
         after the first is indented by 4 more spaces.  `words`, a dict the
-        caller keeps, holds the indented list of each word across calls."""
+        caller keeps, holds the indented list of each word code across
+        calls.  A term that starts a word opens its item."""
         if not self._terms:
             return "[]"
-        pad = "\n    "
-        item = pad + "  {" + pad + '    "word": %s,' + pad \
-            + '    "coeff": [%s' + pad + "    ]" + pad + "  }"
-        qterm = pad + "      {" + pad + '        "qpow": %d,' + pad \
-            + '        "coeff": "%s"' + pad + "      }"
-        items = []
-        for w, pairs in self._grouped():
-            word = words.get(w)
+        out, last, terms = ["["], None, self._terms
+        append = out.append
+        for k in self._sorted():
+            c = k[0]
+            if c == last:
+                append("," + _TERM % (k[1], terms[k]))
+                continue
+            word = words.get(c)
             if word is None:
-                word = ("[" + ",".join(pad + "      %d" % s for s in w)
-                        + pad + "    ]") if w else "[]"
-                words[w] = word
-            items.append(item % (word, ",".join([qterm % (e, a)
-                                                 for e, a in pairs])))
-        return "[" + ",".join(items) + pad + "]"
+                word = words[c] = "[" + ",".join(
+                    [_PAD + "      %d" % s for s in decode_word(c)]) \
+                    + _PAD + "    ]" if c else "[]"
+            append((_ITEM if last is None else _NEXT_ITEM)
+                   % (word, k[1], terms[k]))
+            last = c
+        append(_END_ITEM + _PAD + "]")
+        return "".join(out)
 
     @classmethod
     def from_json(cls, data):
@@ -404,9 +432,8 @@ class Tensor2(_Sparse):
         return k[0].bit_length() + k[1].bit_length()
 
     @staticmethod
-    def _order(item):
-        u, v, e = item[0]
-        return word_key(u), word_key(v), e
+    def _order(k):
+        return word_key(k[0]), word_key(k[1]), k[2]
 
     def __init__(self, terms=None):
         """From a map (word, word) -> QPoly | int | Fraction."""

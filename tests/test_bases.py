@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -90,6 +91,66 @@ def test_graded_solve_matches_dense_reference(kind, element):
     elements = {w: element(w) for w in all_words_up_to(6)}
     assert _dual_by_triangular_solve(elements, 6, kind) == \
         _dense_dual(elements, 6, kind)
+
+
+def _packed_rows(m):
+    """The rows (d, {column: int c}) of `_invert_unit_upper` for a dense
+    unit upper triangular matrix of Fractions: entries c/d off the
+    diagonal."""
+    rows = []
+    for i, r in enumerate(m):
+        upper = {j: a for j, a in enumerate(r) if j > i and a}
+        d = math.lcm(*(a.denominator for a in upper.values()))
+        rows.append((d, {j: int(a * d) for j, a in upper.items()}))
+    return rows
+
+
+def _dense_inverse(rows):
+    """`_invert_unit_upper(rows)` as a dense matrix of Fractions."""
+    size = len(rows)
+    out = [[Fraction(0)] * size for _ in range(size)]
+    for i, nums in enumerate(bases._invert_unit_upper(rows)):
+        assert len(nums) == size - i
+        for j, c in enumerate(nums, i):
+            out[i][j] = Fraction(c, nums[0])
+    return out
+
+
+def _spied_widths(monkeypatch):
+    """The slot widths `_invert_unit_upper` tries, appended as it goes."""
+    widths = []
+    packed = bases._packed_inverse
+
+    def spy(rows, width):
+        widths.append(width)
+        return packed(rows, width)
+    monkeypatch.setattr(bases, "_packed_inverse", spy)
+    return widths
+
+
+def test_packed_inverse_doubles_the_width_for_large_entries(monkeypatch):
+    rng = random.Random(7)
+    size = 6
+    m = [[Fraction(int(i == j)) if j <= i else
+          Fraction(rng.choice([-1, 1]) * rng.randrange(2 ** 70, 2 ** 72),
+                   rng.choice([1, 3, 2 ** 40 + 1]))
+          for j in range(size)] for i in range(size)]
+    widths = _spied_widths(monkeypatch)
+    inverse = _dense_inverse(_packed_rows(m))
+    assert len(widths) > 2 and widths == [64 << t for t in range(len(widths))]
+    assert inverse == dense_invert_unit_upper(m, Fraction(0), Fraction(1))
+
+
+def test_packed_inverse_fits_at_64_bits(monkeypatch):
+    rng = random.Random(3)
+    size = 12
+    m = [[Fraction(int(i == j)) if j <= i else
+          Fraction(rng.randrange(-3, 4), rng.choice([1, 2, 3]))
+          for j in range(size)] for i in range(size)]
+    widths = _spied_widths(monkeypatch)
+    inverse = _dense_inverse(_packed_rows(m))
+    assert widths == [64]
+    assert inverse == dense_invert_unit_upper(m, Fraction(0), Fraction(1))
 
 
 def _identity_family(n):

@@ -66,6 +66,22 @@ def test_malformed_word_exits_nonzero(capsys):
     assert code != 0
 
 
+@pytest.mark.parametrize("kind", ["stuffle", "shuffle"])
+def test_long_product_words_are_refused(capsys, kind):
+    limit = cli.MAX_PRODUCT_LETTERS
+    code, out, err = run(capsys, "product", kind, ",".join(["1"] * 330), "2")
+    assert (code, out) == (2, "")
+    assert err == "error: the %s of two words takes at most %d letters in " \
+        "all, not 331\n" % (kind, limit)
+    code, _, err = run(capsys, "product", kind, ",".join(["1"] * limit), "2")
+    assert code == 2 and "not %d" % (limit + 1) in err
+    code, out, _ = run(capsys, "product", kind, ",".join(["1"] * (limit - 1)),
+                       "2", "--q", "0")
+    assert code == 0 and len(out.split(" + ")) == limit
+    code, out, _ = run(capsys, "product", "conc", ",".join(["1"] * 330), "2")
+    assert code == 0 and out == "[%s,2]\n" % ",".join(["1"] * 330)
+
+
 def test_basis_text_and_both_methods(capsys):
     code, out, _ = run(capsys, "basis", "sigma", "--max-weight", "3")
     assert code == 0
