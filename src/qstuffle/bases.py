@@ -34,7 +34,6 @@ finds is a hard error in the CLI's both-methods mode.
 """
 
 import json
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm
 
@@ -43,8 +42,8 @@ from .eulerian import (diagonal_series, primitive_projector,
                        primitive_projector_letter)
 from .lyndon import (cfl_factorization, cfl_grouped, converse_tree,
                      is_lyndon, lyndon_up_to, standard_factorization)
-from .ncpoly import (NCPoly, Tensor2, _accumulate, _divided, _integral,
-                     _product_into, word_poly)
+from .ncpoly import (NCPoly, Tensor2, _accumulate, _bilinear, _product_into,
+                     _weighted_sum, word_poly)
 from .ops import are_primitive, stuffle_poly, stuffle_power_divided
 from .report import Report
 from .words import (all_words_up_to, decode_word, encode_word, weight,
@@ -56,24 +55,22 @@ def pbw_element(w):
     """Basis element of the concatenation algebra attached to w: the
     projected letter for a letter, the bracket of the standard factors for
     a longer Lyndon word, the product over the decreasing Lyndon
-    factorization in general; carried in ints, with the product of the
-    factors' scales divided out once."""
+    factorization in general; carried in ints, over the product of the
+    factors' denominators."""
     w = tuple(w)
     if not w:
         return NCPoly.one()
     if is_lyndon(w):
         if len(w) == 1:
             return primitive_projector_letter(w[0])
-        (da, a), (db, b) = (_integral(pbw_element(f))
-                            for f in standard_factorization(w))
-        acc = _product_into(_product_into({}, None, a, b), None, b, a, -1)
-        return NCPoly._raw(_divided(acc, da * db))
-    factors = [_integral(pbw_element(f)) for f in cfl_factorization(w)]
-    den, acc = factors[0]
-    for d, terms in factors[1:]:
-        acc = _product_into({}, None, acc, terms)
-        den *= d
-    return NCPoly._raw(_divided(acc, den))
+        a, b = (pbw_element(f) for f in standard_factorization(w))
+        acc = _product_into(_product_into({}, None, a._terms, b._terms),
+                            None, b._terms, a._terms, -1)
+        return NCPoly._raw(acc, a._den * b._den)
+    acc = NCPoly.one()
+    for f in cfl_factorization(w):
+        acc = _bilinear(None, acc, pbw_element(f))
+    return acc
 
 
 class GradedBasis:
@@ -104,7 +101,7 @@ class GradedBasis:
             if not w:
                 continue
             p, c = self.entries[w], encode_word(w)
-            lead_ok = p._terms.get((c, 0)) == 1
+            lead_ok = p._terms.get((c, 0)) == p._den
             w_weight = c.bit_length()
             for v, e in p._terms:
                 if v == c:
@@ -256,8 +253,9 @@ def _dual_by_triangular_solve(elements, n, kind):
     matrix of a weight class is then M = D^-1 A D with D = diag(q^(+-len))
     and A rational, so M^-1 = D^-1 A^-1 D: only A is inverted, and q is
     restored from the lengths of the two words: the set bits of their codes,
-    one per letter.  A row of A is read in ints through `_integral`, times
-    the scale d of its element, so its diagonal reads d."""
+    one per letter.  A row of A is the int terms of its element, so its
+    diagonal reads the element's denominator; a column of A^-1 comes out
+    in ints over the lcm of the denominators of its rows."""
     upper = kind in GradedBasis.TRIANGULAR_UP
     entries = {(): NCPoly.one()}
     direction = 0  # sign of len v - len w over the family, once seen
@@ -271,7 +269,7 @@ def _dual_by_triangular_solve(elements, n, kind):
         rows = []
         for i, w in enumerate(ws):
             row = {}  # column -> (q-exponent, int)
-            d, terms = _integral(elements[w])
+            d, terms = elements[w]._den, elements[w]._terms
             for (v, e), a in terms.items():
                 j = index.get(v)
                 if j is None or j < i:
@@ -303,16 +301,18 @@ def _dual_by_triangular_solve(elements, n, kind):
                 raise ValueError("family lacks unit diagonal at %s"
                                  % word_to_str(w))
             rows.append((d, row))
-        # dual of row family with matrix M is given by columns of M^-1
-        columns = [{} for _ in ws]
+        # dual of row family with matrix M is given by columns of M^-1:
+        # column j holds (key, c, den) for each entry c/den of a row i <= j
+        columns = [[] for _ in ws]
         for i, nums in enumerate(_invert_unit_upper(rows)):
             code, length, den = codes[i], lengths[i], nums[0]
             for column, c, other in zip(columns[i:], nums, lengths[i:]):
                 if c:
-                    column[code, abs(length - other)] = \
-                        Fraction(c, den) if c % den else c // den
-        for w, data in zip(ws, columns):
-            entries[w] = NCPoly._raw(data)
+                    column.append(((code, abs(length - other)), c, den))
+        for w, column in zip(ws, columns):
+            den = lcm(*{d for _, _, d in column})
+            entries[w] = NCPoly._raw(
+                {key: c * (den // d) for key, c, d in column}, den)
     return entries
 
 
@@ -351,7 +351,7 @@ def sigma_lyndon_general(w, sigma_of):
     if not is_lyndon(w):
         raise ValueError("needs a Lyndon word")
     top = 1 << (weight(w) - 1)  # a tail with its contracted letter weighs w
-    acc = {}
+    parts = []
     for seq, paths in converse_tree((w,)).items():
         for i in range(1, len(seq) + 1):
             if len(seq[i - 1]) != 1:
@@ -360,10 +360,11 @@ def sigma_lyndon_general(w, sigma_of):
             if any(not word_leq(tail[t + 1], tail[t])
                    for t in range(len(tail) - 1)):
                 continue
-            _accumulate(acc, (((x | top, f), b) for (x, f), b
-                              in sigma_of(sum(tail, ()))._terms.items()),
-                        Fraction(paths, factorial(i)), i - 1)
-    return NCPoly._raw(acc)
+            sigma = sigma_of(sum(tail, ()))
+            parts.append((paths, factorial(i) * sigma._den, i - 1,
+                          (((x | top, f), b)
+                           for (x, f), b in sigma._terms.items())))
+    return _weighted_sum(NCPoly, parts)
 
 
 @lru_cache(maxsize=None)
@@ -419,31 +420,29 @@ def verify_duality(n, sigma=None):
     sharing a word are ever multiplied.  A pair counts as failed when its
     entry of the product differs from the identity's.
 
-    The product runs in ints: each dual element is scaled by the lcm d of
-    its denominators and each PBW element pbw(u) by its own lcm d_u, so the
-    entry at (v, u) is d·d_u times the pairing, and on the diagonal the
-    identity reads d·d_v."""
+    The product runs on the int terms: with d the denominator of the dual
+    element and d_u that of pbw(u), the entry at (v, u) is d·d_u times the
+    pairing, and on the diagonal the identity reads d·d_v."""
     rep = Report("duality (N=%d)" % n)
     if sigma is None:
         sigma = dual_pbw_oracle(n)
     words = all_words_up_to(n)
     containing = {}  # word x -> [((u, e), a)] for the terms a*q^e*x of pbw u
-    scale = {}  # u -> d_u, the lcm of the denominators of pbw(u)
     for w in words:
         u = encode_word(w)  # u and v are word codes from here on
-        scale[u], terms = _integral(pbw_element(w))
-        for (x, e), a in terms.items():
+        for (x, e), a in pbw_element(w)._terms.items():
             containing.setdefault(x, []).append(((u, e), a))
     bad = [0] * (n + 1)  # failed pairs per weight
     cross_bad = 0
     for w in words:
         row = {}  # (u, e) -> d·d_u · (q^e coefficient of <dual(v)|pbw(u)>)
-        d, terms = _integral(sigma.entry(w))
-        for (x, e), c in terms.items():
+        p = sigma.entry(w)
+        for (x, e), c in p._terms.items():
             _accumulate(row, containing.get(x, ()), c, e)
         v = encode_word(w)
         k = v.bit_length()
-        diagonal_ok = row.pop((v, 0), None) == d * scale[v]
+        diagonal_ok = row.pop((v, 0), None) == \
+            p._den * pbw_element(w)._den
         others = {u for u, _ in row}
         if v in others or not diagonal_ok:
             others.discard(v)
@@ -477,22 +476,20 @@ def verify_primitivity(n):
 
 def _pair_sum(left_of, n):
     """1⊗1 plus the sum of left_of(w) ⊗ pbw_element(w) over the words w of
-    weight 1..n, carried in ints: each pair of factors is scaled to ints,
-    the sum is accumulated over one common denominator and divided out once
-    at the end."""
-    scaled = [(_integral(left_of(w)), _integral(pbw_element(w)))
-              for w in all_words_up_to(n)]
-    den = lcm(*(ds * dp for (ds, _), (dp, _) in scaled))
+    weight 1..n, carried in ints over the lcm of the products of the
+    factors' denominators."""
+    pairs = [(left_of(w), pbw_element(w)) for w in all_words_up_to(n)]
+    den = lcm(*(s._den * p._den for s, p in pairs))
     acc = {(0, 0, 0): den}
     get = acc.get
-    for (ds, s_terms), (dp, p_terms) in scaled:
-        c = den // (ds * dp)
-        for (u, e), a in s_terms.items():
+    for s, p in pairs:
+        c = den // (s._den * p._den)
+        for (u, e), a in s._terms.items():
             a *= c
-            for (v, f), b in p_terms.items():
+            for (v, f), b in p._terms.items():
                 key = (u, v, e + f)
                 acc[key] = get(key, 0) + a * b
-    return Tensor2._raw(_divided({k: a for k, a in acc.items() if a}, den))
+    return Tensor2._raw({k: a for k, a in acc.items() if a}, den)
 
 
 def factorization_forms(n, sigma=None):

@@ -22,7 +22,7 @@ from .words import word_from_str, word_to_str
 
 def _add_common(p):
     p.add_argument("--max-weight", type=int, default=6, metavar="N",
-                   help="weight bound (default 6)")
+                   help="weight bound (default 6; not for product)")
     p.add_argument("--q", default=None, metavar="P/Q",
                    help="specialize q at an exact rational (default symbolic)")
     p.add_argument("--format", choices=("text", "latex", "json"),
@@ -47,11 +47,12 @@ def build_parser():
     p.add_argument("u", help="first word, e.g. \"2,1\" (\"e\" = empty)")
     p.add_argument("v", help="second word")
     _add_common(p)
+    p.set_defaults(max_weight=None)  # no bound: refused when given
 
     p = sub.add_parser("basis", help="emit a graded basis")
     p.add_argument("kind", choices=("pi", "sigma", "chi", "xi"))
     p.add_argument("--sigma-method", choices=("oracle", "recursive", "both"),
-                   default="both")
+                   help="sigma only (default both)")
     _add_common(p)
 
     p = sub.add_parser("verify", help="run an invariant suite")
@@ -116,6 +117,8 @@ MAX_PRODUCT_LETTERS = 256
 
 
 def _cmd_product(args, q_value):
+    if args.max_weight is not None:
+        raise ValueError("--max-weight does not apply to product")
     u = word_from_str(args.u)
     v = word_from_str(args.v)
     if args.kind != "conc" and len(u) + len(v) > MAX_PRODUCT_LETTERS:
@@ -133,8 +136,11 @@ def _cmd_product(args, q_value):
 
 
 def _cmd_basis(args, q_value):
+    if args.sigma_method and args.kind != "sigma":
+        raise ValueError("--sigma-method does not apply to basis %s"
+                         % args.kind)
     n = args.max_weight
-    if args.kind == "sigma" and args.sigma_method == "both":
+    if args.kind == "sigma" and args.sigma_method in (None, "both"):
         basis = bases.dual_pbw_oracle(n)
         mismatch = next(bases.sigma_mismatches(basis), None)
         if mismatch:
@@ -145,8 +151,7 @@ def _cmd_basis(args, q_value):
                 % (word_to_str(w), basis.entry(w).text(), recursive.text()))
             return 1
     else:
-        method = args.sigma_method if args.kind == "sigma" else "oracle"
-        basis = bases.basis_by_kind(args.kind, n, sigma_method=method)
+        basis = bases.basis_by_kind(args.kind, n, args.sigma_method)
 
     if args.format == "json":
         _emit(basis.json_chunks(q_value), args.out)
@@ -194,7 +199,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(_joined_q(list(sys.argv[1:] if argv is None
                                             else argv)))
-    if args.max_weight < 1:
+    if args.command != "product" and args.max_weight < 1:
         sys.stderr.write("error: --max-weight must be >= 1\n")
         return 2
     if args.command in ("lyndon", "verify") and args.q is not None:

@@ -1,31 +1,23 @@
 """Exact coefficient arithmetic: rationals and the polynomial ring Q[q].
 
 Rationals are `fractions.Fraction` (arbitrary-precision, always reduced,
-positive denominator), or plain `int` where a value is integral: the term
-dicts of `NCPoly` and `Tensor2` store every coefficient a·q^e flat, under a
-key that ends in the exponent e, with a in the form `rational` gives it.
-`QPoly` is a sparse univariate polynomial in the formal deformation
-parameter q with Fraction coefficients.  It is the boundary type: the
-input of the `NCPoly`/`Tensor2` constructors and of `scale`, and the
-output of `coeff`, `pairing`, `constant_term` and `terms`; no sum, product,
-series or verify suite computes with it.  Its arithmetic is plain ring
-code, every result built by the normalizing constructor, and it is kept
-apart from the accumulation kernel of `ncpoly` on purpose: it is the
-tests' independent ring (the dense solve in `tests/oracles.py`, the
-pairing checks).  A constant equals, and hashes like, the rational it is.
-`poly_text` and `poly_latex` render a coefficient from its (exponent,
-coefficient) pairs, for a QPoly and for the flat terms alike.
+positive denominator) or plain `int`.  The term dicts of `NCPoly` and
+`Tensor2` hold no rationals: each value stores every coefficient a·q^e
+flat as an int a, under a key that ends in the exponent e, over one
+positive int denominator for the whole value.  `QPoly` is a sparse
+univariate polynomial in the formal deformation parameter q with Fraction
+coefficients.  It is the boundary type: the input of the
+`NCPoly`/`Tensor2` constructors and of `scale`, and the output of `coeff`,
+`pairing`, `constant_term` and `terms`; no sum, product, series or verify
+suite computes with it.  Its arithmetic is plain ring code, every result
+built by the normalizing constructor, and it is kept apart from the
+accumulation kernel of `ncpoly` on purpose: it is the tests' independent
+ring (the dense solve in `tests/oracles.py`, the pairing checks).  A
+constant equals, and hashes like, the rational it is.  `poly_text` and
+`poly_latex` render a coefficient from its (exponent, coefficient) pairs.
 """
 
 from fractions import Fraction
-
-
-def rational(x):
-    """An int or Fraction as the stored form of a flat coefficient: an int
-    when integral, a Fraction otherwise."""
-    if x.__class__ is Fraction and x.denominator == 1:
-        return x.numerator
-    return x
 
 
 def qterms(c):

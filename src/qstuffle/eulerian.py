@@ -18,12 +18,11 @@ adjoint and letter forms of the reconstruction are second routes there
 too.
 """
 
-from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial
 
-from .ncpoly import (NCPoly, Tensor2, _accumulate, _divided,
-                     log_coefficients, truncated_series, word_poly)
+from .ncpoly import (NCPoly, Tensor2, _weighted_sum, log_coefficients,
+                     truncated_series, word_poly)
 from .ops import stuffle, stuffle_coproduct, stuffle_poly
 from .words import codes_of_weight, encode_word, weight, words_of_weight
 
@@ -55,22 +54,21 @@ def primitive_projector(w):
     splits letters, so a word of weight n has n-fold reduced terms)."""
     if not w:
         raise ValueError("the projector is defined on nonempty words")
-    n, c = weight(w), encode_word(w)
-    d = lcm(*range(1, n + 1))  # summed in ints, scaled by d
-    acc = {}
-    for k in range(1, n + 1):
-        _accumulate(acc, _fold(c, k).items(), (-1) ** (k - 1) * (d // k))
-    return NCPoly._raw(_divided(acc, d))
+    c = encode_word(w)
+    return _weighted_sum(NCPoly, (
+        ((-1) ** (k - 1), k, 0, _fold(c, k).items())
+        for k in range(1, weight(w) + 1)))
 
 
 @lru_cache(maxsize=None)
 def primitive_projector_letter(s):
     """Closed formula on letters: the contraction corrections only."""
-    acc = {(1 << (s - 1), 0): 1}
+    parts = [(1, 1, 0, [((1 << (s - 1), 0), 1)])]
     for l in range(2, s + 1):
-        _accumulate(acc, (((w, l - 1), 1) for w in codes_of_weight(s)
-                          if w.bit_count() == l), Fraction((-1) ** (l - 1), l))
-    return NCPoly._raw(acc)
+        parts.append(((-1) ** (l - 1), l, l - 1,
+                      [((w, 0), 1) for w in codes_of_weight(s)
+                       if w.bit_count() == l]))
+    return _weighted_sum(NCPoly, parts)
 
 
 @lru_cache(maxsize=None)
@@ -78,14 +76,15 @@ def primitive_projector_adjoint(w):
     """Adjoint: sum over deconcatenations, iterated stuffle on the right."""
     if not w:
         raise ValueError("the adjoint projector is defined on nonempty words")
-    acc = {}
+    parts = []
     for k in range(1, len(w) + 1):
         for blocks in _block_splits(w, k):
             prod = word_poly(blocks[0])
             for b in blocks[1:]:
                 prod = stuffle_poly(prod, word_poly(b))
-            _accumulate(acc, prod._terms.items(), Fraction((-1) ** (k - 1), k))
-    return NCPoly._raw(acc)
+            parts.append(((-1) ** (k - 1), k * prod._den, 0,
+                          prod._terms.items()))
+    return _weighted_sum(NCPoly, parts)
 
 
 def _block_splits(w, k):
@@ -134,7 +133,7 @@ def reconstruct(w):
     w = tuple(w)
     if not w:
         return NCPoly.one()
-    acc = {}
+    parts = []
     code = encode_word(w)
     for tup, prod in _word_tuples(weight(w)):
         c = [(e, a) for (x, e), a in prod._terms.items() if x == code]
@@ -143,7 +142,6 @@ def reconstruct(w):
         term = NCPoly.one()
         for u in tup:
             term = term * primitive_projector(u)
-        for e, a in c:
-            _accumulate(acc, term._terms.items(),
-                        a * Fraction(1, factorial(len(tup))), e)
-    return NCPoly._raw(acc)
+        d = factorial(len(tup)) * prod._den * term._den
+        parts += [(a, d, e, term._terms.items()) for e, a in c]
+    return _weighted_sum(NCPoly, parts)

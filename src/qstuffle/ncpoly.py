@@ -1,38 +1,38 @@
 """Sparse noncommutative polynomials over Q[q], and their tensor squares.
 
 `NCPoly` is an element of the free algebra on the alphabet, stored as a
-flat map (word, e) -> a for its terms a·q^e·word; `Tensor2`, the analogous
-element of the tensor square used for coproducts and the truncated
-diagonal series, maps (u, v, e) -> a.  A word in a key is its int code
+flat map (word, e) -> a for its terms (a/den)·q^e·word; `Tensor2`, the
+analogous element of the tensor square used for coproducts and the
+truncated diagonal series, maps (u, v, e) -> a.  Every a is a nonzero int
+over one positive int `_den`, in lowest terms (`_raw`), so the kernels
+multiply and add plain ints.  A word in a key is its int code
 (`words.encode_word`), so the kernels hash ints; the constructors,
-lookups, `terms`, JSON and rendering take and give tuple words.  Every a
-is a nonzero int when integral and a Fraction otherwise
-(`coeff.rational`), so the products of the q-stuffle algebra add exponents
-and multiply plain rationals.  Words are orthonormal for the canonical
-pairing.  Both classes are canonical (no stored zero coefficient) and
-treated as immutable.
+lookups, `terms`, JSON and rendering take and give tuple words.  Words are
+orthonormal for the canonical pairing.  Both classes are canonical (no
+stored zero coefficient) and treated as immutable.
 
 Rendering (`terms`, JSON, text, LaTeX) sorts the plain int keys: within
 one weight, code order is word order, and only an NCPoly of mixed weights
 sorts again by `word_key`.
 
-`QPoly` appears only at the boundary: the constructors and `scale` accept
-it, and `coeff`, `pairing`, `constant_term` and `terms` return it.  A value
-holds its term dict and nothing else; a lookup by word groups the terms it
-needs (`_by_head`) afresh on each call.
+`QPoly` and `Fraction` appear only at the boundary: the constructors,
+`scale` and `subs_q` accept them, and `coeff`, `pairing`, `constant_term`,
+`terms` and the text and LaTeX give them; JSON writes each a/den reduced
+by one gcd.  A value holds its terms and denominator and nothing else; a
+lookup by word groups the terms it needs (`_by_head`) afresh on each call.
 
 The sums of both classes go through one kernel, `_accumulate`, and the
-products of polynomials through its int-only counterpart `_product_into`.
-Both write only into a dict that their caller has just created: the term
+products of polynomials through its counterpart `_product_into`.  Both
+write only into a dict that their caller has just created: the term
 dicts of cached values (every `lru_cache` of the package hands out shared
 objects) are read, never written.
 """
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from operator import itemgetter
 
-from .coeff import QPoly, _join_signed, poly_latex, poly_text, qterms, rational
+from .coeff import QPoly, _join_signed, poly_latex, poly_text, qterms
 from .words import decode_word, word_code, word_key, word_to_str, word_latex
 
 
@@ -41,60 +41,49 @@ def _accumulate(acc, terms, c=1, shift=0):
 
     `acc` is a plain dict owned by the caller, never the term dict of a
     shared value.  `terms` yields flat keys, (w, e) or (u, v, e), and
-    nonzero values in the stored form; a nonzero `shift` raises every
-    exponent e by that much.  `c` (an int or Fraction) multiplies every v,
-    and is skipped when it is one.  A sum that cancels is dropped, and an
-    integral Fraction is stored as an int."""
+    nonzero ints; a nonzero `shift` raises every exponent e by that much.
+    The int `c` multiplies every v.  A sum that cancels is dropped."""
     if not c:
         return acc
-    scaled = c != 1
     get = acc.get
     for k, v in terms:
         if shift:
             k = (k[0], k[1] + shift) if len(k) == 2 else \
                 (k[0], k[1], k[2] + shift)
-        if scaled:  # a Fraction goes first: int * Fraction is the slow path
-            v = c * v if v.__class__ is int else v * c
-            if v.__class__ is Fraction and v.denominator == 1:
-                v = v.numerator
-        s = get(k)
-        if s is None:
-            acc[k] = v
+        s = get(k, 0) + c * v
+        if s:
+            acc[k] = s
         else:
-            s = v + s if s.__class__ is int else s + v
-            if not s:
-                del acc[k]
-            elif s.__class__ is Fraction and s.denominator == 1:
-                acc[k] = s.numerator
-            else:
-                acc[k] = s
+            del acc[k]
     return acc
 
 
-def _integral(x):
-    """(d, terms): the terms of x times the lcm d of the denominators of
-    its coefficients, all ints.  A bilinear sum over integral terms runs in
-    int arithmetic, and `_divided` restores the scale once per result."""
-    d = 1
-    for a in x._terms.values():
-        if a.__class__ is Fraction:
-            d = lcm(d, a.denominator)
-    if d == 1:
-        return 1, x._terms
-    return d, {k: a.numerator * (d // a.denominator)
-               for k, a in x._terms.items()}
+def _weighted_sum(cls, parts):
+    """The value of class `cls` summing (a/d)·q^e·t over the parts
+    (a, d, e, t): ints a and d > 0, and t an iterable of (key, int) pairs.
+    Summed in ints over the lcm of the d."""
+    parts = list(parts)
+    den = lcm(*(d for _, d, _, _ in parts))
+    acc = {}
+    for a, d, e, terms in parts:
+        _accumulate(acc, terms, a * (den // d), e)
+    return cls._raw(acc, den)
 
 
-def _divided(acc, d):
-    """The int terms of acc divided by the int d, in the stored form."""
-    if d == 1:
-        return acc
-    return {k: Fraction(a, d) if a % d else a // d for k, a in acc.items()}
+def _ratio_text(a, den):
+    """str(Fraction(a, den)) for the ints a and den > 0, by one gcd."""
+    g = gcd(a, den)
+    return "%d" % (a // g) if g == den else "%d/%d" % (a // g, den // g)
+
+
+def _qpoly(data, den):
+    """The QPoly of the int map e -> a over the denominator den."""
+    return QPoly({e: Fraction(a, den) for e, a in (data or {}).items()})
 
 
 def _product_into(acc, word_prod, p_terms, q_terms, c=1, max_weight=None):
     """acc += c·(p·q) in place, all in ints, under a word-level product (a
-    map of two word codes -> NCPoly with int coefficients; None is
+    map of two word codes -> NCPoly over the denominator 1; None is
     concatenation); returns acc without the terms that cancel.  With
     max_weight, a pair of words whose weights sum past it is skipped."""
     get = acc.get
@@ -121,11 +110,9 @@ def _product_into(acc, word_prod, p_terms, q_terms, c=1, max_weight=None):
 def _bilinear(word_prod, p, q, max_weight=None):
     """Bilinear extension of a word-level product (see `_product_into`) to
     the polynomials p and q, carried in ints."""
-    dp, p_terms = _integral(p)
-    dq, q_terms = _integral(q)
-    return NCPoly._raw(_divided(
-        _product_into({}, word_prod, p_terms, q_terms, 1, max_weight),
-        dp * dq))
+    return NCPoly._raw(
+        _product_into({}, word_prod, p._terms, q._terms, 1, max_weight),
+        p._den * q._den)
 
 
 def exp_coefficients(n):
@@ -144,26 +131,33 @@ def truncated_series(x, mul, coeffs, constant=False):
     carries the product and its weight bound.  Stops at the first power
     that vanishes."""
     cls = type(x)
-    acc = dict(cls.one()._terms) if constant else {}
     power = cls.one()
+    parts = [(1, 1, 0, power._terms.items())] if constant else []
     for c in coeffs:
         power = mul(power, x)
         if not power:
             break
-        _accumulate(acc, power._terms.items(), c)
-    return cls._raw(acc)
+        parts.append((c.numerator, c.denominator * power._den, 0,
+                      power._terms.items()))
+    return _weighted_sum(cls, parts)
 
 
 class _Sparse:
-    """Flat term dict shared by NCPoly and Tensor2: a key is the word code,
-    or the pair of codes, followed by the q-exponent."""
+    """Flat int term dict over a denominator, shared by NCPoly and Tensor2:
+    a key is the word code, or the pair of codes, then the q-exponent."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_den")
 
     @classmethod
-    def _raw(cls, data):
+    def _raw(cls, data, den=1):
+        """data/den for a dict of nonzero ints and an int den > 0, in
+        lowest terms by one gcd."""
+        g = gcd(den, *data.values()) if den != 1 else 1
+        if g != 1:
+            data, den = {k: a // g for k, a in data.items()}, den // g
         out = cls.__new__(cls)
         out._terms = data
+        out._den = den
         return out
 
     @classmethod
@@ -171,13 +165,14 @@ class _Sparse:
         return cls._raw({})
 
     def _set(self, data):
-        """Fill the term dict from a map head -> QPoly | int | Fraction."""
-        terms = {}
-        for head, c in data.items():
-            for e, a in qterms(c):
-                if a:
-                    terms[head + (e,)] = rational(a)
-        self._terms = terms
+        """Fill the terms from a map head -> QPoly | int | Fraction, over
+        the lcm of the denominators."""
+        pairs = [(head + (e,), a) for head, c in data.items()
+                 for e, a in qterms(c) if a]
+        den = lcm(*(a.denominator for _, a in pairs))
+        self._terms = {k: a.numerator * (den // a.denominator)
+                       for k, a in pairs}
+        self._den = den
 
     def _by_head(self):
         """A fresh map head -> {e: a} of the terms a·q^e under each head
@@ -191,7 +186,7 @@ class _Sparse:
     def _pair_with(self, grouped):
         """The canonical pairing (words, and pairs of words, orthonormal)
         with the value of the same class grouped as `grouped` by
-        `_by_head`, as {e: a} with every a nonzero."""
+        `_by_head`, times both denominators, as {e: a} with every a nonzero."""
         acc = {}
         head = self._head
         for k, a in self._terms.items():
@@ -222,7 +217,14 @@ class _Sparse:
     def terms(self):
         """Pairs (head, QPoly coefficient) ascending by word_less on the
         word, or on the pair of words, of the head."""
-        return [(h, QPoly(dict(pairs))) for h, pairs in self._grouped()]
+        return [(h, _qpoly(dict(pairs), self._den))
+                for h, pairs in self._grouped()]
+
+    def to_json(self):
+        den = self._den
+        return [dict(self._json_head(h), coeff=[
+            {"qpow": e, "coeff": _ratio_text(a, den)} for e, a in pairs])
+            for h, pairs in self._grouped()]
 
     def __bool__(self):
         return bool(self._terms)
@@ -233,37 +235,39 @@ class _Sparse:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._terms == other._terms
 
     __hash__ = None
 
-    def __add__(self, other):
+    def _plus(self, other, sign):
+        """self + sign·other."""
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._raw(_accumulate(dict(self._terms), other._terms.items()))
+        return _weighted_sum(type(self), (
+            (1, self._den, 0, self._terms.items()),
+            (sign, other._den, 0, other._terms.items())))
 
-    def __neg__(self):
-        return self._raw({k: -a for k, a in self._terms.items()})
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._raw(_accumulate(dict(self._terms), other._terms.items(),
-                                     -1))
+        return self._plus(other, -1)
+
+    def __neg__(self):
+        return self._raw({k: -a for k, a in self._terms.items()}, self._den)
 
     def scale(self, c):
         """self · c for a QPoly, int or Fraction c."""
-        acc = {}
         items = self._terms.items()
-        for e, a in qterms(c):
-            _accumulate(acc, items, a, e)
-        return self._raw(acc)
+        return _weighted_sum(type(self), (
+            (a.numerator, a.denominator * self._den, e, items)
+            for e, a in qterms(c)))
 
     def truncate(self, n):
         """Drop all terms of (total) weight > n."""
         key_weight = self._weight
         return self._raw({k: a for k, a in self._terms.items()
-                          if key_weight(k) <= n})
+                          if key_weight(k) <= n}, self._den)
 
 
 # The pieces of `NCPoly.json_text`, one per term.
@@ -276,12 +280,13 @@ _NEXT_ITEM = _END_ITEM + "," + _ITEM
 
 
 class NCPoly(_Sparse):
-    """Element of the free algebra: flat map (code, q-exponent) -> rational."""
+    """Element of the free algebra: (code, q-exponent) -> int, over _den."""
 
     __slots__ = ()
 
     _head = staticmethod(itemgetter(0))
     _decode = staticmethod(decode_word)
+    _json_head = staticmethod(lambda w: {"word": list(w)})
 
     @staticmethod
     def _weight(k):
@@ -311,7 +316,7 @@ class NCPoly(_Sparse):
         return {decode_word(k[0]) for k in self._terms}
 
     def coeff(self, w):
-        return QPoly(self._by_head().get(word_code(w)))
+        return _qpoly(self._by_head().get(word_code(w)), self._den)
 
     def __mul__(self, other):
         """Concatenation product (bilinear extension); scalars also accepted."""
@@ -321,37 +326,36 @@ class NCPoly(_Sparse):
             return NotImplemented
         return _bilinear(None, self, other)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, QPoly)):
-            return self.scale(other)
-        return NotImplemented
+    __rmul__ = __mul__  # reached only with a scalar on the left
 
     def pairing(self, other):
         """Canonical pairing: words are orthonormal."""
         small, large = sorted((self, other), key=len)
-        return QPoly(large._pair_with(small._by_head()))
+        return _qpoly(large._pair_with(small._by_head()),
+                      self._den * other._den)
 
     def constant_term(self):
         """Coefficient of the empty word."""
-        return QPoly({k[1]: a for k, a in self._terms.items() if not k[0]})
+        return _qpoly({k[1]: a for k, a in self._terms.items() if not k[0]},
+                      self._den)
 
     def is_proper(self):
         return all(k[0] for k in self._terms)
 
     def proper_part(self):
-        return NCPoly._raw({k: a for k, a in self._terms.items() if k[0]})
+        return NCPoly._raw({k: a for k, a in self._terms.items() if k[0]},
+                           self._den)
 
     def subs_q(self, q0):
-        """Specialize q at the rational q0: every exponent folds into 0."""
-        q0 = rational(Fraction(q0))
+        """Specialize q at the rational q0 = n/d: every exponent folds into
+        0, as a·n^e·d^(top - e) over d^top for the largest exponent top."""
+        n, d = Fraction(q0).as_integer_ratio()
+        top = max((k[1] for k in self._terms), default=0)
         return NCPoly._raw(_accumulate(
-            {}, (((w, 0), rational(a * q0 ** e))
-                 for (w, e), a in self._terms.items() if q0 or not e)))
+            {}, (((w, 0), a * n ** e * d ** (top - e))
+                 for (w, e), a in self._terms.items() if n or not e)),
+            self._den * d ** top)
 
-    def to_json(self):
-        return [{"word": list(w),
-                 "coeff": [{"qpow": e, "coeff": str(a)} for e, a in pairs]}
-                for w, pairs in self._grouped()]
 
     def json_text(self, words):
         """The text of `json.dumps(self.to_json(), indent=2)` nested two
@@ -361,12 +365,13 @@ class NCPoly(_Sparse):
         calls.  A term that starts a word opens its item."""
         if not self._terms:
             return "[]"
-        out, last, terms = ["["], None, self._terms
+        out, last, terms, den = ["["], None, self._terms, self._den
         append = out.append
         for k in self._sorted():
-            c = k[0]
+            c, a = k[0], terms[k]
+            a = a if den == 1 else _ratio_text(a, den)
             if c == last:
-                append("," + _TERM % (k[1], terms[k]))
+                append("," + _TERM % (k[1], a))
                 continue
             word = words.get(c)
             if word is None:
@@ -374,7 +379,7 @@ class NCPoly(_Sparse):
                     [_PAD + "      %d" % s for s in decode_word(c)]) \
                     + _PAD + "    ]" if c else "[]"
             append((_ITEM if last is None else _NEXT_ITEM)
-                   % (word, k[1], terms[k]))
+                   % (word, k[1], a))
             last = c
         append(_END_ITEM + _PAD + "]")
         return "".join(out)
@@ -390,7 +395,9 @@ class NCPoly(_Sparse):
         if not self._terms:
             return "0"
         parts = []
+        den = self._den
         for w, pairs in self._grouped():
+            pairs = [(e, Fraction(a, den)) for e, a in pairs]
             c = poly_str(pairs) if len(pairs) == 1 else wrap % poly_str(pairs)
             if not w:
                 parts.append(c)
@@ -419,13 +426,15 @@ def word_poly(w):
 
 
 class Tensor2(_Sparse):
-    """Element of the tensor square: flat map (code, code, q-exponent) ->
-    rational."""
+    """Element of the tensor square: (code, code, q-exponent) -> int, over
+    _den."""
 
     __slots__ = ()
 
     _head = staticmethod(itemgetter(0, 1))
     _decode = staticmethod(lambda h: (decode_word(h[0]), decode_word(h[1])))
+    _json_head = staticmethod(lambda h: {"left": list(h[0]),
+                                         "right": list(h[1])})
 
     @staticmethod
     def _weight(k):
@@ -445,24 +454,24 @@ class Tensor2(_Sparse):
         return cls._raw({(0, 0, 0): 1})
 
     def coeff(self, u, v):
-        return QPoly(self._by_head().get((word_code(u), word_code(v))))
+        return _qpoly(self._by_head().get((word_code(u), word_code(v))),
+                      self._den)
 
     def combine(self, other, left_mul=None, max_total=None):
         """Slotwise product: the left slots multiplied by the given
-        word-level product (a map of two word codes -> NCPoly; None is
-        concatenation), the right slots concatenated.  Optionally truncates
-        terms whose combined slot weight exceeds max_total.
+        word-level product (a map of two word codes -> NCPoly over the
+        denominator 1; None is concatenation), the right slots
+        concatenated.  Optionally truncates terms whose combined slot
+        weight exceeds max_total.
 
         The terms of `other` are sorted once by their summed slot weight,
         so the inner loop stops at the first one past the room left by a
         term of `self`."""
         acc = {}
-        d_self, self_terms = _integral(self)
-        d_other, other_terms = _integral(other)
         weighted = sorted(((x.bit_length() + y.bit_length(), x, y, f, d)
-                           for (x, y, f), d in other_terms.items()),
+                           for (x, y, f), d in other._terms.items()),
                           key=itemgetter(0))
-        for (u, v, e), c in self_terms.items():
+        for (u, v, e), c in self._terms.items():
             room = None if max_total is None else \
                 max_total - u.bit_length() - v.bit_length()
             for xy_weight, x, y, f, d in weighted:
@@ -473,16 +482,14 @@ class Tensor2(_Sparse):
                 vy, s = v << y.bit_length() | y, e + f
                 _accumulate(acc, (((a, vy, g + s), ca) for (a, g), ca in left),
                             c * d)
-        return Tensor2._raw(_divided(acc, d_self * d_other))
+        return Tensor2._raw(acc, self._den * other._den)
 
     def pairing(self, p, q):
         """Sum over (u, v) of coeff(u, v) * <p|u> * <q|v>."""
-        return QPoly(tensor_outer(p, q)._pair_with(self._by_head()))
+        outer = tensor_outer(p, q)
+        return _qpoly(outer._pair_with(self._by_head()),
+                      outer._den * self._den)
 
-    def to_json(self):
-        return [{"left": list(u), "right": list(v),
-                 "coeff": [{"qpow": e, "coeff": str(a)} for e, a in pairs]}
-                for (u, v), pairs in self._grouped()]
 
     @classmethod
     def from_json(cls, data):
@@ -490,9 +497,8 @@ class Tensor2(_Sparse):
                     QPoly.from_json(item["coeff"]) for item in data})
 
     def __repr__(self):
-        parts = ["%s·(%s ⊗ %s)" % (poly_text(pairs), word_to_str(u),
-                                   word_to_str(v))
-                 for (u, v), pairs in self._grouped()]
+        parts = ["%s·(%s ⊗ %s)" % (c.text(), word_to_str(u), word_to_str(v))
+                 for (u, v), c in self.terms()]
         return "Tensor2(%s)" % (" + ".join(parts) if parts else "0")
 
 
@@ -502,4 +508,4 @@ def tensor_outer(p, q):
     right = q._terms.items()
     for (u, e), a in p._terms.items():
         _accumulate(data, (((u, v, f), b) for (v, f), b in right), a, e)
-    return Tensor2._raw(data)
+    return Tensor2._raw(data, p._den * q._den)

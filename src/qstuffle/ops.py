@@ -17,9 +17,9 @@ from functools import lru_cache, partial
 from math import factorial
 
 from .coeff import QPoly
-from .ncpoly import (NCPoly, Tensor2, _accumulate, _bilinear, _divided,
-                     _integral, _product_into, exp_coefficients,
-                     log_coefficients, truncated_series, word_poly)
+from .ncpoly import (NCPoly, Tensor2, _accumulate, _bilinear, _product_into,
+                     exp_coefficients, log_coefficients, truncated_series,
+                     word_poly)
 from .words import codes_of_weight, decode_word, word_code
 from .report import Report
 
@@ -79,15 +79,14 @@ def shuffle_poly(p, q, max_weight=None):
 
 
 def stuffle_power_divided(p, k):
-    """k-th stuffle power divided by k!: p scaled to ints once, k-1 stuffle
-    products in ints, and the scale d^k·k! divided out once."""
+    """k-th stuffle power divided by k!: k-1 stuffle products of the int
+    terms of p, over the denominator d^k·k! for the denominator d of p."""
     if k < 2:
         return p if k else NCPoly.one()
-    d, terms = _integral(p)
-    acc = terms
+    acc = terms = p._terms
     for _ in range(k - 1):
         acc = _product_into({}, stuffle, acc, terms)
-    return NCPoly._raw(_divided(acc, d ** k * factorial(k)))
+    return NCPoly._raw(acc, p._den ** k * factorial(k))
 
 
 @lru_cache(maxsize=None)
@@ -104,11 +103,10 @@ def _linear(word_map, p):
     Tensor2; on a word p, a tuple or its code, the map's value itself."""
     if isinstance(p, (int, tuple)):
         return word_map(word_code(p))
-    d, terms = _integral(p)
     acc = {}
-    for (w, e), c in terms.items():
+    for (w, e), c in p._terms.items():
         _accumulate(acc, word_map(w)._terms.items(), c, e)
-    return Tensor2._raw(_divided(acc, d))
+    return Tensor2._raw(acc, p._den)
 
 
 def deconcat_coproduct(p):
@@ -141,12 +139,12 @@ def stuffle_coproduct(p):
 
 def _primitive_by_coproduct(p, n):
     """Delta(p) == p ox 1 + 1 ox p on the terms of weight <= n, compared in
-    ints: the difference of the two sides, built from p scaled by the lcm
-    of its denominators, vanishes (the coproduct keeps weights)."""
-    _, terms = _integral(p.truncate(n))
+    ints: the difference of the two sides, built from the int terms of p
+    (its denominator is common to both), vanishes (the coproduct keeps
+    weights)."""
     diff = {}
     get = diff.get
-    for (w, e), c in terms.items():
+    for (w, e), c in p.truncate(n)._terms.items():
         for (u, v, f), d in stuffle_coproduct(w)._terms.items():
             key = (u, v, e + f)
             diff[key] = get(key, 0) + c * d
@@ -169,13 +167,13 @@ def _word_pairs(total):
 def _primitive_by_pairing(ps, n):
     """For each polynomial p of the list `ps`: <p | 1> = 0 (the counit) and
     <p | u*v> = 0 for all nonempty u, v with total weight <= n.  One index
-    word -> [(i, e, a)] holds the terms of every p_i scaled to ints (the
-    same zeros, and the pairings stay in ints); u*v is homogeneous, so each
+    word -> [(i, e, a)] holds the int terms of every p_i (without its
+    denominator: the same zeros); u*v is homogeneous, so each
     stuffle(u, v) of a weight present in the index is walked once."""
     ok = [True] * len(ps)
     index = {}
     for i, p in enumerate(ps):
-        for (w, e), a in _integral(p.truncate(n))[1].items():
+        for (w, e), a in p.truncate(n)._terms.items():
             if not w:
                 ok[i] = False
             index.setdefault(w, []).append((i, e, a))
@@ -213,14 +211,16 @@ def is_primitive(p, n):
 def is_grouplike(s, n):
     """True iff <S|u*v> = <S|u><S|v> for nonempty u, v with total weight <= n.
 
-    Requires constant term 1 (the truncated-series normalization).
+    Requires constant term 1 (the truncated-series normalization).  The
+    int pairings compare d·<S|u*v> with d<S|u>·d<S|v>, d the denominator.
     """
     if s.constant_term() != QPoly.one():
         raise ValueError("group-like test needs constant term 1")
-    by_word = s.truncate(n)._by_head()
+    s = s.truncate(n)
+    by_word, d = s._by_head(), s._den
     for total in range(2, n + 1):
         for u, v in _word_pairs(total):
-            if QPoly(stuffle(u, v)._pair_with(by_word)) != \
+            if QPoly(stuffle(u, v)._pair_with(by_word)) * d != \
                     QPoly(by_word.get(u)) * QPoly(by_word.get(v)):
                 return False
     return True

@@ -15,9 +15,8 @@ from qstuffle.bases import (GradedBasis, _dual_by_triangular_solve,
                             dual_pbw_oracle, factorization_forms,
                             lyndon_stuffle_element, pbw_element, pi_basis,
                             sigma_from_cfl, sigma_lyndon_general,
-                            sigma_mismatches, verify_duality,
-                            verify_factorization, verify_primitivity,
-                            xi_basis)
+                            verify_duality, verify_factorization,
+                            verify_primitivity, xi_basis)
 from qstuffle.lyndon import (cfl_grouped, is_lyndon, lyndon_of_weight,
                              lyndon_up_to, standard_factorization)
 from qstuffle.ncpoly import NCPoly, Tensor2, tensor_outer, word_poly
@@ -216,11 +215,6 @@ def test_sigma_lyndon_general_examples():
         word_poly((2, 1)) + word_poly((3,)).scale(q(1, 1, 2))
     with pytest.raises(ValueError):
         sigma_lyndon_general((1, 2), dual_pbw_element)
-
-
-def test_method_equivalence():
-    bad = [w for w, _ in sigma_mismatches(dual_pbw_oracle(6))]
-    assert not bad, bad
 
 
 def test_recursion_equals_the_oracle_to_weight_9():

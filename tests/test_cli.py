@@ -166,6 +166,21 @@ def test_q_is_refused_where_it_does_not_apply(capsys, argv):
     assert err == "error: --q does not apply to %s\n" % argv[0]
 
 
+def test_max_weight_is_refused_by_product(capsys):
+    code, out, err = run(capsys, "product", "stuffle", "2", "1",
+                         "--max-weight", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: --max-weight does not apply to product\n"
+
+
+@pytest.mark.parametrize("kind", ["pi", "chi", "xi"])
+def test_sigma_method_is_refused_by_other_kinds(capsys, kind):
+    code, out, err = run(capsys, "basis", kind, "--max-weight", "2",
+                         "--sigma-method", "recursive")
+    assert (code, out) == (2, "")
+    assert err == "error: --sigma-method does not apply to basis %s\n" % kind
+
+
 def test_negative_fraction_q_with_a_space(capsys):
     """`--q -1/2` reads the value as `--q=-1/2` does (argparse alone takes
     "-1/2" for an option), and both print the same bytes."""

@@ -1,14 +1,17 @@
-"""The flat term representation: (word, q-exponent) -> int | Fraction.
+"""The flat term representation: (word, q-exponent) -> int, over one
+denominator.
 
 Construction from QPoly coefficients (inhomogeneous ones such as 1 + q and
 1/2 - q^2 included) must round-trip through the public `terms()` view and
-drop zeros; every stored value is a nonzero int, or a Fraction that is not
-integral; the q-stuffle of polynomials must equal the enumeration of
+drop zeros; every stored value is a nonzero int and the denominator a
+positive int, in lowest terms, so one value reached by two routes is
+stored alike; the q-stuffle of polynomials must equal the enumeration of
 quasi-shuffles in `oracles`, and specializing q must commute with it.  The
 lookups by word (`coeff`, `pairing`) must equal brute-force sums over
 `terms()`, and the q-stuffle must be dual to its coproduct."""
 
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
@@ -49,9 +52,14 @@ def _as_qpoly(c):
 
 def _assert_stored_form(x):
     for a in x._terms.values():
-        assert type(a) in (int, Fraction), a
-        assert a != 0
-        assert not (type(a) is Fraction and a.denominator == 1), a
+        assert type(a) is int and a != 0, a
+    assert type(x._den) is int and x._den > 0, x._den
+    assert gcd(x._den, *x._terms.values()) == 1
+
+
+def _stored(x):
+    _assert_stored_form(x)
+    return x._den, x._terms
 
 
 def _nested(p):
@@ -96,6 +104,23 @@ def test_results_keep_the_stored_form(a, b, q0):
                                             left_mul=stuffle)]
     for x in results:
         _assert_stored_form(x)
+
+
+@settings(deadline=None, max_examples=60)
+@given(NCPOLYS, NCPOLYS, Q_VALUES)
+def test_one_value_by_two_routes_is_stored_alike(a, b, q0):
+    p, r = NCPoly(a), NCPoly(b)
+    for x in (p, r, Tensor2({(w, w): c for w, c in a.items()})):
+        assert _stored(x.scale(Fraction(1, 3)).scale(3)) == _stored(x)
+    assert _stored((p + r) - r) == _stored(p)
+    assert _stored(p - r + r) == _stored(p)
+    assert _stored(NCPoly(dict(p.terms()))) == _stored(p)
+    half = p.scale(Fraction(1, 2))
+    assert _stored(half.subs_q(q0).scale(2)) == _stored(p.subs_q(q0))
+    assert _stored(half.subs_q(q0) + half.subs_q(q0)) == \
+        _stored(p.subs_q(q0))
+    assert _stored(p.subs_q(q0)) == _stored(NCPoly(
+        {w: c.eval_at(q0) for w, c in p.terms()}))
 
 
 @settings(deadline=None, max_examples=40)
