@@ -9,16 +9,14 @@ Schützenberger factorization -- everything computed exactly.
 
 from ._version import __version__
 from .coeff import QPoly
-from .words import (weight, letter_less, word_less, words_of_weight,
-                    word_to_str, word_from_str)
+from .words import (weight, word_less, words_of_weight, word_to_str,
+                    word_from_str)
 from .ncpoly import NCPoly, Tensor2, tensor_outer, word_poly
 from .lyndon import (is_lyndon, lyndon_of_weight, cfl_factorization,
                      standard_factorization, converse_tree)
 from .ops import (stuffle, shuffle, stuffle_poly, shuffle_poly,
-                  stuffle_coproduct, deconcat_coproduct, is_primitive,
-                  is_grouplike, exp_proper, log_one_plus)
-from .eulerian import (primitive_projector, primitive_projector_adjoint,
-                       diagonal_series, log_diagonal, reconstruct)
+                  stuffle_coproduct, deconcat_coproduct, is_primitive)
+from .eulerian import primitive_projector, diagonal_series, reconstruct
 from .bases import (pbw_element, dual_pbw_oracle, dual_pbw_element,
                     lyndon_stuffle_element, xi_basis, pi_basis, chi_basis,
                     GradedBasis, verify_duality, verify_factorization,
@@ -26,15 +24,13 @@ from .bases import (pbw_element, dual_pbw_oracle, dual_pbw_element,
 
 __all__ = [
     "__version__", "QPoly", "NCPoly", "Tensor2", "tensor_outer", "word_poly",
-    "weight", "letter_less", "word_less", "words_of_weight", "word_to_str",
-    "word_from_str", "is_lyndon", "lyndon_of_weight", "cfl_factorization",
+    "weight", "word_less", "words_of_weight", "word_to_str", "word_from_str",
+    "is_lyndon", "lyndon_of_weight", "cfl_factorization",
     "standard_factorization", "converse_tree", "stuffle", "shuffle",
     "stuffle_poly", "shuffle_poly", "stuffle_coproduct",
-    "deconcat_coproduct", "is_primitive", "is_grouplike", "exp_proper",
-    "log_one_plus", "primitive_projector",
-    "primitive_projector_adjoint", "diagonal_series", "log_diagonal",
-    "reconstruct", "pbw_element", "dual_pbw_oracle", "dual_pbw_element",
-    "lyndon_stuffle_element", "xi_basis", "pi_basis", "chi_basis",
-    "GradedBasis", "verify_duality", "verify_factorization",
+    "deconcat_coproduct", "is_primitive", "primitive_projector",
+    "diagonal_series", "reconstruct", "pbw_element", "dual_pbw_oracle",
+    "dual_pbw_element", "lyndon_stuffle_element", "xi_basis", "pi_basis",
+    "chi_basis", "GradedBasis", "verify_duality", "verify_factorization",
     "verify_primitivity",
 ]

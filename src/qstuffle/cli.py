@@ -206,9 +206,9 @@ def main(argv=None):
         sys.stderr.write("error: --q does not apply to %s\n" % args.command)
         return 2
     try:
-        q_value = Fraction(args.q) if getattr(args, "q", None) else None
+        q_value = None if args.q is None else Fraction(args.q)
     except (ValueError, ZeroDivisionError):
-        sys.stderr.write("malformed rational for --q: %r\n" % args.q)
+        sys.stderr.write("error: malformed rational for --q: %r\n" % args.q)
         return 2
     try:
         if args.command == "lyndon":

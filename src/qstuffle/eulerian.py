@@ -1,29 +1,27 @@
-"""The primitive projector, its adjoint, the log of the diagonal series and
-the reconstruction of a word from projected words.
+"""The primitive projector, the diagonal series and the reconstruction of
+a word from projected words.
 
 The projector sends a word w to
 
     w + sum_{k>=2} ((-1)^(k-1)/k) sum <w | u_1 * ... * u_k> u_1 ... u_k
 
 (* the q-stuffle, concatenation on the right), the degree-preserving
-logarithm-of-the-identity map whose image consists of primitives.  The
-adjoint replaces the roles of the two products.  By the duality of the
-q-stuffle with the coproduct, the inner sum is conc o (reduced
-coproduct)^(k-1) (w); `primitive_projector` computes it that way, one
-memoized fold per (word, depth).  The closed formula on letters is a second
-computation, and the defining sum over tuples of words lives in
+logarithm-of-the-identity map whose image consists of primitives.  By the
+duality of the q-stuffle with the coproduct, the inner sum is conc o
+(reduced coproduct)^(k-1) (w); `primitive_projector` computes it that way,
+one memoized fold per (word, depth).  The closed formula on letters is a
+second computation, and the defining sum over tuples of words lives in
 tests/oracles.py as the independent reference; their agreement is a
-standing test.  The closed forms of the log of the diagonal series and the
-adjoint and letter forms of the reconstruction are second routes there
-too.
+standing test.  The adjoint projector, the log of the diagonal series (and
+its closed forms) and the adjoint and letter forms of the reconstruction
+are test routes there too.
 """
 
 from functools import lru_cache
 from math import factorial
 
-from .ncpoly import (NCPoly, Tensor2, _weighted_sum, log_coefficients,
-                     truncated_series, word_poly)
-from .ops import stuffle, stuffle_coproduct, stuffle_poly
+from .ncpoly import NCPoly, Tensor2, _weighted_sum, word_poly
+from .ops import stuffle_coproduct, stuffle_poly
 from .words import codes_of_weight, encode_word, weight, words_of_weight
 
 
@@ -71,45 +69,10 @@ def primitive_projector_letter(s):
     return _weighted_sum(NCPoly, parts)
 
 
-@lru_cache(maxsize=None)
-def primitive_projector_adjoint(w):
-    """Adjoint: sum over deconcatenations, iterated stuffle on the right."""
-    if not w:
-        raise ValueError("the adjoint projector is defined on nonempty words")
-    parts = []
-    for k in range(1, len(w) + 1):
-        for blocks in _block_splits(w, k):
-            prod = word_poly(blocks[0])
-            for b in blocks[1:]:
-                prod = stuffle_poly(prod, word_poly(b))
-            parts.append(((-1) ** (k - 1), k * prod._den, 0,
-                          prod._terms.items()))
-    return _weighted_sum(NCPoly, parts)
-
-
-def _block_splits(w, k):
-    """Splittings of w into k nonempty contiguous blocks."""
-    if k == 1:
-        yield (w,)
-        return
-    for i in range(1, len(w) - k + 2):
-        for rest in _block_splits(w[i:], k - 1):
-            yield (w[:i],) + rest
-
-
 def diagonal_series(n):
     """Sum of w ox w over all words of weight <= n, including the empty word."""
     data = {(w, w, 0): 1 for w in range(1 << n)}  # the codes of weight <= n
     return Tensor2._raw(data)
-
-
-def log_diagonal(n):
-    """Truncated log of the diagonal series in the mixed tensor algebra
-    (q-stuffle on the left slot, concatenation on the right)."""
-    return truncated_series(
-        diagonal_series(n) - Tensor2.one(),
-        lambda a, b: a.combine(b, left_mul=stuffle, max_total=2 * n),
-        log_coefficients(n))
 
 
 @lru_cache(maxsize=None)

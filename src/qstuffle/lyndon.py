@@ -55,7 +55,9 @@ def cfl_factorization(w):
         while i <= k:
             out.append(w[i:i + j - k])
             i += j - k
-    assert all(word_leq(out[t + 1], out[t]) for t in range(len(out) - 1))
+    if not all(word_leq(out[t + 1], out[t]) for t in range(len(out) - 1)):
+        raise RuntimeError("CFL factors of %r are not weakly decreasing: %r"
+                           % (w, out))
     return tuple(out)
 
 
@@ -81,7 +83,9 @@ def standard_factorization(l):
         raise ValueError("not a Lyndon word: %r" % (l,))
     cut = min(range(1, len(l)), key=lambda i: word_key(l[i:]))
     left, right = l[:cut], l[cut:]
-    assert is_lyndon(left) and is_lyndon(right) and word_less(l, right)
+    if not (is_lyndon(left) and is_lyndon(right) and word_less(l, right)):
+        raise RuntimeError("standard factorization of %r failed its check: "
+                           "%r, %r" % (l, left, right))
     return left, right
 
 

@@ -25,11 +25,12 @@ The sums of both classes go through one kernel, `_accumulate`, and the
 products of polynomials through its counterpart `_product_into`.  Both
 write only into a dict that their caller has just created: the term
 dicts of cached values (every `lru_cache` of the package hands out shared
-objects) are read, never written.
+objects) are read, never written.  The truncated exp and log series are
+test routes in tests/oracles.py, built on `+` and `scale`.
 """
 
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import gcd, lcm
 from operator import itemgetter
 
 from .coeff import QPoly, _join_signed, poly_latex, poly_text, qterms
@@ -113,33 +114,6 @@ def _bilinear(word_prod, p, q, max_weight=None):
     return NCPoly._raw(
         _product_into({}, word_prod, p._terms, q._terms, 1, max_weight),
         p._den * q._den)
-
-
-def exp_coefficients(n):
-    """1/k! for k = 1..n."""
-    return [Fraction(1, factorial(k)) for k in range(1, n + 1)]
-
-
-def log_coefficients(n):
-    """(-1)^(k-1)/k for k = 1..n."""
-    return [Fraction((-1) ** (k - 1), k) for k in range(1, n + 1)]
-
-
-def truncated_series(x, mul, coeffs, constant=False):
-    """Sum of c_k·x^k over the coefficients c_1, c_2, ... of `coeffs`, plus
-    one when `constant`; x^k = mul(x^(k-1), x) from x^0 = one, so `mul`
-    carries the product and its weight bound.  Stops at the first power
-    that vanishes."""
-    cls = type(x)
-    power = cls.one()
-    parts = [(1, 1, 0, power._terms.items())] if constant else []
-    for c in coeffs:
-        power = mul(power, x)
-        if not power:
-            break
-        parts.append((c.numerator, c.denominator * power._den, 0,
-                      power._terms.items()))
-    return _weighted_sum(cls, parts)
 
 
 class _Sparse:
@@ -341,10 +315,6 @@ class NCPoly(_Sparse):
 
     def is_proper(self):
         return all(k[0] for k in self._terms)
-
-    def proper_part(self):
-        return NCPoly._raw({k: a for k, a in self._terms.items() if k[0]},
-                           self._den)
 
     def subs_q(self, q0):
         """Specialize q at the rational q0 = n/d: every exponent folds into

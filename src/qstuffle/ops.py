@@ -1,4 +1,5 @@
-"""Products, coproducts and series operations of the q-stuffle algebra.
+"""Products, coproducts, the Friedrichs test and the bialgebra axioms of
+the q-stuffle algebra.
 
 The q-stuffle of two words follows the recursion
 
@@ -10,15 +11,14 @@ separate implementation so the q=0 specialization is a genuine check.
 The concatenation bialgebra carries the dual coproduct (on letters:
 y_s ox 1 + 1 ox y_s + q sum y_{s1} ox y_{s2} over s1+s2=s), with the
 deconcatenation coproduct on the stuffle side.  The word-level kernels
-run on the int codes of `words.encode_word`.
+run on the int codes of `words.encode_word`.  The truncated exp and log
+series and the group-like test are test routes in tests/oracles.py.
 """
 
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import factorial
 
-from .coeff import QPoly
 from .ncpoly import (NCPoly, Tensor2, _accumulate, _bilinear, _product_into,
-                     exp_coefficients, log_coefficients, truncated_series,
                      word_poly)
 from .words import codes_of_weight, decode_word, word_code
 from .report import Report
@@ -206,47 +206,6 @@ def are_primitive(ps, n):
 def is_primitive(p, n):
     """Friedrichs test of one polynomial up to weight n: are_primitive([p])."""
     return are_primitive([p], n)[0]
-
-
-def is_grouplike(s, n):
-    """True iff <S|u*v> = <S|u><S|v> for nonempty u, v with total weight <= n.
-
-    Requires constant term 1 (the truncated-series normalization).  The
-    int pairings compare d·<S|u*v> with d<S|u>·d<S|v>, d the denominator.
-    """
-    if s.constant_term() != QPoly.one():
-        raise ValueError("group-like test needs constant term 1")
-    s = s.truncate(n)
-    by_word, d = s._by_head(), s._den
-    for total in range(2, n + 1):
-        for u, v in _word_pairs(total):
-            if QPoly(stuffle(u, v)._pair_with(by_word)) * d != \
-                    QPoly(by_word.get(u)) * QPoly(by_word.get(v)):
-                return False
-    return True
-
-
-def exp_proper(p, mul=partial(_bilinear, None), n=None):
-    """Truncated exponential of a proper polynomial w.r.t. the given product
-    (called as mul(a, b, n), keeping the terms of weight <= n; concatenation
-    by default)."""
-    if n is None:
-        raise ValueError("a weight bound is required")
-    p = p.truncate(n)
-    if not p.is_proper():
-        raise ValueError("exp needs a proper polynomial")
-    return truncated_series(p, lambda a, b: mul(a, b, n),
-                            exp_coefficients(n), constant=True)
-
-
-def log_one_plus(s, mul=partial(_bilinear, None), n=None):
-    """Truncated logarithm of a series with constant term 1."""
-    if n is None:
-        raise ValueError("a weight bound is required")
-    if s.constant_term() != QPoly.one():
-        raise ValueError("log needs constant term 1")
-    return truncated_series(s.proper_part().truncate(n),
-                            lambda a, b: mul(a, b, n), log_coefficients(n))
 
 
 def verify_axioms(n):

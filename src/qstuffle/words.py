@@ -23,13 +23,6 @@ def weight(w):
     return sum(w)
 
 
-def letter_less(a, b):
-    """True iff y_a < y_b, i.e. iff a > b."""
-    if a < 1 or b < 1:
-        raise ValueError("letter indices must be >= 1")
-    return a > b
-
-
 @lru_cache(maxsize=None)
 def word_key(w):
     """The sort key of a word given as a tuple or as its code."""

@@ -15,11 +15,15 @@ every ordered pair of words at every weight.
 Second routes to library results are built from library parts by another
 formula.  Next to the sequence helpers: the forward derivation trees, as
 their leaves counted per path, which the converse derivation map must
-match.  In the last section: the increasing-letter recursion of the dual
-elements, products of PBW elements along a sequence, the adjoint and
-letter forms of the reconstruction identity, the closed forms of the log
-of the diagonal series, and the decreasing product of exponentials of the
-factorization folded factor by factor.
+match.  In the last section, on the public API (`+`, `scale`, `pairing`,
+`coeff` and the products): the increasing-letter recursion of the dual
+elements, products of PBW elements along a sequence, the truncated exp and
+log series with the group-like test over every ordered pair of words, the
+adjoint projector by its sum over deconcatenations, the adjoint and letter
+forms of the reconstruction identity, the log of the diagonal series and
+its closed forms, and the decreasing product of exponentials of the
+factorization folded factor by factor.  No command runs these, so the
+library keeps none of them.
 """
 
 from collections import Counter
@@ -30,11 +34,10 @@ from math import factorial
 
 from qstuffle.bases import pbw_element
 from qstuffle.coeff import QPoly
-from qstuffle.eulerian import (primitive_projector, primitive_projector_adjoint,
+from qstuffle.eulerian import (diagonal_series, primitive_projector,
                                primitive_projector_letter)
 from qstuffle.lyndon import legal_rises, lyndon_up_to, standard_factorization
-from qstuffle.ncpoly import (NCPoly, Tensor2, exp_coefficients, tensor_outer,
-                             truncated_series, word_poly)
+from qstuffle.ncpoly import NCPoly, Tensor2, tensor_outer, word_poly
 from qstuffle.ops import stuffle, stuffle_poly
 from qstuffle.words import word_key, word_less
 
@@ -384,19 +387,21 @@ def _o_word_stuffle(u, v):
     return brute_q_stuffle_poly({u: {0: Fraction(1)}}, {v: {0: Fraction(1)}})
 
 
-def primitive_by_all_pairs(p, n):
-    """The pairing criterion of primitivity as stated: <p | 1> = 0 (the
-    counit) and <p | u * v> = 0 for every ordered pair of nonempty words
-    u, v of total weight 2..n; p is a dict word -> {q-exponent: Fraction}."""
-    if any(p.get((), {}).values()):
-        return False
+def _o_word_pairs(n):
+    """Every ordered pair of nonempty words of total weight 2..n."""
     for total in range(2, n + 1):
         for a in range(1, total):
             for u in _o_words_of_weight(a):
                 for v in _o_words_of_weight(total - a):
-                    if _o_pairing(p, _o_word_stuffle(u, v)):
-                        return False
-    return True
+                    yield u, v
+
+
+def primitive_by_all_pairs(p, n):
+    """The pairing criterion of primitivity as stated: <p | 1> = 0 (the
+    counit) and <p | u * v> = 0 for every ordered pair of nonempty words
+    u, v of total weight 2..n; p is a dict word -> {q-exponent: Fraction}."""
+    return not any(p.get((), {}).values()) and not any(
+        _o_pairing(p, _o_word_stuffle(u, v)) for u, v in _o_word_pairs(n))
 
 
 # Second routes built from library parts.
@@ -426,11 +431,93 @@ def pi_of_sequence(seq):
     return acc
 
 
+def exp_coefficient(k):
+    """1/k!, the k-th coefficient of the exponential."""
+    return Fraction(1, factorial(k))
+
+
+def log_coefficient(k):
+    """(-1)^(k-1)/k, the k-th coefficient of log(1 + x)."""
+    return Fraction((-1) ** (k - 1), k)
+
+
+def truncated_series(x, mul, coefficient, n, constant=False):
+    """Sum of coefficient(k)·x^k for k = 1..n, plus one when `constant`;
+    x^k = mul(x^(k-1), x), so `mul` carries the product and its weight
+    bound.  Stops at the first power that vanishes."""
+    power = type(x).one()
+    acc = power if constant else type(x).zero()
+    for k in range(1, n + 1):
+        power = mul(power, x)
+        if not power:
+            break
+        acc = acc + power.scale(coefficient(k))
+    return acc
+
+
+def _concatenation(a, b, n):
+    return (a * b).truncate(n)
+
+
+def exp_proper(p, mul=_concatenation, n=None):
+    """Truncated exponential of a proper polynomial w.r.t. the given product
+    (called as mul(a, b, n), keeping the terms of weight <= n;
+    concatenation by default)."""
+    if n is None:
+        raise ValueError("a weight bound is required")
+    p = p.truncate(n)
+    if not p.is_proper():
+        raise ValueError("exp needs a proper polynomial")
+    return truncated_series(p, lambda a, b: mul(a, b, n), exp_coefficient, n,
+                            constant=True)
+
+
+def log_one_plus(s, mul=_concatenation, n=None):
+    """Truncated logarithm of a series with constant term 1."""
+    if n is None:
+        raise ValueError("a weight bound is required")
+    if s.coeff(()) != 1:
+        raise ValueError("log needs constant term 1")
+    return truncated_series((s - NCPoly.one()).truncate(n),
+                            lambda a, b: mul(a, b, n), log_coefficient, n)
+
+
+def is_grouplike(s, n):
+    """<s | u*v> = <s | u><s | v> for every ordered pair of nonempty words
+    u, v of total weight 2..n; s needs constant term 1."""
+    if s.coeff(()) != 1:
+        raise ValueError("group-like test needs constant term 1")
+    return all(s.pairing(stuffle(u, v)) == s.coeff(u) * s.coeff(v)
+               for u, v in _o_word_pairs(n))
+
+
 def _block_splits(w, k):
     """Splittings of w into k nonempty contiguous blocks."""
     for cuts in combinations(range(1, len(w)), k - 1):
         bounds = (0,) + cuts + (len(w),)
         yield tuple(w[i:j] for i, j in zip(bounds, bounds[1:]))
+
+
+def _deconcatenation_sum(w, factor, coefficient):
+    """Sum over k of coefficient(k) times the sum, over the splittings of w
+    into k blocks b_1 ... b_k, of factor(b_1) * ... * factor(b_k)."""
+    acc = NCPoly.zero()
+    for k in range(1, len(w) + 1):
+        for blocks in _block_splits(w, k):
+            prod = NCPoly.one()
+            for b in blocks:
+                prod = stuffle_poly(prod, factor(b))
+            acc = acc + prod.scale(coefficient(k))
+    return acc
+
+
+@lru_cache(maxsize=None)
+def primitive_projector_adjoint(w):
+    """Adjoint of the projector: sum over the deconcatenations of w into k
+    blocks of ((-1)^(k-1)/k) times their iterated q-stuffle."""
+    if not w:
+        raise ValueError("the adjoint projector is defined on nonempty words")
+    return _deconcatenation_sum(w, word_poly, log_coefficient)
 
 
 def reconstruct_adjoint(w):
@@ -439,14 +526,8 @@ def reconstruct_adjoint(w):
     w = tuple(w)
     if not w:
         return NCPoly.one()
-    acc = NCPoly.zero()
-    for k in range(1, len(w) + 1):
-        for blocks in _block_splits(w, k):
-            prod = primitive_projector_adjoint(blocks[0])
-            for b in blocks[1:]:
-                prod = stuffle_poly(prod, primitive_projector_adjoint(b))
-            acc = acc + prod.scale(Fraction(1, factorial(k)))
-    return acc
+    return _deconcatenation_sum(w, primitive_projector_adjoint,
+                                exp_coefficient)
 
 
 def letter_reconstruct(s):
@@ -460,6 +541,18 @@ def letter_reconstruct(s):
             prod = prod * primitive_projector_letter(j)
         acc = acc + prod.scale(QPoly({k - 1: Fraction(1, factorial(k))}))
     return acc
+
+
+def _mixed_product(bound):
+    """The slot product of the mixed tensor algebra (q-stuffle left,
+    concatenation right), keeping the terms of total weight <= bound."""
+    return lambda a, b: a.combine(b, left_mul=stuffle, max_total=bound)
+
+
+def log_diagonal(n):
+    """Truncated log of the diagonal series in the mixed tensor algebra."""
+    return truncated_series(diagonal_series(n) - Tensor2.one(),
+                            _mixed_product(2 * n), log_coefficient, n)
 
 
 def log_diagonal_left_form(n):
@@ -486,9 +579,8 @@ def exp_tensor(t, bound):
     """Exponential in the mixed tensor algebra (stuffle left, conc right),
     keeping the terms of total weight <= bound: the series of slot
     products."""
-    return truncated_series(
-        t, lambda a, b: a.combine(b, left_mul=stuffle, max_total=bound),
-        exp_coefficients(bound), constant=True)
+    return truncated_series(t, _mixed_product(bound), exp_coefficient, bound,
+                            constant=True)
 
 
 def exp_product_fold(sigma_of, n):

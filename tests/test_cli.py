@@ -166,6 +166,17 @@ def test_q_is_refused_where_it_does_not_apply(capsys, argv):
     assert err == "error: --q does not apply to %s\n" % argv[0]
 
 
+@pytest.mark.parametrize("argv, value", [
+    (("basis", "pi", "--max-weight", "2", "--q="), ""),
+    (("product", "stuffle", "2", "1", "--q", ""), ""),
+    (("product", "stuffle", "2", "1", "--q", "1/0"), "1/0")],
+    ids=["empty-joined", "empty", "zero-denominator"])
+def test_malformed_q_is_refused(capsys, argv, value):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: malformed rational for --q: %r\n" % value
+
+
 def test_max_weight_is_refused_by_product(capsys):
     code, out, err = run(capsys, "product", "stuffle", "2", "1",
                          "--max-weight", "1")
@@ -312,6 +323,12 @@ def test_closed_pipe_ends_quietly():
     err = proc.stderr.read()
     assert proc.wait(timeout=300) == 1
     assert err == b""
+
+
+def test_all_names_are_exported_once():
+    import qstuffle
+    assert len(set(qstuffle.__all__)) == len(qstuffle.__all__)
+    assert [n for n in qstuffle.__all__ if not hasattr(qstuffle, n)] == []
 
 
 def test_usage_error():

@@ -78,6 +78,19 @@ def test_standard_factorization_examples():
         standard_factorization((1, 2))
 
 
+@pytest.mark.parametrize("name, factorize", [
+    ("word_leq", lambda: cfl_factorization((1, 2))),
+    ("word_less", lambda: standard_factorization((2, 1)))],
+    ids=["cfl", "standard"])
+def test_failed_self_check_raises(monkeypatch, name, factorize):
+    """Each factorization checks its result with the word order; a failed
+    check is a RuntimeError, which `python -O` keeps."""
+    from qstuffle import lyndon
+    monkeypatch.setattr(lyndon, name, lambda u, v: False)
+    with pytest.raises(RuntimeError):
+        factorize()
+
+
 def test_standard_factorization_properties():
     for n in range(2, 8):
         for l in lyndon_of_weight(n):

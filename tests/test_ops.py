@@ -4,15 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from oracles import (brute_shuffle, classical_stuffle, ncpoly_to_fraction_dict,
-                     primitive_by_all_pairs,
-                     stuffle_power_by_fractions)
+from oracles import (brute_shuffle, classical_stuffle, exp_proper,
+                     is_grouplike, log_one_plus, ncpoly_to_fraction_dict,
+                     primitive_by_all_pairs, stuffle_power_by_fractions)
 from qstuffle.coeff import QPoly
 from qstuffle.eulerian import primitive_projector
 from qstuffle.ncpoly import NCPoly, Tensor2, tensor_outer, word_poly
 from qstuffle.ops import (_primitive_by_pairing, are_primitive,
-                          deconcat_coproduct, exp_proper, is_grouplike,
-                          is_primitive, log_one_plus, shuffle, stuffle,
+                          deconcat_coproduct, is_primitive, shuffle, stuffle,
                           stuffle_coproduct, stuffle_poly,
                           stuffle_power_divided, verify_axioms)
 from qstuffle.words import (all_words_up_to, decode_word, weight,

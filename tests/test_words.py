@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qstuffle.words import (all_words_up_to, codes_of_weight, decode_word,
-                            encode_word, letter_less, weight, word_from_str,
-                            word_key, word_latex, word_less, word_to_str,
+                            encode_word, weight, word_from_str, word_key,
+                            word_latex, word_less, word_to_str,
                             words_of_weight)
 
 
@@ -13,14 +13,6 @@ def test_weight():
     assert weight((3, 1, 2)) == 6
     assert weight(()) == 0
     assert weight((2, 1)) == 3
-
-
-def test_letter_less():
-    assert letter_less(2, 1)          # y_2 < y_1
-    assert not letter_less(1, 1)
-    assert not letter_less(1, 3)      # y_1 > y_3
-    with pytest.raises(ValueError):
-        letter_less(0, 1)
 
 
 def test_word_less_examples():
