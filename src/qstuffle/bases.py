@@ -35,16 +35,16 @@ finds is a hard error in the CLI's both-methods mode.
 
 import json
 from functools import lru_cache
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, prod
 
 from ._version import __version__
 from .eulerian import (diagonal_series, primitive_projector,
                        primitive_projector_letter)
 from .lyndon import (cfl_factorization, cfl_grouped, converse_tree,
                      is_lyndon, lyndon_up_to, standard_factorization)
-from .ncpoly import (NCPoly, Tensor2, _accumulate, _bilinear, _product_into,
+from .ncpoly import (NCPoly, Tensor2, _accumulate, _product, _product_into,
                      _weighted_sum, word_poly)
-from .ops import are_primitive, stuffle_poly, stuffle_power_divided
+from .ops import are_primitive, stuffle
 from .report import Report
 from .words import (all_words_up_to, decode_word, encode_word, weight,
                     word_latex, word_leq, word_to_str, words_of_weight)
@@ -67,10 +67,7 @@ def pbw_element(w):
         acc = _product_into(_product_into({}, None, a._terms, b._terms),
                             None, b._terms, a._terms, -1)
         return NCPoly._raw(acc, a._den * b._den)
-    acc = NCPoly.one()
-    for f in cfl_factorization(w):
-        acc = _bilinear(None, acc, pbw_element(f))
-    return acc
+    return _product(None, [pbw_element(f) for f in cfl_factorization(w)])
 
 
 class GradedBasis:
@@ -322,16 +319,15 @@ def dual_pbw_oracle(n):
 
 
 def sigma_from_cfl(w, sigma_of):
-    """Dual element of a word from the divided stuffle powers of the dual
-    elements of its decreasing Lyndon factorization."""
+    """Dual element of a word: the stuffle product of the dual elements of
+    its Lyndon factors, repeats included, over m! per multiplicity m."""
     w = tuple(w)
     if not w:
         return NCPoly.one()
-    (factor, mult), *rest = cfl_grouped(w)
-    acc = stuffle_power_divided(sigma_of(factor), mult)
-    for factor, mult in rest:
-        acc = stuffle_poly(acc, stuffle_power_divided(sigma_of(factor), mult))
-    return acc
+    grouped = cfl_grouped(w)
+    return _product(stuffle, [sigma_of(f) for f, m in grouped
+                              for _ in range(m)],
+                    prod(factorial(m) for _, m in grouped))
 
 
 def sigma_lyndon_general(w, sigma_of):

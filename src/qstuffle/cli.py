@@ -202,8 +202,11 @@ def main(argv=None):
     if args.command != "product" and args.max_weight < 1:
         sys.stderr.write("error: --max-weight must be >= 1\n")
         return 2
-    if args.command in ("lyndon", "verify") and args.q is not None:
-        sys.stderr.write("error: --q does not apply to %s\n" % args.command)
+    ignored = "--q" if args.q is not None else \
+        "--format latex" if args.format == "latex" else None
+    if args.command in ("lyndon", "verify") and ignored:
+        sys.stderr.write("error: %s does not apply to %s\n"
+                         % (ignored, args.command))
         return 2
     try:
         q_value = None if args.q is None else Fraction(args.q)

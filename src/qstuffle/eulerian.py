@@ -20,7 +20,7 @@ are test routes there too.
 from functools import lru_cache
 from math import factorial
 
-from .ncpoly import NCPoly, Tensor2, _weighted_sum, word_poly
+from .ncpoly import NCPoly, Tensor2, _product, _weighted_sum, word_poly
 from .ops import stuffle_coproduct, stuffle_poly
 from .words import codes_of_weight, encode_word, weight, words_of_weight
 
@@ -102,9 +102,8 @@ def reconstruct(w):
         c = [(e, a) for (x, e), a in prod._terms.items() if x == code]
         if not c:
             continue
-        term = NCPoly.one()
-        for u in tup:
-            term = term * primitive_projector(u)
-        d = factorial(len(tup)) * prod._den * term._den
-        parts += [(a, d, e, term._terms.items()) for e, a in c]
+        term = _product(None, [primitive_projector(u) for u in tup],
+                        factorial(len(tup)))
+        parts += [(a, prod._den * term._den, e, term._terms.items())
+                  for e, a in c]
     return _weighted_sum(NCPoly, parts)

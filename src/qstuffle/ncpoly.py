@@ -21,9 +21,9 @@ sorts again by `word_key`.
 by one gcd.  A value holds its terms and denominator and nothing else; a
 lookup by word groups the terms it needs (`_by_head`) afresh on each call.
 
-The sums of both classes go through one kernel, `_accumulate`, and the
-products of polynomials through its counterpart `_product_into`.  Both
-write only into a dict that their caller has just created: the term
+The sums of both classes go through one kernel, `_accumulate`, and every
+chain of polynomial products through `_product`, in ints over one
+denominator.  Both write only into a dict created for the call: the term
 dicts of cached values (every `lru_cache` of the package hands out shared
 objects) are read, never written.  The truncated exp and log series are
 test routes in tests/oracles.py, built on `+` and `scale`.
@@ -108,12 +108,16 @@ def _product_into(acc, word_prod, p_terms, q_terms, c=1, max_weight=None):
     return acc
 
 
-def _bilinear(word_prod, p, q, max_weight=None):
-    """Bilinear extension of a word-level product (see `_product_into`) to
-    the polynomials p and q, carried in ints."""
-    return NCPoly._raw(
-        _product_into({}, word_prod, p._terms, q._terms, 1, max_weight),
-        p._den * q._den)
+def _product(word_prod, factors, den=1, max_weight=None):
+    """The product in order of the nonempty list `factors` of NCPolys under
+    `word_prod`, each step a `_product_into` (with max_weight), over den
+    times the factors' denominators.  One factor shares its term dict."""
+    first, *rest = factors
+    acc, den = first._terms, den * first._den
+    for p in rest:
+        acc = _product_into({}, word_prod, acc, p._terms, 1, max_weight)
+        den *= p._den
+    return NCPoly._raw(acc, den)
 
 
 class _Sparse:
@@ -298,7 +302,7 @@ class NCPoly(_Sparse):
             return self.scale(other)
         if not isinstance(other, NCPoly):
             return NotImplemented
-        return _bilinear(None, self, other)
+        return _product(None, [self, other])
 
     __rmul__ = __mul__  # reached only with a scalar on the left
 

@@ -16,10 +16,8 @@ series and the group-like test are test routes in tests/oracles.py.
 """
 
 from functools import lru_cache
-from math import factorial
 
-from .ncpoly import (NCPoly, Tensor2, _accumulate, _bilinear, _product_into,
-                     word_poly)
+from .ncpoly import NCPoly, Tensor2, _accumulate, _product, word_poly
 from .words import codes_of_weight, decode_word, word_code
 from .report import Report
 
@@ -71,22 +69,11 @@ def _shuffle(u, v):
 def stuffle_poly(p, q, max_weight=None):
     """Bilinear extension of the q-stuffle to polynomials; with max_weight,
     only the terms of weight <= max_weight."""
-    return _bilinear(stuffle, p, q, max_weight)
+    return _product(stuffle, [p, q], 1, max_weight)
 
 
 def shuffle_poly(p, q, max_weight=None):
-    return _bilinear(shuffle, p, q, max_weight)
-
-
-def stuffle_power_divided(p, k):
-    """k-th stuffle power divided by k!: k-1 stuffle products of the int
-    terms of p, over the denominator d^k·k! for the denominator d of p."""
-    if k < 2:
-        return p if k else NCPoly.one()
-    acc = terms = p._terms
-    for _ in range(k - 1):
-        acc = _product_into({}, stuffle, acc, terms)
-    return NCPoly._raw(acc, p._den ** k * factorial(k))
+    return _product(shuffle, [p, q], 1, max_weight)
 
 
 @lru_cache(maxsize=None)

@@ -9,7 +9,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from qstuffle.coeff import QPoly
-from qstuffle.ncpoly import NCPoly, Tensor2, word_poly
+from qstuffle.ncpoly import NCPoly, Tensor2, _product, word_poly
 from qstuffle.ops import (deconcat_coproduct, stuffle, stuffle_coproduct,
                           stuffle_poly, verify_axioms)
 from qstuffle.words import all_words_up_to
@@ -38,6 +38,13 @@ def test_cached_values_are_never_written():
         deconcat_coproduct(x)
         for y in (p, r, x):
             stuffle_poly(x, y)
+    assert [_deep(x) for x in cached] == snapshots
+    # a one-factor product shares the term dict of a cached value
+    for x in [stuffle(u, v) for u in words for v in words]:
+        shared = _product(stuffle, [x])
+        assert shared._terms is x._terms
+        for y in (p, r, word_poly((2, 1))):
+            shared + y, y - shared, stuffle_poly(shared, y), y * shared
     assert [_deep(x) for x in cached] == snapshots
     assert verify_axioms(4).ok
     assert [_deep(x) for x in cached] == snapshots

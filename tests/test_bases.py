@@ -273,6 +273,32 @@ def test_duality_report():
     assert sigma.entry((1, 2)).pairing(pbw_element((2, 1))) == QPoly.zero()
 
 
+@pytest.mark.parametrize("corrupt", [
+    lambda e: e.update({(2,): e[(1, 1)], (1, 1): e[(2,)]}),
+    lambda e: e.update({(2,): e[(2,)].scale(2)})],
+    ids=["swapped", "diagonal-only"])
+def test_duality_fails_per_weight(corrupt):
+    """Σ(2) and Σ(1,1) swapped (both diagonal and both off-diagonal pairs
+    of weight 2 fail), or Σ(2) doubled (its diagonal pair alone fails):
+    only the weight-2 line reads FAIL."""
+    entries = dict(dual_pbw_oracle(3).entries)
+    corrupt(entries)
+    assert verify_duality(3, GradedBasis("sigma", 3, entries)).lines() == [
+        "weight 1 (1 pairs): PASS", "weight 2 (4 pairs): FAIL",
+        "weight 3 (16 pairs): PASS",
+        "cross-weight pairs vanish (28 pairs): PASS", "duality (N=3): FAILED"]
+
+
+def test_duality_fails_across_weights_on_an_inhomogeneous_entry():
+    """Σ(1) + y_2 pairs to 1 with Π(2): only the cross-weight line fails."""
+    entries = dict(dual_pbw_oracle(3).entries)
+    entries[(1,)] = entries[(1,)] + word_poly((2,))
+    assert verify_duality(3, GradedBasis("sigma", 3, entries)).lines() == [
+        "weight 1 (1 pairs): PASS", "weight 2 (4 pairs): PASS",
+        "weight 3 (16 pairs): PASS",
+        "cross-weight pairs vanish (28 pairs): FAIL", "duality (N=3): FAILED"]
+
+
 def test_factorization():
     for n in (2, 4):
         rep = verify_factorization(n)
@@ -300,12 +326,7 @@ def test_factorization_sees_divided_powers_by_k(monkeypatch):
     """Divided stuffle powers that divide by k instead of k! break the
     product of exponentials (first at the word 1,1,1) and leave the
     dual-pair sum, which reads the dual entries of the solve, unchanged."""
-    def divided_by_k(p, k):
-        out = NCPoly.one()
-        for _ in range(k):
-            out = stuffle_poly(out, p)
-        return out.scale(Fraction(1, k))
-    monkeypatch.setattr(bases, "stuffle_power_divided", divided_by_k)
+    monkeypatch.setattr(bases, "factorial", lambda k: k)
     assert verify_factorization(4).lines() == [
         "dual-pair sum equals the diagonal series: PASS",
         "decreasing product of exponentials equals the diagonal series: FAIL",
@@ -479,3 +500,18 @@ def test_graded_basis_invariant_checker():
         GradedBasis("pi", 2, bad).check_triangular()
     with pytest.raises(ValueError):
         GradedBasis("nope", 2, entries)
+
+
+def test_triangular_check_names_the_empty_word_and_mixed_weights():
+    entries = {(): NCPoly.one(), (1,): word_poly((1,)),
+               (2,): word_poly((2,)), (1, 1): word_poly((1, 1))}
+    bad = dict(entries)
+    bad[()] = word_poly((1,))
+    with pytest.raises(ValueError,
+                       match=r"^entry at the empty word must be 1$"):
+        GradedBasis("sigma", 2, bad).check_triangular()
+    bad = dict(entries)
+    bad[(1,)] = word_poly((1,)) + word_poly((2,))
+    with pytest.raises(ValueError,
+                       match=r"^sigma entry at 1 is not homogeneous$"):
+        GradedBasis("sigma", 2, bad).check_triangular()

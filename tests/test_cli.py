@@ -166,6 +166,15 @@ def test_q_is_refused_where_it_does_not_apply(capsys, argv):
     assert err == "error: --q does not apply to %s\n" % argv[0]
 
 
+@pytest.mark.parametrize("argv", [("verify", "all"), ("verify", "duality"),
+                                  ("lyndon",)])
+def test_latex_is_refused_where_it_does_not_apply(capsys, argv):
+    code, out, err = run(capsys, *argv, "--max-weight", "3",
+                         "--format", "latex")
+    assert (code, out) == (2, "")
+    assert err == "error: --format latex does not apply to %s\n" % argv[0]
+
+
 @pytest.mark.parametrize("argv, value", [
     (("basis", "pi", "--max-weight", "2", "--q="), ""),
     (("product", "stuffle", "2", "1", "--q", ""), ""),

@@ -3,9 +3,10 @@ command matrix at weight 5.
 
 Every basis kind and Σ route in every format, with symbolic q and with
 q = 0, 1, -1, 1/2; both formats of `verify all`; the three word products
-on four pairs; the Lyndon listing.  A change of representation or of
-rendering that alters a single byte fails here; a deliberate change of
-output re-records the affected digests and says why."""
+on four pairs; both formats of the Lyndon listing.  A change of
+representation or of rendering that alters a single byte fails here; a
+deliberate change of output re-records the affected digests and says
+why."""
 
 import hashlib
 
@@ -35,7 +36,7 @@ def _commands():
         for u, v in PAIRS:
             for fmt in FORMATS:
                 out.append(("product", kind, u, v, "--format", fmt))
-    for fmt in FORMATS:
+    for fmt in ("text", "json"):
         out.append(("lyndon", "--max-weight", N, "--format", fmt))
     return [" ".join(c) for c in out]
 
@@ -300,8 +301,6 @@ DIGESTS = {
     'product conc 1,2 2,1,1 --format json':
         'ddbd1d81c4efae333445640c11c8e181a4e44812443739c7959b6fe2281ec942',
     'lyndon --max-weight 5 --format text':
-        '12edad693dd4c5da24775478e253dc631c49f89a9803c167b8afeb360ab2e90d',
-    'lyndon --max-weight 5 --format latex':
         '12edad693dd4c5da24775478e253dc631c49f89a9803c167b8afeb360ab2e90d',
     'lyndon --max-weight 5 --format json':
         '60db02fddd3fe046f3fcb9ef515fda04f1909dea55c5ca23bed460244fd90a76',

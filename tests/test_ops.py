@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -9,11 +10,11 @@ from oracles import (brute_shuffle, classical_stuffle, exp_proper,
                      primitive_by_all_pairs, stuffle_power_by_fractions)
 from qstuffle.coeff import QPoly
 from qstuffle.eulerian import primitive_projector
-from qstuffle.ncpoly import NCPoly, Tensor2, tensor_outer, word_poly
+from qstuffle.ncpoly import (NCPoly, Tensor2, _product, tensor_outer,
+                             word_poly)
 from qstuffle.ops import (_primitive_by_pairing, are_primitive,
                           deconcat_coproduct, is_primitive, shuffle, stuffle,
-                          stuffle_coproduct, stuffle_poly,
-                          stuffle_power_divided, verify_axioms)
+                          stuffle_coproduct, stuffle_poly, verify_axioms)
 from qstuffle.words import (all_words_up_to, decode_word, weight,
                             words_of_weight)
 
@@ -178,12 +179,13 @@ def test_pairing_criterion_equals_all_ordered_pairs(p, n):
 
 
 @settings(deadline=None, max_examples=40)
-@given(_combinations(word_poly, 1, 3), st.integers(0, 3))
+@given(_combinations(word_poly, 1, 3), st.integers(1, 3))
 def test_stuffle_power_divided_equals_the_fraction_route(p, k):
-    """The int-carried divided power equals k-fold stuffle_poly in
-    Fractions divided by k!, on polynomials with fractional coefficients
-    and powers of q."""
-    assert stuffle_power_divided(p, k) == stuffle_power_by_fractions(p, k)
+    """The int-carried divided power, k copies of p through `_product` over
+    k!, equals k-fold stuffle_poly in Fractions divided by k!, on
+    polynomials with fractional coefficients and powers of q."""
+    assert _product(stuffle, [p] * k, factorial(k)) == \
+        stuffle_power_by_fractions(p, k)
 
 
 @settings(deadline=None, max_examples=40)
@@ -291,6 +293,27 @@ def test_verify_axioms_report():
     assert rep.ok
     assert len(rep.checks) == 4
     assert any("commutativity" in name for name, _, _ in rep.checks)
+
+
+def test_associativity_check_sees_one_perturbed_triple(monkeypatch):
+    """A stuffle_poly that adds y_3 to (y1*y1)*y1 alone breaks one of the
+    7 triples at N=4: the associativity line fails and no other."""
+    from qstuffle import ops
+
+    full = ops.stuffle_poly
+    target = (stuffle((1,), (1,)), word_poly((1,)))
+
+    def perturbed(p, q, max_weight=None):
+        out = full(p, q, max_weight)
+        return out + word_poly((3,)) if (p, q) == target else out
+
+    monkeypatch.setattr(ops, "stuffle_poly", perturbed)
+    assert verify_axioms(4).lines() == [
+        "stuffle commutativity (17 pairs): PASS",
+        "stuffle associativity (7 triples): FAIL",
+        "coassociativity of both coproducts (15 words): PASS",
+        "product/coproduct duality (114 pairings): PASS",
+        "axioms (N=4): FAILED"]
 
 
 def test_commutativity_check_sees_a_noncommutative_product(monkeypatch):
