@@ -21,12 +21,12 @@ sorts again by `word_key`.
 by one gcd.  A value holds its terms and denominator and nothing else; a
 lookup by word groups the terms it needs (`_by_head`) afresh on each call.
 
-The sums of both classes go through one kernel, `_accumulate`, and every
-chain of polynomial products through `_product`, in ints over one
-denominator.  Both write only into a dict created for the call: the term
-dicts of cached values (every `lru_cache` of the package hands out shared
-objects) are read, never written.  The truncated exp and log series are
-test routes in tests/oracles.py, built on `+` and `scale`.
+Sums go through one kernel, `_accumulate`, and chains of polynomial
+products through `_product`, in ints; `Tensor2.combine` concatenates
+slotwise.  None takes a weight bound.  Each writes only into a dict created
+for the call: the term dicts of cached values (every `lru_cache` of the
+package hands out shared objects) are read, never written.  The truncated
+exp and log series are test routes in tests/oracles.py.
 """
 
 from fractions import Fraction
@@ -44,8 +44,6 @@ def _accumulate(acc, terms, c=1, shift=0):
     shared value.  `terms` yields flat keys, (w, e) or (u, v, e), and
     nonzero ints; a nonzero `shift` raises every exponent e by that much.
     The int `c` multiplies every v.  A sum that cancels is dropped."""
-    if not c:
-        return acc
     get = acc.get
     for k, v in terms:
         if shift:
@@ -82,19 +80,15 @@ def _qpoly(data, den):
     return QPoly({e: Fraction(a, den) for e, a in (data or {}).items()})
 
 
-def _product_into(acc, word_prod, p_terms, q_terms, c=1, max_weight=None):
+def _product_into(acc, word_prod, p_terms, q_terms, c=1):
     """acc += c·(p·q) in place, all in ints, under a word-level product (a
     map of two word codes -> NCPoly over the denominator 1; None is
-    concatenation); returns acc without the terms that cancel.  With
-    max_weight, a pair of words whose weights sum past it is skipped."""
+    concatenation); returns acc without the terms that cancel."""
     get = acc.get
     right = [(v, f, b, v.bit_length()) for (v, f), b in q_terms.items()]
     for (u, e), a in p_terms.items():
-        room = None if max_weight is None else max_weight - u.bit_length()
         ac = a * c
         for v, f, b, v_weight in right:
-            if room is not None and v_weight > room:
-                continue
             if word_prod is None:
                 k = (u << v_weight | v, e + f)
                 acc[k] = get(k, 0) + ac * b
@@ -108,14 +102,14 @@ def _product_into(acc, word_prod, p_terms, q_terms, c=1, max_weight=None):
     return acc
 
 
-def _product(word_prod, factors, den=1, max_weight=None):
+def _product(word_prod, factors, den=1):
     """The product in order of the nonempty list `factors` of NCPolys under
-    `word_prod`, each step a `_product_into` (with max_weight), over den
-    times the factors' denominators.  One factor shares its term dict."""
+    `word_prod`, each step a `_product_into`, over den times the factors'
+    denominators.  One factor shares its term dict."""
     first, *rest = factors
     acc, den = first._terms, den * first._den
     for p in rest:
-        acc = _product_into({}, word_prod, acc, p._terms, 1, max_weight)
+        acc = _product_into({}, word_prod, acc, p._terms)
         den *= p._den
     return NCPoly._raw(acc, den)
 
@@ -198,12 +192,6 @@ class _Sparse:
         return [(h, _qpoly(dict(pairs), self._den))
                 for h, pairs in self._grouped()]
 
-    def to_json(self):
-        den = self._den
-        return [dict(self._json_head(h), coeff=[
-            {"qpow": e, "coeff": _ratio_text(a, den)} for e, a in pairs])
-            for h, pairs in self._grouped()]
-
     def __bool__(self):
         return bool(self._terms)
 
@@ -264,7 +252,6 @@ class NCPoly(_Sparse):
 
     _head = staticmethod(itemgetter(0))
     _decode = staticmethod(decode_word)
-    _json_head = staticmethod(lambda w: {"word": list(w)})
 
     @staticmethod
     def _weight(k):
@@ -297,14 +284,11 @@ class NCPoly(_Sparse):
         return _qpoly(self._by_head().get(word_code(w)), self._den)
 
     def __mul__(self, other):
-        """Concatenation product (bilinear extension); scalars also accepted."""
-        if isinstance(other, (int, Fraction, QPoly)):
-            return self.scale(other)
+        """Concatenation product (bilinear extension); `scale` takes
+        scalars."""
         if not isinstance(other, NCPoly):
             return NotImplemented
         return _product(None, [self, other])
-
-    __rmul__ = __mul__  # reached only with a scalar on the left
 
     def pairing(self, other):
         """Canonical pairing: words are orthonormal."""
@@ -329,7 +313,6 @@ class NCPoly(_Sparse):
             {}, (((w, 0), a * n ** e * d ** (top - e))
                  for (w, e), a in self._terms.items() if n or not e)),
             self._den * d ** top)
-
 
     def json_text(self, words):
         """The text of `json.dumps(self.to_json(), indent=2)` nested two
@@ -357,6 +340,12 @@ class NCPoly(_Sparse):
             last = c
         append(_END_ITEM + _PAD + "]")
         return "".join(out)
+
+    def to_json(self):
+        den = self._den
+        return [{"word": list(w), "coeff": [
+            {"qpow": e, "coeff": _ratio_text(a, den)} for e, a in pairs]}
+            for w, pairs in self._grouped()]
 
     @classmethod
     def from_json(cls, data):
@@ -407,8 +396,6 @@ class Tensor2(_Sparse):
 
     _head = staticmethod(itemgetter(0, 1))
     _decode = staticmethod(lambda h: (decode_word(h[0]), decode_word(h[1])))
-    _json_head = staticmethod(lambda h: {"left": list(h[0]),
-                                         "right": list(h[1])})
 
     @staticmethod
     def _weight(k):
@@ -431,31 +418,16 @@ class Tensor2(_Sparse):
         return _qpoly(self._by_head().get((word_code(u), word_code(v))),
                       self._den)
 
-    def combine(self, other, left_mul=None, max_total=None):
-        """Slotwise product: the left slots multiplied by the given
-        word-level product (a map of two word codes -> NCPoly over the
-        denominator 1; None is concatenation), the right slots
-        concatenated.  Optionally truncates terms whose combined slot
-        weight exceeds max_total.
-
-        The terms of `other` are sorted once by their summed slot weight,
-        so the inner loop stops at the first one past the room left by a
-        term of `self`."""
+    def combine(self, other):
+        """Slotwise concatenation: (u ⊗ v)(x ⊗ y) = ux ⊗ vy, extended
+        bilinearly.  The right terms are measured once, then each left
+        term is one `_accumulate` over them."""
         acc = {}
-        weighted = sorted(((x.bit_length() + y.bit_length(), x, y, f, d)
-                           for (x, y, f), d in other._terms.items()),
-                          key=itemgetter(0))
+        right = [(x, x.bit_length(), y, y.bit_length(), f, d)
+                 for (x, y, f), d in other._terms.items()]
         for (u, v, e), c in self._terms.items():
-            room = None if max_total is None else \
-                max_total - u.bit_length() - v.bit_length()
-            for xy_weight, x, y, f, d in weighted:
-                if room is not None and xy_weight > room:
-                    break
-                left = (((u << x.bit_length() | x, 0), 1),) \
-                    if left_mul is None else left_mul(u, x)._terms.items()
-                vy, s = v << y.bit_length() | y, e + f
-                _accumulate(acc, (((a, vy, g + s), ca) for (a, g), ca in left),
-                            c * d)
+            _accumulate(acc, (((u << xn | x, v << yn | y, e + f), d)
+                              for x, xn, y, yn, f, d in right), c)
         return Tensor2._raw(acc, self._den * other._den)
 
     def pairing(self, p, q):
@@ -463,12 +435,6 @@ class Tensor2(_Sparse):
         outer = tensor_outer(p, q)
         return _qpoly(outer._pair_with(self._by_head()),
                       outer._den * self._den)
-
-
-    @classmethod
-    def from_json(cls, data):
-        return cls({(tuple(item["left"]), tuple(item["right"])):
-                    QPoly.from_json(item["coeff"]) for item in data})
 
     def __repr__(self):
         parts = ["%s·(%s ⊗ %s)" % (c.text(), word_to_str(u), word_to_str(v))

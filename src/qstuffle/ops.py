@@ -18,7 +18,7 @@ series and the group-like test are test routes in tests/oracles.py.
 from functools import lru_cache
 
 from .ncpoly import NCPoly, Tensor2, _accumulate, _product, word_poly
-from .words import codes_of_weight, decode_word, word_code
+from .words import codes_of_weight, word_code
 from .report import Report
 
 
@@ -66,14 +66,13 @@ def _shuffle(u, v):
     return NCPoly._raw(_accumulate(acc, _headed(_shuffle(u, _rest(v)), top)))
 
 
-def stuffle_poly(p, q, max_weight=None):
-    """Bilinear extension of the q-stuffle to polynomials; with max_weight,
-    only the terms of weight <= max_weight."""
-    return _product(stuffle, [p, q], 1, max_weight)
+def stuffle_poly(p, q):
+    """Bilinear extension of the q-stuffle to polynomials."""
+    return _product(stuffle, [p, q])
 
 
-def shuffle_poly(p, q, max_weight=None):
-    return _product(shuffle, [p, q], 1, max_weight)
+def shuffle_poly(p, q):
+    return _product(shuffle, [p, q])
 
 
 @lru_cache(maxsize=None)
@@ -112,10 +111,13 @@ def _stuffle_coproduct_letter(s):
 
 @lru_cache(maxsize=None)
 def _stuffle_coproduct_word(w):
-    out = Tensor2.one()
-    for s in decode_word(w):
-        out = out.combine(_stuffle_coproduct_letter(s))
-    return out
+    """Delta(y_s r) = Delta(y_s)·Delta(r), slotwise: the coproduct of the
+    first letter times the cached coproduct of the rest of the code w."""
+    if not w:
+        return Tensor2.one()
+    rest = _rest(w)
+    first = _stuffle_coproduct_letter(w.bit_length() - rest.bit_length())
+    return first.combine(_stuffle_coproduct_word(rest))
 
 
 def stuffle_coproduct(p):

@@ -16,16 +16,17 @@ Second routes to library results are built from library parts by another
 formula.  Next to the sequence helpers: the forward derivation trees, as
 their leaves counted per path, which the converse derivation map must
 match.  In the last section, on the public API (`+`, `scale`, `pairing`,
-`coeff` and the products): the increasing-letter recursion of the dual
-elements, products of PBW elements along a sequence, the truncated exp and
-log series with the group-like test over every ordered pair of words, the
-adjoint projector by its sum over deconcatenations, the adjoint and letter
-forms of the reconstruction identity, the log of the diagonal series and
-its closed forms, and the decreasing product of exponentials of the
-factorization folded factor by factor.  No command runs these, so the
-library keeps none of them.
+`coeff`, `terms` and the products): the increasing-letter recursion of the
+dual elements, products of PBW elements along a sequence, the truncated exp
+and log series with the group-like test over every ordered pair of words,
+the adjoint projector by its sum over deconcatenations, the adjoint and
+letter forms of the reconstruction identity, the slot product of the mixed
+tensor algebra, the log of the diagonal series and its closed forms, and
+the decreasing product of exponentials of the factorization folded factor
+by factor.  No command runs these, so the library keeps none of them.
 """
 
+import operator
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -455,31 +456,29 @@ def truncated_series(x, mul, coefficient, n, constant=False):
     return acc
 
 
-def _concatenation(a, b, n):
-    return (a * b).truncate(n)
-
-
-def exp_proper(p, mul=_concatenation, n=None):
-    """Truncated exponential of a proper polynomial w.r.t. the given product
-    (called as mul(a, b, n), keeping the terms of weight <= n;
-    concatenation by default)."""
+def exp_proper(p, mul=operator.mul, n=None):
+    """Truncated exponential of a proper polynomial w.r.t. the given
+    product mul(a, b) (concatenation by default), each power truncated at
+    weight n."""
     if n is None:
         raise ValueError("a weight bound is required")
     p = p.truncate(n)
     if not p.is_proper():
         raise ValueError("exp needs a proper polynomial")
-    return truncated_series(p, lambda a, b: mul(a, b, n), exp_coefficient, n,
-                            constant=True)
+    return truncated_series(p, lambda a, b: mul(a, b).truncate(n),
+                            exp_coefficient, n, constant=True)
 
 
-def log_one_plus(s, mul=_concatenation, n=None):
-    """Truncated logarithm of a series with constant term 1."""
+def log_one_plus(s, mul=operator.mul, n=None):
+    """Truncated logarithm of a series with constant term 1, each power
+    truncated at weight n."""
     if n is None:
         raise ValueError("a weight bound is required")
     if s.coeff(()) != 1:
         raise ValueError("log needs constant term 1")
     return truncated_series((s - NCPoly.one()).truncate(n),
-                            lambda a, b: mul(a, b, n), log_coefficient, n)
+                            lambda a, b: mul(a, b).truncate(n),
+                            log_coefficient, n)
 
 
 def is_grouplike(s, n):
@@ -544,9 +543,22 @@ def letter_reconstruct(s):
 
 
 def _mixed_product(bound):
-    """The slot product of the mixed tensor algebra (q-stuffle left,
-    concatenation right), keeping the terms of total weight <= bound."""
-    return lambda a, b: a.combine(b, left_mul=stuffle, max_total=bound)
+    """The slot product of the mixed tensor algebra, (u ⊗ v)(x ⊗ y) =
+    (u*x) ⊗ vy with the q-stuffle left and concatenation right, summed over
+    the terms of both factors, keeping the terms of total weight <= bound."""
+    def mul(a, b):
+        data, right, stuffles = {}, b.terms(), {}
+        for (u, v), c in a.terms():
+            for (x, y), d in right:
+                if sum(u + v + x + y) > bound:
+                    continue
+                if (u, x) not in stuffles:
+                    stuffles[u, x] = stuffle(u, x).terms()
+                cd = c * d
+                for w, e in stuffles[u, x]:
+                    data[w, v + y] = data.get((w, v + y), 0) + cd * e
+        return Tensor2(data)
+    return mul
 
 
 def log_diagonal(n):
@@ -590,5 +602,5 @@ def exp_product_fold(sigma_of, n):
     chain = Tensor2.one()
     for l in sorted(lyndon_up_to(n), key=word_key, reverse=True):
         factor = exp_tensor(tensor_outer(sigma_of(l), pbw_element(l)), 2 * n)
-        chain = chain.combine(factor, left_mul=stuffle, max_total=2 * n)
+        chain = _mixed_product(2 * n)(chain, factor)
     return chain

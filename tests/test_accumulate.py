@@ -1,17 +1,20 @@
 """The in-place accumulation kernel and the paths built on it.
 
-Cached values are shared, so no in-place sum may write into them; the
-bounded slot product, the monomial product and the bilinear extensions
-must agree with their plain definitions."""
+Cached values are shared, so no in-place sum may write into them, nor may
+the coproduct of a word into the cached coproduct of its suffix; the slot
+product of the mixed tensor algebra in `oracles`, the monomial product and
+the bilinear extensions must agree with their plain definitions."""
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from oracles import _mixed_product
 from qstuffle.coeff import QPoly
-from qstuffle.ncpoly import NCPoly, Tensor2, _product, word_poly
-from qstuffle.ops import (deconcat_coproduct, stuffle, stuffle_coproduct,
-                          stuffle_poly, verify_axioms)
+from qstuffle.ncpoly import NCPoly, Tensor2, _product, tensor_outer, word_poly
+from qstuffle.ops import (_stuffle_coproduct_word, deconcat_coproduct,
+                          stuffle, stuffle_coproduct, stuffle_poly,
+                          verify_axioms)
 from qstuffle.words import all_words_up_to
 
 
@@ -55,6 +58,20 @@ def test_cached_values_are_never_written():
     assert [_deep(x) for x in again] == snapshots
 
 
+def test_suffix_coproducts_are_never_written():
+    """A word's coproduct is its first letter's times the cached coproduct
+    of its rest: building every word to weight 8 reads, and must never
+    write, the cached tensors of the words of weight <= 4."""
+    _stuffle_coproduct_word.cache_clear()
+    short = [stuffle_coproduct(w) for w in all_words_up_to(4)]
+    snapshots = [(x._den, dict(x._terms)) for x in short]
+    for w in all_words_up_to(8):
+        stuffle_coproduct(w)
+    assert [(x._den, dict(x._terms)) for x in short] == snapshots
+    assert all(stuffle_coproduct(w) is x
+               for w, x in zip(all_words_up_to(4), short))
+
+
 WORDS = st.sampled_from(all_words_up_to(5, include_empty=True))
 RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 QPOLYS = st.dictionaries(st.integers(0, 3), RATIONALS, max_size=3).map(QPoly)
@@ -62,8 +79,6 @@ MONOMIALS = st.tuples(st.integers(0, 4), RATIONALS.filter(bool)).map(
     lambda ec: QPoly({ec[0]: ec[1]}))
 COEFFS = st.one_of(MONOMIALS, QPOLYS.filter(bool))
 NCPOLYS = st.dictionaries(WORDS, COEFFS, min_size=1, max_size=4).map(NCPoly)
-TENSORS = st.dictionaries(st.tuples(WORDS, WORDS), COEFFS, min_size=1,
-                          max_size=4).map(Tensor2)
 
 
 def _generic_mul(a, b):
@@ -75,12 +90,12 @@ def _generic_mul(a, b):
     return QPoly(data)
 
 
-@settings(deadline=None, max_examples=40)
-@given(TENSORS, TENSORS, st.integers(0, 12), st.booleans())
-def test_bounded_combine_equals_truncated_combine(s, t, m, stuffle_left):
-    kwargs = {"left_mul": stuffle} if stuffle_left else {}
-    assert s.combine(t, max_total=m, **kwargs) == \
-        s.combine(t, **kwargs).truncate(m)
+@settings(deadline=None, max_examples=60)
+@given(NCPOLYS, NCPOLYS, NCPOLYS, NCPOLYS, st.integers(0, 20))
+def test_mixed_product_of_pure_tensors(a, b, c, d, bound):
+    """(a ⊗ b)(c ⊗ d) = (a*c) ⊗ bd in the mixed tensor algebra."""
+    assert _mixed_product(bound)(tensor_outer(a, b), tensor_outer(c, d)) \
+        == tensor_outer(stuffle_poly(a, c), b * d).truncate(bound)
 
 
 @settings(deadline=None, max_examples=40)

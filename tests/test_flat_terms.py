@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import brute_q_stuffle_poly
 from qstuffle.coeff import QPoly
 from qstuffle.ncpoly import NCPoly, Tensor2, word_poly
-from qstuffle.ops import deconcat_coproduct, shuffle_poly, stuffle, \
+from qstuffle.ops import deconcat_coproduct, shuffle_poly, \
     stuffle_coproduct, stuffle_poly
 from qstuffle.words import all_words_up_to, word_key
 
@@ -100,8 +100,7 @@ def test_results_keep_the_stored_form(a, b, q0):
     results = [p + r, p - r, p * r, p.scale(Fraction(2, 3)),
                p.scale(QPoly({0: 2, 1: Fraction(1, 2)})), stuffle_poly(p, r),
                p.subs_q(q0), stuffle_coproduct(p), deconcat_coproduct(p),
-               stuffle_coproduct(p).combine(deconcat_coproduct(r),
-                                            left_mul=stuffle)]
+               stuffle_coproduct(p).combine(deconcat_coproduct(r))]
     for x in results:
         _assert_stored_form(x)
 

@@ -303,8 +303,8 @@ def test_associativity_check_sees_one_perturbed_triple(monkeypatch):
     full = ops.stuffle_poly
     target = (stuffle((1,), (1,)), word_poly((1,)))
 
-    def perturbed(p, q, max_weight=None):
-        out = full(p, q, max_weight)
+    def perturbed(p, q):
+        out = full(p, q)
         return out + word_poly((3,)) if (p, q) == target else out
 
     monkeypatch.setattr(ops, "stuffle_poly", perturbed)
