@@ -18,9 +18,8 @@ from .ops import (stuffle, shuffle, stuffle_poly, shuffle_poly,
                   stuffle_coproduct, deconcat_coproduct, is_primitive)
 from .eulerian import primitive_projector, diagonal_series, reconstruct
 from .bases import (pbw_element, dual_pbw_oracle, dual_pbw_element,
-                    lyndon_stuffle_element, xi_basis, pi_basis, chi_basis,
-                    GradedBasis, verify_duality, verify_factorization,
-                    verify_primitivity)
+                    lyndon_stuffle_element, basis_by_kind, GradedBasis,
+                    verify_duality, verify_factorization, verify_primitivity)
 
 __all__ = [
     "__version__", "QPoly", "NCPoly", "Tensor2", "tensor_outer", "word_poly",
@@ -30,7 +29,7 @@ __all__ = [
     "stuffle_poly", "shuffle_poly", "stuffle_coproduct",
     "deconcat_coproduct", "is_primitive", "primitive_projector",
     "diagonal_series", "reconstruct", "pbw_element", "dual_pbw_oracle",
-    "dual_pbw_element", "lyndon_stuffle_element", "xi_basis", "pi_basis",
-    "chi_basis", "GradedBasis", "verify_duality", "verify_factorization",
+    "dual_pbw_element", "lyndon_stuffle_element", "basis_by_kind",
+    "GradedBasis", "verify_duality", "verify_factorization",
     "verify_primitivity",
 ]

@@ -1,6 +1,6 @@
 """Dual bases of the q-stuffle algebra and their verification suites.
 
-Four graded families indexed by words:
+Four graded families indexed by words, one row of `KINDS` each:
 
   * pbw_element       -- bracketed Lyndon elements and their decreasing
                          products (unit upper triangular, "pi" kind);
@@ -16,11 +16,12 @@ Four graded families indexed by words:
                          applied to plain words;
   * its dual ("xi", unit upper triangular, primitive on Lyndon words).
 
-Every basis is built by one helper, `_checked_basis`, from an element
-function or from the triangular solve of one, and is checked unit
-triangular.  The Lyndon PBW elements on letters are the projected letters;
-the primitivity suite also checks the general projector of `eulerian`,
-each family as one list through `ops.are_primitive`.
+`basis_by_kind` is the one constructor of a basis.  It builds each family
+through `_checked_basis`, from an element function or from the triangular
+solve of one, and checks it unit triangular.  The Lyndon PBW elements on
+letters are the projected letters; the primitivity suite also checks the
+general projector of `eulerian`, each family as one list through
+`ops.are_primitive`.
 
 The factorization suite expands the decreasing product of exponentials
 into one pure tensor per word, by distributivity and the uniqueness of the
@@ -29,11 +30,12 @@ Chen-Fox-Lyndon factorization (`factorization_forms`).
 The triangular solve inverts each weight class in ints, one inverse row
 packed into one big int (`_invert_unit_upper`), and is the authority for
 the dual family; the recursive computations must agree with it.
-`sigma_mismatches` is the one comparison of the two, and any mismatch it
-finds is a hard error in the CLI's both-methods mode.
+`sigma_mismatches` is the one comparison of the two.  The default Σ of
+`basis_by_kind` is the oracle checked against the recursion, and a
+mismatch there is a RuntimeError.
 """
-
 import json
+from collections import namedtuple
 from functools import lru_cache
 from math import factorial, gcd, lcm, prod
 
@@ -70,14 +72,19 @@ def pbw_element(w):
     return _product(None, [pbw_element(f) for f in cfl_factorization(w)])
 
 
+Kind = namedtuple("Kind", "upper label macro")
+# each basis kind: unit upper (else lower) triangular, text label, LaTeX macro
+KINDS = {"pi": Kind(True, "Pi", "\\Pi"),
+         "sigma": Kind(False, "Sigma", "\\Sigma"),
+         "chi": Kind(False, "Chi", "\\chi"),
+         "xi": Kind(True, "Xi", "\\xi")}
+
+
 class GradedBasis:
     """A graded family word -> NCPoly for all words of weight <= max_weight."""
 
-    TRIANGULAR_UP = {"pi", "xi"}
-    TRIANGULAR_DOWN = {"sigma", "chi"}
-
     def __init__(self, kind, max_weight, entries):
-        if kind not in self.TRIANGULAR_UP | self.TRIANGULAR_DOWN:
+        if kind not in KINDS:
             raise ValueError("unknown basis kind %r" % kind)
         self.kind = kind
         self.max_weight = max_weight
@@ -91,7 +98,7 @@ class GradedBasis:
 
     def check_triangular(self):
         """Unit triangularity and weight homogeneity; raises on violation."""
-        up = self.kind in self.TRIANGULAR_UP
+        up = KINDS[self.kind].upper
         if self.entries[()] != NCPoly.one():
             raise ValueError("entry at the empty word must be 1")
         for w in self.words():
@@ -156,23 +163,19 @@ class GradedBasis:
             tail += ',\n  "q": %s' % json.dumps(str(q_value))
         yield tail + "\n}"
 
-    def text_rows(self, q_value=None):
-        """Yields one text row per nonempty word; with q_value, every entry
-        is specialized at q = q_value."""
-        label = {"pi": "Pi", "sigma": "Sigma", "chi": "Chi",
-                 "xi": "Xi"}[self.kind]
+    def rows(self, fmt, q_value=None):
+        """Yields one row per nonempty word, in the format `fmt` ("text" or
+        "latex"); with q_value, every entry is specialized at q = q_value."""
+        kind = KINDS[self.kind]
+        if fmt not in ("text", "latex"):
+            raise ValueError("unknown row format %r" % fmt)
         for w, p in self._specialized(q_value):
-            if w:
-                yield "%s[%s] = %s" % (label, word_to_str(w), p.text())
-
-    def latex_rows(self, q_value=None):
-        """Yields one LaTeX row per nonempty word; with q_value, every entry
-        is specialized at q = q_value."""
-        macro = {"pi": "\\Pi", "sigma": "\\Sigma", "chi": "\\chi",
-                 "xi": "\\xi"}[self.kind]
-        for w, p in self._specialized(q_value):
-            if w:
-                yield "%s_{%s} &=& %s\\\\" % (macro, word_latex(w),
+            if not w:
+                continue
+            if fmt == "text":
+                yield "%s[%s] = %s" % (kind.label, word_to_str(w), p.text())
+            else:
+                yield "%s_{%s} &=& %s\\\\" % (kind.macro, word_latex(w),
                                                p.latex())
 
 
@@ -190,10 +193,6 @@ def _checked_basis(kind, n, element, dual_of=None):
     basis = GradedBasis(kind, n, entries)
     basis.check_triangular()
     return basis
-
-
-def pi_basis(n):
-    return _checked_basis("pi", n, pbw_element)
 
 
 def _invert_unit_upper(rows):
@@ -253,7 +252,7 @@ def _dual_by_triangular_solve(elements, n, kind):
     one per letter.  A row of A is the int terms of its element, so its
     diagonal reads the element's denominator; a column of A^-1 comes out
     in ints over the lcm of the denominators of its rows."""
-    upper = kind in GradedBasis.TRIANGULAR_UP
+    upper = KINDS[kind].upper
     entries = {(): NCPoly.one()}
     direction = 0  # sign of len v - len w over the family, once seen
     for k in range(1, n + 1):
@@ -383,28 +382,37 @@ def lyndon_stuffle_element(w):
     return sigma_from_cfl(w, word_poly)
 
 
-def chi_basis(n):
-    return _checked_basis("chi", n, lyndon_stuffle_element)
+SIGMA_METHODS = ("oracle", "recursive", "both")
 
 
-def xi_basis(n):
-    """Dual of the chi family via triangular solve; Lyndon entries are
-    primitive."""
-    return _checked_basis("xi", n, lyndon_stuffle_element, dual_of="chi")
-
-
-def basis_by_kind(kind, n, sigma_method="oracle"):
+def basis_by_kind(kind, n, sigma_method=None):
+    """The basis `kind` (a key of KINDS) up to weight n, checked unit
+    triangular.  `sigma_method` applies to sigma only: "oracle" is the
+    triangular solve, "recursive" the recursion, and the default (None or
+    "both") the oracle checked against the recursion; a mismatch there is
+    a RuntimeError naming the first word at which the two differ."""
+    if kind not in KINDS:
+        raise ValueError("unknown basis kind %r" % kind)
+    if sigma_method is not None and kind != "sigma":
+        raise ValueError("--sigma-method does not apply to basis %s" % kind)
+    if sigma_method not in (None,) + SIGMA_METHODS:
+        raise ValueError("unknown sigma method %r" % sigma_method)
     if kind == "pi":
-        return pi_basis(n)
+        return _checked_basis("pi", n, pbw_element)
     if kind == "chi":
-        return chi_basis(n)
-    if kind == "xi":
-        return xi_basis(n)
-    if kind == "sigma":
-        if sigma_method == "recursive":
-            return _checked_basis("sigma", n, dual_pbw_element)
-        return dual_pbw_oracle(n)
-    raise ValueError("unknown basis kind %r" % kind)
+        return _checked_basis("chi", n, lyndon_stuffle_element)
+    if kind == "xi":  # its Lyndon entries are primitive
+        return _checked_basis("xi", n, lyndon_stuffle_element, dual_of="chi")
+    if sigma_method == "recursive":
+        return _checked_basis("sigma", n, dual_pbw_element)
+    basis = dual_pbw_oracle(n)
+    if sigma_method == "oracle":
+        return basis
+    for w, recursive in sigma_mismatches(basis):  # the first one is fatal
+        raise RuntimeError(
+            "sigma method mismatch at %s:\n  oracle:    %s\n  recursive: %s"
+            % (word_to_str(w), basis.entry(w).text(), recursive.text()))
+    return basis
 
 
 def verify_duality(n, sigma=None):

@@ -50,8 +50,8 @@ def build_parser():
     p.set_defaults(max_weight=None)  # no bound: refused when given
 
     p = sub.add_parser("basis", help="emit a graded basis")
-    p.add_argument("kind", choices=("pi", "sigma", "chi", "xi"))
-    p.add_argument("--sigma-method", choices=("oracle", "recursive", "both"),
+    p.add_argument("kind", choices=tuple(bases.KINDS))
+    p.add_argument("--sigma-method", choices=bases.SIGMA_METHODS,
                    help="sigma only (default both)")
     _add_common(p)
 
@@ -136,29 +136,14 @@ def _cmd_product(args, q_value):
 
 
 def _cmd_basis(args, q_value):
-    if args.sigma_method and args.kind != "sigma":
-        raise ValueError("--sigma-method does not apply to basis %s"
-                         % args.kind)
-    n = args.max_weight
-    if args.kind == "sigma" and args.sigma_method in (None, "both"):
-        basis = bases.dual_pbw_oracle(n)
-        mismatch = next(bases.sigma_mismatches(basis), None)
-        if mismatch:
-            w, recursive = mismatch
-            sys.stderr.write(
-                "sigma method mismatch at %s:\n  oracle:    %s\n"
-                "  recursive: %s\n"
-                % (word_to_str(w), basis.entry(w).text(), recursive.text()))
-            return 1
-    else:
-        basis = bases.basis_by_kind(args.kind, n, args.sigma_method)
-
-    if args.format == "json":
-        _emit(basis.json_chunks(q_value), args.out)
-    else:
-        rows = basis.latex_rows(q_value) if args.format == "latex" \
-            else basis.text_rows(q_value)
-        _emit((row + "\n" for row in rows), args.out)
+    try:
+        basis = bases.basis_by_kind(args.kind, args.max_weight,
+                                    args.sigma_method)
+    except RuntimeError as exc:  # the two sigma methods disagree
+        sys.stderr.write("%s\n" % exc)
+        return 1
+    _emit(basis.json_chunks(q_value) if args.format == "json" else
+          (row + "\n" for row in basis.rows(args.format, q_value)), args.out)
     return 0
 
 

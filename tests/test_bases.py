@@ -10,13 +10,13 @@ from oracles import (dense_invert_unit_upper, derivation_leaves,
                      pi_of_sequence, radford_dual, sigma_increasing)
 from qstuffle import bases
 from qstuffle.coeff import QPoly
-from qstuffle.bases import (GradedBasis, _dual_by_triangular_solve,
-                            basis_by_kind, chi_basis, dual_pbw_element,
+from qstuffle.bases import (KINDS, GradedBasis, _dual_by_triangular_solve,
+                            basis_by_kind, dual_pbw_element,
                             dual_pbw_oracle, factorization_forms,
-                            lyndon_stuffle_element, pbw_element, pi_basis,
+                            lyndon_stuffle_element, pbw_element,
                             sigma_from_cfl, sigma_lyndon_general,
                             verify_duality, verify_factorization,
-                            verify_primitivity, xi_basis)
+                            verify_primitivity)
 from qstuffle.lyndon import (cfl_grouped, is_lyndon, lyndon_of_weight,
                              lyndon_up_to, standard_factorization)
 from qstuffle.ncpoly import NCPoly, Tensor2, tensor_outer, word_poly
@@ -40,7 +40,7 @@ def test_pbw_examples():
 
 
 def test_pbw_triangularity():
-    pi_basis(6).check_triangular()
+    basis_by_kind("pi", 6).check_triangular()
     for n in range(1, 8):
         for l in lyndon_of_weight(n):
             p = pbw_element(l)
@@ -75,7 +75,7 @@ def _dense_dual(elements, n, kind):
     entries = {(): NCPoly.one()}
     for k in range(1, n + 1):
         ws = list(words_of_weight(k))
-        if kind not in GradedBasis.TRIANGULAR_UP:
+        if not KINDS[kind].upper:
             ws.reverse()
         m = [[elements[w].coeff(v) for v in ws] for w in ws]
         inv = dense_invert_unit_upper(m, QPoly.zero(), QPoly.one())
@@ -249,8 +249,8 @@ def test_chi_and_xi():
             assert lyndon_stuffle_element(l) == word_poly(l)
     assert lyndon_stuffle_element((1, 1)) == \
         word_poly((1, 1)) + word_poly((2,)).scale(q(1, 1, 2))
-    chi_basis(5).check_triangular()
-    xi = xi_basis(5)
+    basis_by_kind("chi", 5).check_triangular()
+    xi = basis_by_kind("xi", 5)
     xi.check_triangular()
     assert xi.entry((1,)) == word_poly((1,))
     # duality against the chi family
@@ -483,8 +483,38 @@ def test_basis_by_kind_and_json():
 
 
 def test_latex_rows():
-    rows = dual_pbw_oracle(3).latex_rows()
+    rows = dual_pbw_oracle(3).rows("latex")
     assert "\\Sigma_{y_2y_1} &=& \\frac{q}{2}y_3 + y_2y_1\\\\" in rows
+
+
+def test_basis_by_kind_refuses_an_unknown_sigma_method():
+    with pytest.raises(ValueError, match="unknown sigma method 'recursve'"):
+        basis_by_kind("sigma", 3, "recursve")
+
+
+@pytest.mark.parametrize("kind", ["pi", "chi", "xi"])
+def test_basis_by_kind_refuses_a_sigma_method_on_other_kinds(kind):
+    with pytest.raises(ValueError) as info:
+        basis_by_kind(kind, 3, sigma_method="oracle")
+    assert str(info.value) == \
+        "--sigma-method does not apply to basis %s" % kind
+
+
+@pytest.mark.parametrize("method", [None, "both"])
+def test_default_sigma_raises_on_a_method_mismatch(monkeypatch, method):
+    # below weight 4 no other word's recursion reaches 2,1, so the cache of
+    # the real recursive route is left as it was
+    recursive = bases.dual_pbw_element
+
+    def wrong_at_2_1(w):
+        return word_poly((2, 1)) if tuple(w) == (2, 1) else recursive(w)
+    monkeypatch.setattr(bases, "dual_pbw_element", wrong_at_2_1)
+    with pytest.raises(RuntimeError) as info:
+        basis_by_kind("sigma", 3, method)
+    assert str(info.value) == ("sigma method mismatch at 2,1:\n"
+                               "  oracle:    1/2·q·[3] + [2,1]\n"
+                               "  recursive: [2,1]")
+    basis_by_kind("sigma", 3, "oracle")  # the oracle alone is not checked
 
 
 def test_graded_basis_invariant_checker():

@@ -193,10 +193,11 @@ def test_max_weight_is_refused_by_product(capsys):
     assert err == "error: --max-weight does not apply to product\n"
 
 
+@pytest.mark.parametrize("method", ["oracle", "recursive", "both"])
 @pytest.mark.parametrize("kind", ["pi", "chi", "xi"])
-def test_sigma_method_is_refused_by_other_kinds(capsys, kind):
+def test_sigma_method_is_refused_by_other_kinds(capsys, kind, method):
     code, out, err = run(capsys, "basis", kind, "--max-weight", "2",
-                         "--sigma-method", "recursive")
+                         "--sigma-method", method)
     assert (code, out) == (2, "")
     assert err == "error: --sigma-method does not apply to basis %s\n" % kind
 

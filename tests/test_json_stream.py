@@ -18,8 +18,8 @@ from qstuffle.ncpoly import NCPoly
 from qstuffle.words import all_words_up_to, weight
 
 Q_VALUES = [None, Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2)]
-KINDS = [("pi", "oracle"), ("sigma", "oracle"), ("sigma", "recursive"),
-         ("chi", "oracle"), ("xi", "oracle")]
+KINDS = [("pi", None), ("sigma", "oracle"), ("sigma", "recursive"),
+         ("chi", None), ("xi", None)]
 
 
 def _encoded(basis, q_value):
