@@ -37,13 +37,13 @@ mismatch there is a RuntimeError.
 import json
 from collections import namedtuple
 from functools import lru_cache
-from math import factorial, gcd, lcm, prod
+from math import factorial, gcd, lcm
 
 from ._version import __version__
 from .eulerian import (diagonal_series, primitive_projector,
                        primitive_projector_letter)
-from .lyndon import (cfl_factorization, cfl_grouped, converse_tree,
-                     is_lyndon, lyndon_up_to, standard_factorization)
+from .lyndon import (cfl_factorization, converse_tree, is_lyndon,
+                     lyndon_up_to, standard_factorization)
 from .ncpoly import (NCPoly, Tensor2, _accumulate, _product, _product_into,
                      _weighted_sum, word_poly)
 from .ops import are_primitive, stuffle
@@ -56,9 +56,9 @@ from .words import (all_words_up_to, decode_word, encode_word, weight,
 def pbw_element(w):
     """Basis element of the concatenation algebra attached to w: the
     projected letter for a letter, the bracket of the standard factors for
-    a longer Lyndon word, the product over the decreasing Lyndon
-    factorization in general; carried in ints, over the product of the
-    factors' denominators."""
+    a longer Lyndon word, the first Lyndon factor's element times the
+    cached element of the rest in general; carried in ints, over the
+    product of the factors' denominators."""
     w = tuple(w)
     if not w:
         return NCPoly.one()
@@ -69,7 +69,8 @@ def pbw_element(w):
         acc = _product_into(_product_into({}, None, a._terms, b._terms),
                             None, b._terms, a._terms, -1)
         return NCPoly._raw(acc, a._den * b._den)
-    return _product(None, [pbw_element(f) for f in cfl_factorization(w)])
+    first = cfl_factorization(w)[0]
+    return _product(None, [pbw_element(first), pbw_element(w[len(first):])])
 
 
 Kind = namedtuple("Kind", "upper label macro")
@@ -317,16 +318,17 @@ def dual_pbw_oracle(n):
     return _checked_basis("sigma", n, pbw_element, dual_of="pi")
 
 
-def sigma_from_cfl(w, sigma_of):
-    """Dual element of a word: the stuffle product of the dual elements of
-    its Lyndon factors, repeats included, over m! per multiplicity m."""
-    w = tuple(w)
-    if not w:
-        return NCPoly.one()
-    grouped = cfl_grouped(w)
-    return _product(stuffle, [sigma_of(f) for f, m in grouped
-                              for _ in range(m)],
-                    prod(factorial(m) for _, m in grouped))
+def sigma_from_cfl(w, lyndon_of, rest_of):
+    """Divided stuffle powers over the Lyndon factors of the nonempty word
+    w (a tuple): lyndon_of(w) at a Lyndon word, else lyndon_of(l) ⋆
+    rest_of(r) / m for the first factor l, the rest r and the multiplicity
+    m of l, as rest_of(r) carries (m-1)! where a power of l leads."""
+    factors = cfl_factorization(w)
+    first = factors[0]
+    if len(factors) == 1:
+        return lyndon_of(w)
+    return _product(stuffle, [lyndon_of(first), rest_of(w[len(first):])],
+                    factors.count(first))
 
 
 def sigma_lyndon_general(w, sigma_of):
@@ -373,13 +375,13 @@ def dual_pbw_element(w):
         if len(w) == 1:
             return word_poly(w)
         return sigma_lyndon_general(w, dual_pbw_element)
-    return sigma_from_cfl(w, dual_pbw_element)
+    return sigma_from_cfl(w, dual_pbw_element, dual_pbw_element)
 
 
 @lru_cache(maxsize=None)
 def lyndon_stuffle_element(w):
     """Divided stuffle powers of the raw Lyndon factors of w ("chi")."""
-    return sigma_from_cfl(w, word_poly)
+    return sigma_from_cfl(w, word_poly, lyndon_stuffle_element)
 
 
 SIGMA_METHODS = ("oracle", "recursive", "both")
@@ -507,12 +509,17 @@ def factorization_forms(n, sigma=None):
     word l.  By the uniqueness of the Chen-Fox-Lyndon factorization the
     choices are the words w = l_1^k_1...l_m^k_m, each giving
     sigma_from_cfl(w) ⊗ pbw_element(w), of total weight 2·weight(w)
-    (Reutenauer, *Free Lie Algebras*, Thm 5.3).  Both sums are `_pair_sum`.
+    (Reutenauer, *Free Lie Algebras*, Thm 5.3).  Memoized per call, these
+    read `sigma` at Lyndon words only.  Both sums are `_pair_sum`.
     """
     if sigma is None:
         sigma = dual_pbw_oracle(n)
+
+    @lru_cache(maxsize=None)
+    def exp_factor(w):
+        return sigma_from_cfl(w, sigma.entry, exp_factor)
     return (diagonal_series(n), _pair_sum(sigma.entry, n),
-            _pair_sum(lambda w: sigma_from_cfl(w, sigma.entry), n))
+            _pair_sum(exp_factor, n))
 
 
 def verify_factorization(n, sigma=None):

@@ -14,10 +14,11 @@ built by the normalizing constructor, and it is kept apart from the
 accumulation kernel of `ncpoly` on purpose: it is the tests' independent
 ring (the dense solve in `tests/oracles.py`, the pairing checks).  A
 constant equals, and hashes like, the rational it is.  `poly_text` and
-`poly_latex` render a coefficient from its (exponent, coefficient) pairs.
+`poly_latex` render a coefficient from its (e, a, d) int triples.
 """
 
 from fractions import Fraction
+from math import gcd
 
 
 def qterms(c):
@@ -160,43 +161,51 @@ class QPoly:
         return cls({item["qpow"]: Fraction(item["coeff"]) for item in data})
 
     def text(self):
-        return poly_text(self.terms())
+        return poly_text([(e, *c.as_integer_ratio()) for e, c in self.terms()])
 
     def latex(self):
-        return poly_latex(self.terms())
+        return poly_latex([(e, *c.as_integer_ratio()) for e, c in self.terms()])
 
     def __repr__(self):
         return "QPoly(%s)" % self.text()
 
 
-def poly_text(pairs):
-    """Text of the polynomial with the given (exponent, coefficient) pairs,
-    ascending by exponent; coefficients are ints or Fractions."""
-    if not pairs:
+def _ratio_text(a, d):
+    """str(Fraction(a, d)) for ints a and d > 0, by one gcd; text and JSON
+    print every rational with it."""
+    g = gcd(a, d)
+    return "%d" % (a // g) if g == d else "%d/%d" % (a // g, d // g)
+
+
+def poly_text(triples):
+    """Text of the polynomial with the coefficients a/d at q^e given as
+    (e, a, d) int triples (d > 0), ascending by exponent."""
+    if not triples:
         return "0"
     parts = []
-    for e, c in pairs:
+    for e, a, d in triples:
         if e == 0:
-            parts.append(str(c))
+            parts.append(_ratio_text(a, d))
         else:
             qp = "q" if e == 1 else "q^%d" % e
-            if c == 1:
+            if a == d:
                 parts.append(qp)
-            elif c == -1:
+            elif a == -d:
                 parts.append("-" + qp)
             else:
-                parts.append("%s·%s" % (c, qp))
+                parts.append("%s·%s" % (_ratio_text(a, d), qp))
     return _join_signed(parts)
 
 
-def poly_latex(pairs):
-    """LaTeX of the polynomial with the given (exponent, coefficient) pairs."""
-    if not pairs:
+def poly_latex(triples):
+    """LaTeX of the polynomial with the given (e, a, d) int triples."""
+    if not triples:
         return "0"
     parts = []
-    for e, c in pairs:
-        sign = "-" if c < 0 else ""
-        p, d = abs(c.numerator), c.denominator
+    for e, a, d in triples:
+        sign = "-" if a < 0 else ""
+        g = gcd(a, d)
+        p, d = abs(a) // g, d // g
         if e == 0:
             core = str(p)
         else:

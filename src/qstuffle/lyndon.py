@@ -61,17 +61,6 @@ def cfl_factorization(w):
     return tuple(out)
 
 
-def cfl_grouped(w):
-    """CFL factors grouped as (factor, multiplicity) pairs, decreasing."""
-    out = []
-    for f in cfl_factorization(w):
-        if out and out[-1][0] == f:
-            out[-1][1] += 1
-        else:
-            out.append([f, 1])
-    return [(f, m) for f, m in out]
-
-
 def standard_factorization(l):
     """Split a Lyndon word of length >= 2 at its smallest proper suffix.
 

@@ -16,10 +16,10 @@ one weight, code order is word order, and only an NCPoly of mixed weights
 sorts again by `word_key`.
 
 `QPoly` and `Fraction` appear only at the boundary: the constructors,
-`scale` and `subs_q` accept them, and `coeff`, `pairing`, `constant_term`,
-`terms` and the text and LaTeX give them; JSON writes each a/den reduced
-by one gcd.  A value holds its terms and denominator and nothing else; a
-lookup by word groups the terms it needs (`_by_head`) afresh on each call.
+`scale` and `subs_q` accept them, and `coeff`, `pairing`, `constant_term`
+and `terms` give them; text, LaTeX and JSON print each a/den from ints.
+A value holds its terms and denominator and nothing else; a lookup by
+word groups the terms it needs (`_by_head`) afresh on each call.
 
 Sums go through one kernel, `_accumulate`, and chains of polynomial
 products through `_product`, in ints; `Tensor2.combine` concatenates
@@ -33,7 +33,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
 
-from .coeff import QPoly, _join_signed, poly_latex, poly_text, qterms
+from .coeff import (QPoly, _join_signed, _ratio_text, poly_latex, poly_text,
+                    qterms)
 from .words import decode_word, word_code, word_key, word_to_str, word_latex
 
 
@@ -67,12 +68,6 @@ def _weighted_sum(cls, parts):
     for a, d, e, terms in parts:
         _accumulate(acc, terms, a * (den // d), e)
     return cls._raw(acc, den)
-
-
-def _ratio_text(a, den):
-    """str(Fraction(a, den)) for the ints a and den > 0, by one gcd."""
-    g = gcd(a, den)
-    return "%d" % (a // g) if g == den else "%d/%d" % (a // g, den // g)
 
 
 def _qpoly(data, den):
@@ -360,16 +355,15 @@ class NCPoly(_Sparse):
         parts = []
         den = self._den
         for w, pairs in self._grouped():
-            pairs = [(e, Fraction(a, den)) for e, a in pairs]
-            c = poly_str(pairs) if len(pairs) == 1 else wrap % poly_str(pairs)
-            if not w:
-                parts.append(c)
-            elif pairs == [(0, 1)]:
+            triples = [(e, a, den) for e, a in pairs]
+            if w and triples == [(0, den, den)]:
                 parts.append(word_str(w))
-            elif pairs == [(0, -1)]:
+            elif w and triples == [(0, -den, den)]:
                 parts.append("-" + word_str(w))
             else:
-                parts.append(c + times + word_str(w))
+                c = poly_str(triples)
+                c = c if len(triples) == 1 else wrap % c
+                parts.append(c + times + word_str(w) if w else c)
         return _join_signed(parts)
 
     def text(self):

@@ -17,7 +17,8 @@ formula.  Next to the sequence helpers: the forward derivation trees, as
 their leaves counted per path, which the converse derivation map must
 match.  In the last section, on the public API (`+`, `scale`, `pairing`,
 `coeff`, `terms` and the products): the increasing-letter recursion of the
-dual elements, products of PBW elements along a sequence, the truncated exp
+dual elements, the divided stuffle powers folded over every Lyndon factor
+of a word, products of PBW elements along a sequence, the truncated exp
 and log series with the group-like test over every ordered pair of words,
 the adjoint projector by its sum over deconcatenations, the adjoint and
 letter forms of the reconstruction identity, the slot product of the mixed
@@ -31,13 +32,14 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial
+from math import factorial, prod
 
 from qstuffle.bases import pbw_element
 from qstuffle.coeff import QPoly
 from qstuffle.eulerian import (diagonal_series, primitive_projector,
                                primitive_projector_letter)
-from qstuffle.lyndon import legal_rises, lyndon_up_to, standard_factorization
+from qstuffle.lyndon import (cfl_factorization, legal_rises, lyndon_up_to,
+                             standard_factorization)
 from qstuffle.ncpoly import NCPoly, Tensor2, tensor_outer, word_poly
 from qstuffle.ops import stuffle, stuffle_poly
 from qstuffle.words import word_key, word_less
@@ -422,6 +424,18 @@ def sigma_increasing(w, sigma_of):
         acc = acc + (head * sigma_of(w[i:])).scale(
             QPoly.q(i - 1, Fraction(1, factorial(i))))
     return acc
+
+
+def sigma_by_factor_chain(w, sigma_of):
+    """Divided stuffle powers over the Lyndon factors of w: the stuffle
+    product of sigma_of(f) over every factor f, repeats included, folded
+    left to right and divided by m! per multiplicity m."""
+    factors = cfl_factorization(tuple(w))
+    acc = sigma_of(factors[0])
+    for f in factors[1:]:
+        acc = stuffle_poly(acc, sigma_of(f))
+    divisor = prod(factorial(m) for m in Counter(factors).values())
+    return acc.scale(Fraction(1, divisor))
 
 
 def pi_of_sequence(seq):

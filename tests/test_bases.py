@@ -7,7 +7,8 @@ import pytest
 
 from oracles import (dense_invert_unit_upper, derivation_leaves,
                      exp_product_fold, ncpoly_to_fraction_dict,
-                     pi_of_sequence, radford_dual, sigma_increasing)
+                     pi_of_sequence, radford_dual, sigma_by_factor_chain,
+                     sigma_increasing)
 from qstuffle import bases
 from qstuffle.coeff import QPoly
 from qstuffle.bases import (KINDS, GradedBasis, _dual_by_triangular_solve,
@@ -17,10 +18,10 @@ from qstuffle.bases import (KINDS, GradedBasis, _dual_by_triangular_solve,
                             sigma_from_cfl, sigma_lyndon_general,
                             verify_duality, verify_factorization,
                             verify_primitivity)
-from qstuffle.lyndon import (cfl_grouped, is_lyndon, lyndon_of_weight,
+from qstuffle.lyndon import (cfl_factorization, is_lyndon, lyndon_of_weight,
                              lyndon_up_to, standard_factorization)
 from qstuffle.ncpoly import NCPoly, Tensor2, tensor_outer, word_poly
-from qstuffle.ops import is_primitive, stuffle_poly
+from qstuffle.ops import is_primitive, stuffle, stuffle_poly
 from qstuffle.report import Report
 from qstuffle.words import all_words_up_to, weight, word_key, words_of_weight
 
@@ -176,17 +177,31 @@ def test_solve_rejects_non_graded_family():
 
 
 def test_sigma_from_cfl():
-    assert sigma_from_cfl((), dual_pbw_element) == NCPoly.one()
-    assert sigma_from_cfl((1, 1), dual_pbw_element) == \
+    assert sigma_from_cfl((1, 1), dual_pbw_element, dual_pbw_element) == \
         word_poly((1, 1)) + word_poly((2,)).scale(q(1, 1, 2))
     # frozen two-route value: sigma of (1,2,1) from its factors (1),(2,1)
     expected = word_poly((1, 2, 1)) + word_poly((2, 1, 1)).scale(2) \
         + word_poly((2, 2)).scale(q()) + word_poly((3, 1)).scale(q(1, 3, 2)) \
         + word_poly((1, 3)).scale(q(1, 1, 2)) \
         + word_poly((4,)).scale(q(2, 1, 2))
-    assert sigma_from_cfl((1, 2, 1), dual_pbw_element) == expected
+    assert sigma_from_cfl((1, 2, 1), dual_pbw_element,
+                          dual_pbw_element) == expected
     oracle = dual_pbw_oracle(4)
     assert oracle.entry((1, 2, 1)) == expected
+    # a Lyndon word is its own single factor
+    assert sigma_from_cfl((2, 1), word_poly, None) == word_poly((2, 1))
+
+
+def test_rest_recursion_equals_the_factor_chain_to_weight_8():
+    """Exhaustive: the recursive dual element and chi of every word of
+    weight <= 8, each the first Lyndon factor times the cached rest, equal
+    the stuffle chain over every factor divided by the m! of the
+    multiplicities."""
+    words = all_words_up_to(8)
+    assert [w for w in words if dual_pbw_element(w)
+            != sigma_by_factor_chain(w, dual_pbw_element)] == []
+    assert [w for w in words if lyndon_stuffle_element(w)
+            != sigma_by_factor_chain(w, word_poly)] == []
 
 
 def test_sigma_increasing():
@@ -237,9 +252,8 @@ def test_pbw_element_equals_the_operator_route():
             expected = a * b - b * a
         else:
             expected = NCPoly.one()
-            for factor, mult in cfl_grouped(w):
-                for _ in range(mult):
-                    expected = expected * pbw_element(factor)
+            for factor in cfl_factorization(w):
+                expected = expected * pbw_element(factor)
         assert pbw_element(w) == expected, w
 
 
@@ -307,6 +321,22 @@ def test_factorization():
     assert mid == diag and prod == diag
 
 
+@pytest.mark.parametrize("word, extra, product_line", [
+    ((1, 1), (2,), "PASS"), ((2, 1), (3,), "FAIL")],
+    ids=["non-Lyndon", "Lyndon"])
+def test_factorization_product_reads_lyndon_entries_only(word, extra,
+                                                         product_line):
+    """A wrong entry of Σ breaks the dual-pair sum; it breaks the product
+    of exponentials only at a Lyndon word, the only entries it reads."""
+    entries = dict(dual_pbw_oracle(4).entries)
+    entries[word] = entries[word] + word_poly(extra)
+    assert verify_factorization(4, GradedBasis("sigma", 4, entries)) \
+        .lines() == [
+        "dual-pair sum equals the diagonal series: FAIL",
+        "decreasing product of exponentials equals the diagonal series: "
+        + product_line, "factorization (N=4): FAILED"]
+
+
 def test_factorization_forms_equal_unscaled_routes():
     """The integer-carried dual-pair sum and the expanded product of
     exponentials equal the plain sum of outer products and the
@@ -323,10 +353,26 @@ def test_factorization_forms_equal_unscaled_routes():
 
 
 def test_factorization_sees_divided_powers_by_k(monkeypatch):
-    """Divided stuffle powers that divide by k instead of k! break the
-    product of exponentials (first at the word 1,1,1) and leave the
-    dual-pair sum, which reads the dual entries of the solve, unchanged."""
-    monkeypatch.setattr(bases, "factorial", lambda k: k)
+    """A divided-power step that divides by m! instead of m, so that the
+    powers divide by a product of factorials instead of k!, breaks the
+    product of exponentials (first at the word 1,1,1, where m = 3) and
+    leaves the dual-pair sum, which reads the dual entries of the solve,
+    unchanged."""
+    product = bases._product
+
+    def by_factorial(word_prod, factors, den=1):
+        if word_prod is stuffle:
+            den = math.factorial(den)
+        return product(word_prod, factors, den)
+
+    monkeypatch.setattr(bases, "_product", by_factorial)
+    sigma = dual_pbw_oracle(4)
+
+    def broken(w):
+        return sigma_from_cfl(w, sigma.entry, broken)
+
+    assert [w for w in all_words_up_to(4) if broken(w)
+            != sigma_by_factor_chain(w, sigma.entry)][0] == (1, 1, 1)
     assert verify_factorization(4).lines() == [
         "dual-pair sum equals the diagonal series: PASS",
         "decreasing product of exponentials equals the diagonal series: FAIL",
@@ -387,17 +433,12 @@ def verify_lemma3(n, seed=20260810):
 
     ok = True
     for u in all_words_up_to(min(n, 4)):
-        grouped = cfl_grouped(u)
-        factors = []
-        for f, mult in grouped:
-            factors.extend([f] * mult)
+        factors = cfl_factorization(u)
         prod = sigma.entry(factors[0])
         for f in factors[1:]:
             prod = stuffle_poly(prod, sigma.entry(f))
         for v in words_of_weight(weight(u)):
-            vf = []
-            for f, mult in cfl_grouped(v):
-                vf.extend([f] * mult)
+            vf = cfl_factorization(v)
             if len(vf) != len(factors):
                 continue
             target = NCPoly.one()

@@ -9,9 +9,9 @@ from oracles import (all_cfl_factorizations, derivation_leaves, falls,
                      o_is_lyndon_rotation, o_is_lyndon_suffix, o_word_key,
                      split_at_landmark, standard_sequences, swap_at_fall,
                      swap_at_rise)
-from qstuffle.lyndon import (cfl_factorization, cfl_grouped, converse_tree,
-                             is_lyndon, legal_rises, lyndon_of_weight,
-                             lyndon_up_to, rises, standard_factorization)
+from qstuffle.lyndon import (cfl_factorization, converse_tree, is_lyndon,
+                             legal_rises, lyndon_of_weight, lyndon_up_to,
+                             rises, standard_factorization)
 from qstuffle.words import all_words_up_to, word_key, word_less, words_of_weight
 
 
@@ -41,7 +41,6 @@ def test_cfl_examples():
     assert cfl_factorization((1, 2, 1)) == ((1,), (2, 1))
     assert cfl_factorization((2, 1)) == ((2, 1),)
     assert cfl_factorization((1, 1)) == ((1,), (1,))
-    assert cfl_grouped((1, 1, 2)) == [((1,), 2), ((2,), 1)]
     with pytest.raises(ValueError):
         cfl_factorization(())
 
