@@ -44,8 +44,8 @@ from .eulerian import (diagonal_series, primitive_projector,
                        primitive_projector_letter)
 from .lyndon import (cfl_factorization, converse_tree, is_lyndon,
                      lyndon_up_to, standard_factorization)
-from .ncpoly import (NCPoly, Tensor2, _accumulate, _product, _product_into,
-                     _weighted_sum, word_poly)
+from .ncpoly import (NCPoly, Tensor2, _pairings, _product, _product_into,
+                     _weighted_sum, _word_index, word_poly)
 from .ops import are_primitive, stuffle
 from .report import Report
 from .words import (all_words_up_to, decode_word, encode_word, weight,
@@ -421,40 +421,29 @@ def verify_duality(n, sigma=None):
     """<dual(v) | pbw(u)> is 1 exactly when u = v, for weights <= n, with
     the dual family `sigma` (by default the triangular solve).
 
-    One sparse product of the transposed dual family with the PBW family:
-    each word x is indexed to the u with x in supp pbw(u), so only pairs
-    sharing a word are ever multiplied.  A pair counts as failed when its
-    entry of the product differs from the identity's.
+    One `ncpoly._word_index` over the PBW family; each row is the
+    `_pairings` of one dual element with it, keyed by list position, so
+    only pairs sharing a word are ever multiplied.  A pair fails when its
+    entries differ from the identity's (the symmetric difference of the
+    two sets of items).
 
-    The product runs on the int terms: with d the denominator of the dual
-    element and d_u that of pbw(u), the entry at (v, u) is d·d_u times the
-    pairing, and on the diagonal the identity reads d·d_v."""
+    The rows hold ints: with d the denominator of the dual element and d_u
+    that of pbw(u), the entry at (v, u) is d·d_u times the pairing, and on
+    the diagonal the identity reads d·d_v."""
     rep = Report("duality (N=%d)" % n)
     if sigma is None:
         sigma = dual_pbw_oracle(n)
     words = all_words_up_to(n)
-    containing = {}  # word x -> [((u, e), a)] for the terms a*q^e*x of pbw u
-    for w in words:
-        u = encode_word(w)  # u and v are word codes from here on
-        for (x, e), a in pbw_element(w)._terms.items():
-            containing.setdefault(x, []).append(((u, e), a))
+    pbw = [pbw_element(w) for w in words]
+    index = _word_index(pbw)
+    weights = [weight(w) for w in words]
     bad = [0] * (n + 1)  # failed pairs per weight
     cross_bad = 0
-    for w in words:
-        row = {}  # (u, e) -> d·d_u · (q^e coefficient of <dual(v)|pbw(u)>)
-        p = sigma.entry(w)
-        for (x, e), c in p._terms.items():
-            _accumulate(row, containing.get(x, ()), c, e)
-        v = encode_word(w)
-        k = v.bit_length()
-        diagonal_ok = row.pop((v, 0), None) == \
-            p._den * pbw_element(w)._den
-        others = {u for u, _ in row}
-        if v in others or not diagonal_ok:
-            others.discard(v)
-            bad[k] += 1
-        for u in others:
-            if u.bit_length() == k:
+    for v, w in enumerate(words):  # u and v are list positions from here on
+        p, k = sigma.entry(w), weights[v]
+        identity = {((v, 0), p._den * pbw[v]._den)}
+        for u in {u for (u, _), _ in _pairings(index, p).items() ^ identity}:
+            if weights[u] == k:
                 bad[k] += 1
             else:
                 cross_bad += 1

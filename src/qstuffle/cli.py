@@ -112,8 +112,10 @@ def _cmd_lyndon(args):
     return 0
 
 
-# The stuffle and shuffle of two words recurse once per letter.
+# The stuffle and shuffle recurse once per letter; a word code has one bit
+# per unit of weight.
 MAX_PRODUCT_LETTERS = 256
+MAX_PRODUCT_WEIGHT = 1 << 20
 
 
 def _cmd_product(args, q_value):
@@ -125,6 +127,10 @@ def _cmd_product(args, q_value):
         raise ValueError("the %s of two words takes at most %d letters in "
                          "all, not %d" % (args.kind, MAX_PRODUCT_LETTERS,
                                           len(u) + len(v)))
+    if sum(u + v) > MAX_PRODUCT_WEIGHT:
+        raise ValueError("the %s of two words takes at most weight %d in "
+                         "all, not %d" % (args.kind, MAX_PRODUCT_WEIGHT,
+                                          sum(u + v)))
     if args.kind == "stuffle":
         p = ops.stuffle(u, v)
     elif args.kind == "shuffle":

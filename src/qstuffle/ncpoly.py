@@ -18,8 +18,9 @@ sorts again by `word_key`.
 `QPoly` and `Fraction` appear only at the boundary: the constructors,
 `scale` and `subs_q` accept them, and `coeff`, `pairing`, `constant_term`
 and `terms` give them; text, LaTeX and JSON print each a/den from ints.
-A value holds its terms and denominator and nothing else; a lookup by
-word groups the terms it needs (`_by_head`) afresh on each call.
+A value holds its terms and denominator and nothing else: `coeff` filters
+the terms by word, and every pairing of values goes through one word index
+built per call (`_word_index`) and one int kernel (`_pairings`).
 
 Sums go through one kernel, `_accumulate`, and chains of polynomial
 products through `_product`, in ints; `Tensor2.combine` concatenates
@@ -72,7 +73,30 @@ def _weighted_sum(cls, parts):
 
 def _qpoly(data, den):
     """The QPoly of the int map e -> a over the denominator den."""
-    return QPoly({e: Fraction(a, den) for e, a in (data or {}).items()})
+    return QPoly({e: Fraction(a, den) for e, a in data.items()})
+
+
+def _word_index(values):
+    """A map word code -> [(i, e, a)] over the int terms a·q^e·word of
+    each values[i] (its denominator left out), for `_pairings`."""
+    index = {}
+    for i, p in enumerate(values):
+        for (w, e), a in p._terms.items():
+            index.setdefault(w, []).append((i, e, a))
+    return index
+
+
+def _pairings(index, p):
+    """{(i, e): c}, with c the q^e coefficient of <values[i] | p> times
+    both denominators, every c nonzero; `index` is `_word_index(values)`.
+    An inline loop: a generator fed to `_accumulate` costs about 1.3×."""
+    acc = {}
+    get = acc.get
+    for (x, f), b in p._terms.items():
+        for i, e, a in index.get(x, ()):
+            key = i, e + f
+            acc[key] = get(key, 0) + a * b
+    return {k: c for k, c in acc.items() if c}
 
 
 def _product_into(acc, word_prod, p_terms, q_terms, c=1):
@@ -141,28 +165,10 @@ class _Sparse:
                        for k, a in pairs}
         self._den = den
 
-    def _by_head(self):
-        """A fresh map head -> {e: a} of the terms a·q^e under each head
-        (the word, or the pair of words)."""
-        out = {}
-        head = self._head
-        for k, a in self._terms.items():
-            out.setdefault(head(k), {})[k[-1]] = a
-        return out
-
-    def _pair_with(self, grouped):
-        """The canonical pairing (words, and pairs of words, orthonormal)
-        with the value of the same class grouped as `grouped` by
-        `_by_head`, times both denominators, as {e: a} with every a nonzero."""
-        acc = {}
-        head = self._head
-        for k, a in self._terms.items():
-            d = grouped.get(head(k))
-            if d is not None:
-                e = k[-1]
-                for f, b in d.items():
-                    acc[e + f] = acc.get(e + f, 0) + a * b
-        return {e: a for e, a in acc.items() if a}
+    def _coeff(self, head):
+        """The QPoly coefficient of the head, a tuple of word codes."""
+        return _qpoly({k[-1]: a for k, a in self._terms.items()
+                       if k[:-1] == head}, self._den)
 
     def _sorted(self):
         """The term keys ascending by the word order of the head, then e."""
@@ -225,10 +231,10 @@ class _Sparse:
             for e, a in qterms(c)))
 
     def truncate(self, n):
-        """Drop all terms of (total) weight > n."""
+        """Drop all terms of (total) weight > n; self when none is dropped."""
         key_weight = self._weight
-        return self._raw({k: a for k, a in self._terms.items()
-                          if key_weight(k) <= n}, self._den)
+        kept = {k: a for k, a in self._terms.items() if key_weight(k) <= n}
+        return self._raw(kept, self._den) if len(kept) < len(self) else self
 
 
 # The pieces of `NCPoly.json_text`, one per term.
@@ -276,7 +282,7 @@ class NCPoly(_Sparse):
         return {decode_word(k[0]) for k in self._terms}
 
     def coeff(self, w):
-        return _qpoly(self._by_head().get(word_code(w)), self._den)
+        return self._coeff((word_code(w),))
 
     def __mul__(self, other):
         """Concatenation product (bilinear extension); `scale` takes
@@ -288,13 +294,13 @@ class NCPoly(_Sparse):
     def pairing(self, other):
         """Canonical pairing: words are orthonormal."""
         small, large = sorted((self, other), key=len)
-        return _qpoly(large._pair_with(small._by_head()),
+        return _qpoly({e: c for (_, e), c in
+                       _pairings(_word_index([small]), large).items()},
                       self._den * other._den)
 
     def constant_term(self):
         """Coefficient of the empty word."""
-        return _qpoly({k[1]: a for k, a in self._terms.items() if not k[0]},
-                      self._den)
+        return self.coeff(())
 
     def is_proper(self):
         return all(k[0] for k in self._terms)
@@ -409,8 +415,7 @@ class Tensor2(_Sparse):
         return cls._raw({(0, 0, 0): 1})
 
     def coeff(self, u, v):
-        return _qpoly(self._by_head().get((word_code(u), word_code(v))),
-                      self._den)
+        return self._coeff((word_code(u), word_code(v)))
 
     def combine(self, other):
         """Slotwise concatenation: (u ⊗ v)(x ⊗ y) = ux ⊗ vy, extended
@@ -426,9 +431,14 @@ class Tensor2(_Sparse):
 
     def pairing(self, p, q):
         """Sum over (u, v) of coeff(u, v) * <p|u> * <q|v>."""
-        outer = tensor_outer(p, q)
-        return _qpoly(outer._pair_with(self._by_head()),
-                      outer._den * self._den)
+        left, right = _word_index([p]), _word_index([q])
+        acc = {}
+        for (u, v, e), c in self._terms.items():
+            for _, f, a in left.get(u, ()):
+                for _, g, b in right.get(v, ()):
+                    acc[e + f + g] = acc.get(e + f + g, 0) + c * a * b
+        return _qpoly({e: c for e, c in acc.items() if c},
+                      self._den * p._den * q._den)
 
     def __repr__(self):
         parts = ["%s·(%s ⊗ %s)" % (c.text(), word_to_str(u), word_to_str(v))

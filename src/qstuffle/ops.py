@@ -17,7 +17,8 @@ series and the group-like test are test routes in tests/oracles.py.
 
 from functools import lru_cache
 
-from .ncpoly import NCPoly, Tensor2, _accumulate, _product, word_poly
+from .ncpoly import (NCPoly, Tensor2, _accumulate, _pairings, _product,
+                     _word_index, word_poly)
 from .words import codes_of_weight, word_code
 from .report import Report
 
@@ -126,14 +127,13 @@ def stuffle_coproduct(p):
     return _linear(_stuffle_coproduct_word, p)
 
 
-def _primitive_by_coproduct(p, n):
-    """Delta(p) == p ox 1 + 1 ox p on the terms of weight <= n, compared in
-    ints: the difference of the two sides, built from the int terms of p
-    (its denominator is common to both), vanishes (the coproduct keeps
-    weights)."""
+def _primitive_by_coproduct(p):
+    """Delta(p) == p ox 1 + 1 ox p, compared in ints: the difference of the
+    two sides, built from the int terms of p (its denominator is common to
+    both), vanishes."""
     diff = {}
     get = diff.get
-    for (w, e), c in p.truncate(n)._terms.items():
+    for (w, e), c in p._terms.items():
         for (u, v, f), d in stuffle_coproduct(w)._terms.items():
             key = (u, v, e + f)
             diff[key] = get(key, 0) + c * d
@@ -153,38 +153,30 @@ def _word_pairs(total):
                 yield u, v
 
 
-def _primitive_by_pairing(ps, n):
+def _primitive_by_pairing(ps):
     """For each polynomial p of the list `ps`: <p | 1> = 0 (the counit) and
-    <p | u*v> = 0 for all nonempty u, v with total weight <= n.  One index
-    word -> [(i, e, a)] holds the int terms of every p_i (without its
-    denominator: the same zeros); u*v is homogeneous, so each
-    stuffle(u, v) of a weight present in the index is walked once."""
+    <p | u*v> = 0 for all nonempty u, v.  One `ncpoly._word_index` holds
+    the int terms of every p_i (without its denominator: the same zeros);
+    u*v is homogeneous, so each stuffle(u, v) of a weight present in the
+    index is one `_pairings` call."""
+    index = _word_index(ps)
     ok = [True] * len(ps)
-    index = {}
-    for i, p in enumerate(ps):
-        for (w, e), a in p.truncate(n)._terms.items():
-            if not w:
-                ok[i] = False
-            index.setdefault(w, []).append((i, e, a))
+    for i, _, _ in index.get(0, ()):
+        ok[i] = False
     for total in {w.bit_length() for w in index}:
         for u, v in _word_pairs(total):
-            acc = {}  # (i, exponent) -> <p_i | u*v> at that power of q
-            for (x, f), b in stuffle(u, v)._terms.items():
-                for i, e, a in index.get(x, ()):
-                    key = i, e + f
-                    acc[key] = acc.get(key, 0) + a * b
-            for (i, _), c in acc.items():
-                if c:
-                    ok[i] = False
+            for i, _ in _pairings(index, stuffle(u, v)):
+                ok[i] = False
     return ok
 
 
 def are_primitive(ps, n):
     """Friedrichs test up to weight n for each polynomial of the list `ps`,
-    through the coproduct, element by element, and through the pairing
-    criterion, once for the list; the two must agree on each."""
-    verdicts = [_primitive_by_coproduct(p, n) for p in ps]
-    for p, by_cop, by_pair in zip(ps, verdicts, _primitive_by_pairing(ps, n)):
+    truncated once: through the coproduct, element by element, and through
+    the pairing criterion, once for the list; the two must agree on each."""
+    cut = [p.truncate(n) for p in ps]
+    verdicts = [_primitive_by_coproduct(p) for p in cut]
+    for p, by_cop, by_pair in zip(ps, verdicts, _primitive_by_pairing(cut)):
         if by_cop != by_pair:
             raise RuntimeError("primitivity criteria disagree on %r "
                                "(coproduct=%s, pairing=%s)"

@@ -289,12 +289,13 @@ def test_duality_report():
 
 @pytest.mark.parametrize("corrupt", [
     lambda e: e.update({(2,): e[(1, 1)], (1, 1): e[(2,)]}),
-    lambda e: e.update({(2,): e[(2,)].scale(2)})],
-    ids=["swapped", "diagonal-only"])
+    lambda e: e.update({(2,): e[(2,)].scale(2)}),
+    lambda e: e.update({(2,): e[(2,)].scale(QPoly.q())})],
+    ids=["swapped", "diagonal-only", "diagonal-at-q"])
 def test_duality_fails_per_weight(corrupt):
     """Σ(2) and Σ(1,1) swapped (both diagonal and both off-diagonal pairs
-    of weight 2 fail), or Σ(2) doubled (its diagonal pair alone fails):
-    only the weight-2 line reads FAIL."""
+    of weight 2 fail), Σ(2) doubled, or Σ(2) times q (its diagonal pair
+    reads q, not 1; it alone fails): only the weight-2 line reads FAIL."""
     entries = dict(dual_pbw_oracle(3).entries)
     corrupt(entries)
     assert verify_duality(3, GradedBasis("sigma", 3, entries)).lines() == [

@@ -80,6 +80,14 @@ def test_long_product_words_are_refused(capsys, kind):
     assert code == 0 and len(out.split(" + ")) == limit
     code, out, _ = run(capsys, "product", "conc", ",".join(["1"] * 330), "2")
     assert code == 0 and out == "[%s,2]\n" % ",".join(["1"] * 330)
+    cap = cli.MAX_PRODUCT_WEIGHT  # a word code holds a bit per unit of weight
+    for k in (kind, "conc"):
+        code, out, err = run(capsys, "product", k, str(cap), "1")
+        assert (code, out) == (2, "")
+        assert err == "error: the %s of two words takes at most weight %d " \
+            "in all, not %d\n" % (k, cap, cap + 1)
+        code, out, _ = run(capsys, "product", k, str(cap - 1), "1")
+        assert code == 0 and "[%d,1]" % (cap - 1) in out
 
 
 def test_basis_text_and_both_methods(capsys):

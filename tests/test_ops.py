@@ -5,13 +5,14 @@ from math import factorial
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from oracles import (brute_shuffle, classical_stuffle, exp_proper,
-                     is_grouplike, log_one_plus, ncpoly_to_fraction_dict,
-                     primitive_by_all_pairs, stuffle_power_by_fractions)
+from oracles import (_o_pairing, brute_shuffle, classical_stuffle,
+                     exp_proper, is_grouplike, log_one_plus,
+                     ncpoly_to_fraction_dict, primitive_by_all_pairs,
+                     stuffle_power_by_fractions)
 from qstuffle.coeff import QPoly
 from qstuffle.eulerian import primitive_projector
-from qstuffle.ncpoly import (NCPoly, Tensor2, _product, tensor_outer,
-                             word_poly)
+from qstuffle.ncpoly import (NCPoly, Tensor2, _pairings, _product,
+                             _word_index, tensor_outer, word_poly)
 from qstuffle.ops import (_primitive_by_pairing, are_primitive,
                           deconcat_coproduct, is_primitive, shuffle, stuffle,
                           stuffle_coproduct, stuffle_poly, verify_axioms)
@@ -119,7 +120,7 @@ def test_is_primitive():
 def test_constant_term_is_not_primitive(p):
     """<p | 1> = 0 (the counit) is part of the pairing criterion, so both
     routes, and the full criterion, say False on a nonzero constant term."""
-    assert _primitive_by_pairing([p], 3) == [False]
+    assert _primitive_by_pairing([p.truncate(3)]) == [False]
     assert not is_primitive(p, 3)
     assert not primitive_by_all_pairs(_as_dict(p), 3)
 
@@ -174,8 +175,25 @@ def test_pairing_criterion_equals_all_ordered_pairs(p, n):
     pairs equals its statement over every ordered pair at every weight;
     is_primitive, which also checks the coproduct route, agrees."""
     expected = primitive_by_all_pairs(_as_dict(p), n)
-    assert _primitive_by_pairing([p], n) == [expected]
+    assert _primitive_by_pairing([p.truncate(n)]) == [expected]
     assert is_primitive(p, n) == expected
+
+
+SMALL = st.one_of(_combinations(word_poly, 1, 3),
+                  _combinations(primitive_projector, 1, 3))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(SMALL, min_size=1, max_size=5), SMALL)
+def test_pairings_equal_the_oracle_per_element(ps, r):
+    """Each entry (i, e) of the pairings of r with the word index of a
+    list is the q^e coefficient of <p_i | r> times both denominators."""
+    got = _pairings(_word_index(ps), r)
+    assert all(0 <= i < len(ps) for i, _ in got)
+    for i, p in enumerate(ps):
+        assert {e: c for (j, e), c in got.items() if j == i} == {
+            e: c * p._den * r._den
+            for e, c in _o_pairing(_as_dict(p), _as_dict(r)).items()}
 
 
 @settings(deadline=None, max_examples=40)
@@ -195,7 +213,7 @@ def test_pairing_criterion_on_a_list_is_per_element(ps, n):
     each element of a list is the full criterion on that element alone,
     and are_primitive, which also checks the coproduct route, agrees."""
     expected = [primitive_by_all_pairs(_as_dict(p), n) for p in ps]
-    assert _primitive_by_pairing(ps, n) == expected
+    assert _primitive_by_pairing([p.truncate(n) for p in ps]) == expected
     assert are_primitive(ps, n) == expected
 
 
@@ -210,7 +228,7 @@ def test_one_non_primitive_among_primitives_is_the_only_one_flagged(
     ps = prims[:at] + [odd] + prims[at:]
     expected = [True] * len(ps)
     expected[at] = False
-    assert _primitive_by_pairing(ps, 6) == expected
+    assert _primitive_by_pairing([p.truncate(6) for p in ps]) == expected
     assert are_primitive(ps, 6) == expected
 
 
@@ -218,7 +236,7 @@ def test_criteria_disagreeing_on_one_element_is_an_error(monkeypatch):
     """A disagreement of the two routes on one element of a list raises,
     naming that element."""
     import qstuffle.ops as ops
-    monkeypatch.setattr(ops, "_primitive_by_coproduct", lambda p, n: True)
+    monkeypatch.setattr(ops, "_primitive_by_coproduct", lambda p: True)
     with pytest.raises(RuntimeError, match=r"disagree on NCPoly\(\[2\]\)"):
         are_primitive([word_poly((1,)), word_poly((2,))], 4)
 
