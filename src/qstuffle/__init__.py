@@ -11,7 +11,7 @@ from ._version import __version__
 from .coeff import QPoly
 from .words import (weight, word_less, words_of_weight, word_to_str,
                     word_from_str)
-from .ncpoly import NCPoly, Tensor2, tensor_outer, word_poly
+from .ncpoly import NCPoly, Tensor2, word_poly
 from .lyndon import (is_lyndon, lyndon_of_weight, cfl_factorization,
                      standard_factorization, converse_tree)
 from .ops import (stuffle, shuffle, stuffle_poly, shuffle_poly,
@@ -22,7 +22,7 @@ from .bases import (pbw_element, dual_pbw_oracle, dual_pbw_element,
                     verify_duality, verify_factorization, verify_primitivity)
 
 __all__ = [
-    "__version__", "QPoly", "NCPoly", "Tensor2", "tensor_outer", "word_poly",
+    "__version__", "QPoly", "NCPoly", "Tensor2", "word_poly",
     "weight", "word_less", "words_of_weight", "word_to_str", "word_from_str",
     "is_lyndon", "lyndon_of_weight", "cfl_factorization",
     "standard_factorization", "converse_tree", "stuffle", "shuffle",

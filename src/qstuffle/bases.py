@@ -18,10 +18,11 @@ Four graded families indexed by words, one row of `KINDS` each:
 
 `basis_by_kind` is the one constructor of a basis.  It builds each family
 through `_checked_basis`, from an element function or from the triangular
-solve of one, and checks it unit triangular.  The Lyndon PBW elements on
-letters are the projected letters; the primitivity suite also checks the
-general projector of `eulerian`, each family as one list through
-`ops.are_primitive`.
+solve of one; `GradedBasis.check_triangular`, the one owner of a family's
+shape, checks each family built and the solve's input.  The Lyndon PBW
+elements on letters are the projected letters; the primitivity suite also
+checks the general projector of `eulerian`, each family as one list
+through `ops.are_primitive`.
 
 The factorization suite expands the decreasing product of exponentials
 into one pure tensor per word, by distributivity and the uniqueness of the
@@ -98,7 +99,11 @@ class GradedBasis:
         return all_words_up_to(self.max_weight, include_empty=True)
 
     def check_triangular(self):
-        """Unit triangularity and weight homogeneity; raises on violation."""
+        """The family's shape, else a ValueError naming the first entry to
+        break it: 1 at the empty word, every other entry homogeneous, unit
+        triangular in its kind's direction, and each term a*q^e with e the
+        letters gained (upper kinds) or lost (lower kinds) from the entry's
+        word, as the q-stuffle trades one letter for one q."""
         up = KINDS[self.kind].upper
         if self.entries[()] != NCPoly.one():
             raise ValueError("entry at the empty word must be 1")
@@ -106,20 +111,24 @@ class GradedBasis:
             if not w:
                 continue
             p, c = self.entries[w], encode_word(w)
-            lead_ok = p._terms.get((c, 0)) == p._den
-            w_weight = c.bit_length()
+            w_weight, w_length = c.bit_length(), c.bit_count()
             for v, e in p._terms:
-                if v == c:
-                    lead_ok = lead_ok and not e
-                    continue
                 if v.bit_length() != w_weight:
                     raise ValueError("%s entry at %s is not homogeneous"
                                      % (self.kind, word_to_str(w)))
-                if up != (v > c):  # within a weight, code order is word order
+                # within a weight, code order is word order
+                if v != c and up != (v > c):
                     raise ValueError("%s entry at %s breaks triangularity at %s"
                                      % (self.kind, word_to_str(w),
                                         word_to_str(decode_word(v))))
-            if not lead_ok:
+                grade = (v.bit_count() - w_length) * (1 if up else -1)
+                if e != grade:
+                    raise ValueError("%s entry at %s has q-exponent %d at %s, "
+                                     "not %d, one q per letter %s" % (
+                                         self.kind, word_to_str(w), e,
+                                         word_to_str(decode_word(v)), grade,
+                                         "gained" if up else "lost"))
+            if p._terms.get((c, 0)) != p._den:
                 raise ValueError("%s entry at %s lacks unit leading term"
                                  % (self.kind, word_to_str(w)))
 
@@ -183,7 +192,7 @@ class GradedBasis:
 def _checked_basis(kind, n, element, dual_of=None):
     """The basis `kind` up to weight n from element(w) for every word, or,
     when `dual_of` names the kind of that family, from its dual by the
-    triangular solve; unit triangularity is checked before it is returned.
+    triangular solve; its shape is checked before it is returned.
     `element` is passed in at call time, so a rebinding of a module-level
     element function is always seen."""
     entries = {(): NCPoly.one()}
@@ -241,63 +250,29 @@ def _packed_inverse(rows, width):
 
 
 def _dual_by_triangular_solve(elements, n, kind):
-    """Entries dual to `elements` (a map word -> NCPoly), built per weight
-    class by inverting the unit triangular coefficient matrix.
+    """Entries dual to `elements` (a map word -> NCPoly, a family of kind
+    `kind`), built per weight class by inverting its unit triangular matrix.
 
-    Every coefficient must be a monomial a*q^e (one exponent per word) with
-    e = |len v - len w|, and len v - len w must keep one sign over the
-    family (the q-stuffle trades one letter for one factor of q).  The
-    matrix of a weight class is then M = D^-1 A D with D = diag(q^(+-len))
-    and A rational, so M^-1 = D^-1 A^-1 D: only A is inverted, and q is
-    restored from the lengths of the two words: the set bits of their codes,
-    one per letter.  A row of A is the int terms of its element, so its
-    diagonal reads the element's denominator; a column of A^-1 comes out
-    in ints over the lcm of the denominators of its rows."""
-    upper = KINDS[kind].upper
+    The solve reads a family that `GradedBasis.check_triangular` has
+    checked, so each coefficient is a monomial a*q^e with e = |len v - len
+    w| in one direction.  The matrix of a weight class is then M = D^-1 A D
+    with D = diag(q^(+-len)) and A rational, so M^-1 = D^-1 A^-1 D: only A
+    is inverted, and q is restored from the set bits of the two words'
+    codes, one per letter.  A row of A is its element's int terms, its
+    diagonal the element's denominator; a column of A^-1 comes out in ints
+    over the lcm of the denominators of its rows."""
+    GradedBasis(kind, n, {**elements, (): NCPoly.one()}).check_triangular()
+    order = 1 if KINDS[kind].upper else -1  # a lower family read as upper
     entries = {(): NCPoly.one()}
-    direction = 0  # sign of len v - len w over the family, once seen
     for k in range(1, n + 1):
-        ws = list(words_of_weight(k))
-        if not upper:
-            ws.reverse()  # present the lower triangular case as upper
+        ws = words_of_weight(k)[::order]
         index = {encode_word(w): i for i, w in enumerate(ws)}
         codes = list(index)
         lengths = [c.bit_count() for c in codes]
         rows = []
         for i, w in enumerate(ws):
-            row = {}  # column -> (q-exponent, int)
-            d, terms = elements[w]._den, elements[w]._terms
-            for (v, e), a in terms.items():
-                j = index.get(v)
-                if j is None or j < i:
-                    raise ValueError(
-                        "family is not unit triangular at %s (term %s)"
-                        % (word_to_str(w), word_to_str(decode_word(v))))
-                if j in row:
-                    raise ValueError(
-                        "family entry at %s has a coefficient at %s that is "
-                        "not a monomial"
-                        % (word_to_str(w), word_to_str(ws[j])))
-                row[j] = (e, a)
-            for j, (e, a) in row.items():
-                shift = lengths[j] - lengths[i]
-                if e != abs(shift):
-                    raise ValueError(
-                        "family entry at %s has q-exponent %d at %s, not the "
-                        "length difference %d"
-                        % (word_to_str(w), e, word_to_str(ws[j]), abs(shift)))
-                if shift:
-                    if shift * direction < 0:
-                        raise ValueError(
-                            "family mixes both directions of length change "
-                            "(entry at %s, term %s)"
-                            % (word_to_str(w), word_to_str(ws[j])))
-                    direction = shift
-                row[j] = a
-            if row.pop(i, None) != d:
-                raise ValueError("family lacks unit diagonal at %s"
-                                 % word_to_str(w))
-            rows.append((d, row))
+            row = {index[v]: a for (v, _), a in elements[w]._terms.items()}
+            rows.append((row.pop(i), row))
         # dual of row family with matrix M is given by columns of M^-1:
         # column j holds (key, c, den) for each entry c/den of a row i <= j
         columns = [[] for _ in ws]
@@ -388,11 +363,11 @@ SIGMA_METHODS = ("oracle", "recursive", "both")
 
 
 def basis_by_kind(kind, n, sigma_method=None):
-    """The basis `kind` (a key of KINDS) up to weight n, checked unit
-    triangular.  `sigma_method` applies to sigma only: "oracle" is the
-    triangular solve, "recursive" the recursion, and the default (None or
-    "both") the oracle checked against the recursion; a mismatch there is
-    a RuntimeError naming the first word at which the two differ."""
+    """The basis `kind` (a key of KINDS) up to weight n, its shape checked
+    by `check_triangular`.  `sigma_method` applies to sigma only: "oracle"
+    is the triangular solve, "recursive" the recursion, and the default
+    (None or "both") the oracle checked against the recursion; a mismatch
+    there is a RuntimeError naming the first word at which the two differ."""
     if kind not in KINDS:
         raise ValueError("unknown basis kind %r" % kind)
     if sigma_method is not None and kind != "sigma":

@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from math import comb
 
 from ._version import __version__
 from . import bases, ops
@@ -113,24 +114,47 @@ def _cmd_lyndon(args):
 
 
 # The stuffle and shuffle recurse once per letter; a word code has one bit
-# per unit of weight.
+# per unit of weight.  At most MAX_PRODUCT_TERMS terms of up to 16 letters,
+# fewer in proportion to longer terms (256 bits of a code count as a letter):
+# the largest accepted products took 8 s and 720 MB on a 2-core host.
 MAX_PRODUCT_LETTERS = 256
 MAX_PRODUCT_WEIGHT = 1 << 20
+MAX_PRODUCT_TERMS = 500_000
+
+
+def _term_bound(kind, a, b, w):
+    """Terms at most in the `kind` product of words of a and b letters and
+    weight w: one per path of its recursion (Delannoy or binomial), one per
+    word of weight w and a length it reaches, as a term's power of q is
+    fixed by its length (a + b letters, down to max(a, b) for the stuffle)."""
+    if kind == "conc" or not w:
+        return 1
+    if kind == "shuffle":
+        return min(comb(a + b, a), comb(w - 1, a + b - 1))
+    paths = sum(comb(a, k) * comb(b, k) << k for k in range(min(a, b) + 1))
+    return min(paths, sum(comb(w - 1, n - 1)
+                          for n in range(max(a, b), a + b + 1)))
 
 
 def _cmd_product(args, q_value):
     if args.max_weight is not None:
         raise ValueError("--max-weight does not apply to product")
-    u = word_from_str(args.u)
-    v = word_from_str(args.v)
-    if args.kind != "conc" and len(u) + len(v) > MAX_PRODUCT_LETTERS:
+    u, v = word_from_str(args.u), word_from_str(args.v)
+    letters, w = len(u) + len(v), sum(u + v)
+    if args.kind != "conc" and letters > MAX_PRODUCT_LETTERS:
         raise ValueError("the %s of two words takes at most %d letters in "
                          "all, not %d" % (args.kind, MAX_PRODUCT_LETTERS,
-                                          len(u) + len(v)))
-    if sum(u + v) > MAX_PRODUCT_WEIGHT:
+                                          letters))
+    if w > MAX_PRODUCT_WEIGHT:
         raise ValueError("the %s of two words takes at most weight %d in "
-                         "all, not %d" % (args.kind, MAX_PRODUCT_WEIGHT,
-                                          sum(u + v)))
+                         "all, not %d" % (args.kind, MAX_PRODUCT_WEIGHT, w))
+    terms = _term_bound(args.kind, len(u), len(v), w)
+    allowed = MAX_PRODUCT_TERMS * 16 // max(16, letters + w // 256)
+    if terms > allowed:
+        raise ValueError("the %s of two words of %d and %d letters and weight "
+                         "%d may have %d terms, more than the %d allowed at "
+                         "that size" % (args.kind, len(u), len(v), w, terms,
+                                        allowed))
     if args.kind == "stuffle":
         p = ops.stuffle(u, v)
     elif args.kind == "shuffle":

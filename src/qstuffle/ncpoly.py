@@ -444,12 +444,3 @@ class Tensor2(_Sparse):
         parts = ["%s·(%s ⊗ %s)" % (c.text(), word_to_str(u), word_to_str(v))
                  for (u, v), c in self.terms()]
         return "Tensor2(%s)" % (" + ".join(parts) if parts else "0")
-
-
-def tensor_outer(p, q):
-    """p ox q for NCPoly factors."""
-    data = {}
-    right = q._terms.items()
-    for (u, e), a in p._terms.items():
-        _accumulate(data, (((u, v, f), b) for (v, f), b in right), a, e)
-    return Tensor2._raw(data, p._den * q._den)

@@ -21,10 +21,11 @@ dual elements, the divided stuffle powers folded over every Lyndon factor
 of a word, products of PBW elements along a sequence, the truncated exp
 and log series with the group-like test over every ordered pair of words,
 the adjoint projector by its sum over deconcatenations, the adjoint and
-letter forms of the reconstruction identity, the slot product of the mixed
-tensor algebra, the log of the diagonal series and its closed forms, and
-the decreasing product of exponentials of the factorization folded factor
-by factor.  No command runs these, so the library keeps none of them.
+letter forms of the reconstruction identity, the outer product of two
+polynomials, the slot product of the mixed tensor algebra, the log of the
+diagonal series and its closed forms, and the decreasing product of
+exponentials of the factorization folded factor by factor.  No command
+runs these, so the library keeps none of them.
 """
 
 import operator
@@ -40,7 +41,7 @@ from qstuffle.eulerian import (diagonal_series, primitive_projector,
                                primitive_projector_letter)
 from qstuffle.lyndon import (cfl_factorization, legal_rises, lyndon_up_to,
                              standard_factorization)
-from qstuffle.ncpoly import NCPoly, Tensor2, tensor_outer, word_poly
+from qstuffle.ncpoly import NCPoly, Tensor2, _accumulate, word_poly
 from qstuffle.ops import stuffle, stuffle_poly
 from qstuffle.words import word_key, word_less
 
@@ -554,6 +555,15 @@ def letter_reconstruct(s):
             prod = prod * primitive_projector_letter(j)
         acc = acc + prod.scale(QPoly({k - 1: Fraction(1, factorial(k))}))
     return acc
+
+
+def tensor_outer(p, q):
+    """p ox q for NCPoly factors."""
+    data = {}
+    right = q._terms.items()
+    for (u, e), a in p._terms.items():
+        _accumulate(data, (((u, v, f), b) for (v, f), b in right), a, e)
+    return Tensor2._raw(data, p._den * q._den)
 
 
 def _mixed_product(bound):

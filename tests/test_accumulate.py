@@ -9,9 +9,9 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from oracles import _mixed_product
+from oracles import _mixed_product, tensor_outer
 from qstuffle.coeff import QPoly
-from qstuffle.ncpoly import NCPoly, Tensor2, _product, tensor_outer, word_poly
+from qstuffle.ncpoly import NCPoly, Tensor2, _product, word_poly
 from qstuffle.ops import (_stuffle_coproduct_word, deconcat_coproduct,
                           stuffle, stuffle_coproduct, stuffle_poly,
                           verify_axioms)

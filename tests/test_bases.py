@@ -8,7 +8,7 @@ import pytest
 from oracles import (dense_invert_unit_upper, derivation_leaves,
                      exp_product_fold, ncpoly_to_fraction_dict,
                      pi_of_sequence, radford_dual, sigma_by_factor_chain,
-                     sigma_increasing)
+                     sigma_increasing, tensor_outer)
 from qstuffle import bases
 from qstuffle.coeff import QPoly
 from qstuffle.bases import (KINDS, GradedBasis, _dual_by_triangular_solve,
@@ -20,7 +20,7 @@ from qstuffle.bases import (KINDS, GradedBasis, _dual_by_triangular_solve,
                             verify_primitivity)
 from qstuffle.lyndon import (cfl_factorization, is_lyndon, lyndon_of_weight,
                              lyndon_up_to, standard_factorization)
-from qstuffle.ncpoly import NCPoly, Tensor2, tensor_outer, word_poly
+from qstuffle.ncpoly import NCPoly, Tensor2, word_poly
 from qstuffle.ops import is_primitive, stuffle, stuffle_poly
 from qstuffle.report import Report
 from qstuffle.words import all_words_up_to, weight, word_key, words_of_weight
@@ -161,7 +161,8 @@ def test_solve_rejects_non_graded_family():
     one_plus_q = QPoly.one() + q()
     family = _identity_family(2)
     family[(2,)] = word_poly((2,)) + word_poly((1, 1)).scale(one_plus_q)
-    with pytest.raises(ValueError, match="not a monomial"):
+    with pytest.raises(ValueError, match="q-exponent 0 at 1,1, not 1, one q "
+                       "per letter gained"):
         _dual_by_triangular_solve(family, 2, "pi")
     for coeff in (QPoly.one(), q(2)):  # length difference is 1
         family[(2,)] = word_poly((2,)) + word_poly((1, 1)).scale(coeff)
@@ -172,7 +173,8 @@ def test_solve_rejects_non_graded_family():
     family = _identity_family(4)
     family[(3, 1)] = word_poly((3, 1)) + word_poly((2, 1, 1)).scale(q())
     family[(2, 1, 1)] = word_poly((2, 1, 1)) + word_poly((1, 3)).scale(q())
-    with pytest.raises(ValueError, match="mixes both directions"):
+    with pytest.raises(ValueError, match="^pi entry at 2,1,1 has q-exponent 1 "
+                       "at 1,3, not -1, one q per letter gained$"):
         _dual_by_triangular_solve(family, 4, "pi")
 
 
@@ -559,9 +561,29 @@ def test_default_sigma_raises_on_a_method_mismatch(monkeypatch, method):
     basis_by_kind("sigma", 3, "oracle")  # the oracle alone is not checked
 
 
+@pytest.mark.parametrize("kind, method, name, word", [
+    ("sigma", "recursive", "dual_pbw_element", (3, 1)),
+    ("chi", None, "lyndon_stuffle_element", (1, 3))])
+def test_built_families_are_checked_for_their_q_grading(monkeypatch, kind,
+                                                        method, name, word):
+    # a word of weight 4 is no other word's Lyndon factor or rest at N=4, so
+    # the cache of the real element function is left as it was
+    element = getattr(bases, name)
+
+    def off_grade(w):  # one term of the entry at `word` carries q^2, not q
+        if tuple(w) != word:
+            return element(w)
+        return element(w) + word_poly((4,)).scale(q(2))
+    monkeypatch.setattr(bases, name, off_grade)
+    with pytest.raises(ValueError, match="^%s entry at %s has q-exponent 2 at "
+                       "4, not 1, one q per letter lost$"
+                       % (kind, ",".join(map(str, word)))):
+        basis_by_kind(kind, 4, method)
+
+
 def test_graded_basis_invariant_checker():
     entries = {(): NCPoly.one(), (1,): word_poly((1,)),
-               (2,): word_poly((2,)) + word_poly((1, 1)),
+               (2,): word_poly((2,)) + word_poly((1, 1)).scale(q()),
                (1, 1): word_poly((1, 1))}
     GradedBasis("pi", 2, entries).check_triangular()
     with pytest.raises(ValueError):
@@ -570,8 +592,19 @@ def test_graded_basis_invariant_checker():
     bad[(2,)] = word_poly((2,)).scale(2)
     with pytest.raises(ValueError):
         GradedBasis("pi", 2, bad).check_triangular()
+    bad[(2,)] = word_poly((2,)) + word_poly((1, 1))  # not q-graded
+    with pytest.raises(ValueError, match="^pi entry at 2 has q-exponent 0 at "
+                       "1,1, not 1, one q per letter gained$"):
+        GradedBasis("pi", 2, bad).check_triangular()
     with pytest.raises(ValueError):
         GradedBasis("nope", 2, entries)
+
+
+def test_unknown_kinds_and_row_formats_are_refused():
+    with pytest.raises(ValueError, match="^unknown basis kind 'tau'$"):
+        basis_by_kind("tau", 3)
+    with pytest.raises(ValueError, match="^unknown row format 'json'$"):
+        next(basis_by_kind("pi", 2).rows("json"))
 
 
 def test_triangular_check_names_the_empty_word_and_mixed_weights():

@@ -5,8 +5,9 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qstuffle import bases, cli
+from qstuffle import bases, cli, ops
 from qstuffle.ncpoly import NCPoly, word_poly
 from qstuffle.ops import stuffle
 from qstuffle.report import Report
@@ -88,6 +89,61 @@ def test_long_product_words_are_refused(capsys, kind):
             "in all, not %d\n" % (k, cap, cap + 1)
         code, out, _ = run(capsys, "product", k, str(cap - 1), "1")
         assert code == 0 and "[%d,1]" % (cap - 1) in out
+
+
+@pytest.mark.parametrize("kind, letters, weight, terms, allowed", [
+    ("stuffle", ([1, 3] * 5)[:9] + [2] * 9, 35, 1462563, 444444),
+    ("shuffle", [1] * 11 + [2] * 11, 33, 705432, 363636)])
+def test_products_over_the_term_cap_are_refused_unformed(
+        capsys, monkeypatch, kind, letters, weight, terms, allowed):
+    def unformed(u, v):
+        raise AssertionError("the product was formed")
+    monkeypatch.setattr(ops, "stuffle", unformed)
+    monkeypatch.setattr(ops, "shuffle", unformed)
+    half = len(letters) // 2
+    u, v = (",".join(map(str, w)) for w in (letters[:half], letters[half:]))
+    code, out, err = run(capsys, "product", kind, u, v)
+    assert (code, out) == (2, "")
+    assert err == "error: the %s of two words of %d and %d letters and " \
+        "weight %d may have %d terms, more than the %d allowed at that " \
+        "size\n" % (kind, half, half, weight, terms, allowed)
+
+
+def test_a_product_just_under_the_term_cap_runs(capsys):
+    # 4 and 24 letters: at most D(4, 24) = 241601 terms, and 242424 are
+    # allowed while the weight stays under 6 * 256; one unit of letter
+    # weight more and the cap falls below the bound
+    code, out, err = run(capsys, "product", "stuffle", ",".join(["54"] * 4),
+                         ",".join(["54"] * 24))
+    assert (code, err) == (0, "")
+    assert len(out.split(" + ")) == len(stuffle((54,) * 4, (54,) * 24)._terms)
+    code, out, err = run(capsys, "product", "stuffle", ",".join(["55"] * 4),
+                         ",".join(["55"] * 24))
+    assert (code, out) == (2, "")
+    assert err.endswith("may have 241601 terms, more than the 235294 allowed "
+                        "at that size\n")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 4), max_size=5),
+       st.lists(st.integers(1, 4), max_size=5))
+def test_the_term_bound_bounds_the_product(u, v):
+    if u or v:
+        for kind, product in (("stuffle", ops.stuffle), ("shuffle",
+                                                         ops.shuffle)):
+            assert len(product(u, v)._terms) <= \
+                cli._term_bound(kind, len(u), len(v), sum(u + v))
+
+
+def test_the_term_bound_is_reached():
+    # by letters whose stuffle and shuffle words never coincide
+    assert cli._term_bound("stuffle", 4, 4, 24) == 321 == \
+        len(ops.stuffle((1, 3, 1, 3), (2, 2, 2, 2))._terms)
+    assert cli._term_bound("shuffle", 4, 4, 12) == 70 == \
+        len(ops.shuffle((1,) * 4, (2,) * 4)._terms)
+    # repeated letters: the words of weight 20 and 10 to 20 letters,
+    # 2^18 + C(19, 9), fewer than D(10, 10) = 8097453
+    assert cli._term_bound("stuffle", 10, 10, 20) == 2 ** 18 + 92378
 
 
 def test_basis_text_and_both_methods(capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qstuffle.coeff import QPoly
+from qstuffle.coeff import QPoly, qterms
 
 
 def test_fraction_field_arithmetic():
@@ -144,3 +144,5 @@ def test_foreign_operand_raises_type_error():
     with pytest.raises(TypeError):
         p.eval_at(0.5)
     assert p != 1.0
+    with pytest.raises(TypeError, match="^expected QPoly, int or Fraction$"):
+        qterms("x")

@@ -4,11 +4,11 @@ import pytest
 
 from oracles import (letter_reconstruct, log_diagonal, log_diagonal_left_form,
                      log_diagonal_right_form, primitive_projector_adjoint,
-                     projector_tuple_sum, reconstruct_adjoint)
+                     projector_tuple_sum, reconstruct_adjoint, tensor_outer)
 from qstuffle.coeff import QPoly
 from qstuffle.eulerian import (diagonal_series, primitive_projector,
                                primitive_projector_letter, reconstruct)
-from qstuffle.ncpoly import NCPoly, Tensor2, tensor_outer, word_poly
+from qstuffle.ncpoly import NCPoly, Tensor2, word_poly
 from qstuffle.words import all_words_up_to, weight, words_of_weight
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qstuffle.coeff import QPoly
-from qstuffle.ncpoly import NCPoly, Tensor2, tensor_outer, word_poly
+from qstuffle.ncpoly import NCPoly, Tensor2, word_poly
 from qstuffle.words import all_words_up_to, weight
 
 

@@ -12,7 +12,7 @@ from oracles import (_o_pairing, brute_shuffle, classical_stuffle,
 from qstuffle.coeff import QPoly
 from qstuffle.eulerian import primitive_projector
 from qstuffle.ncpoly import (NCPoly, Tensor2, _pairings, _product,
-                             _word_index, tensor_outer, word_poly)
+                             _word_index, word_poly)
 from qstuffle.ops import (_primitive_by_pairing, are_primitive,
                           deconcat_coproduct, is_primitive, shuffle, stuffle,
                           stuffle_coproduct, stuffle_poly, verify_axioms)
