@@ -5,6 +5,12 @@ concatenation of two words), `basis` (pi / sigma / chi / xi up to a weight
 bound, with oracle / recursive / both methods for sigma) and `verify`
 (invariant suites with a nonzero exit code on any failure).  Output is
 deterministic: terms are sorted and fractions canonical.
+
+Each command takes only the options it reads; the parser refuses any other
+option or value, and the commands refuse a `--max-weight` over their cap
+(`MAX_WEIGHT`) and a product over its size caps before any work.  Every
+refusal is one `error:` line on stderr and exit code 2, with nothing on
+stdout.
 """
 
 import argparse
@@ -21,45 +27,64 @@ from .ncpoly import word_poly
 from .words import word_from_str, word_to_str
 
 
-def _add_common(p):
-    p.add_argument("--max-weight", type=int, default=6, metavar="N",
-                   help="weight bound (default 6; not for product)")
-    p.add_argument("--q", default=None, metavar="P/Q",
-                   help="specialize q at an exact rational (default symbolic)")
-    p.add_argument("--format", choices=("text", "latex", "json"),
-                   default="text")
-    p.add_argument("--out", default=None, metavar="FILE",
-                   help="write output to FILE instead of stdout")
+class _Parser(argparse.ArgumentParser):
+    """Refuses with one `error:` line, exit code 2; so do its subparsers."""
+
+    def error(self, message):
+        self.exit(2, "error: %s\n" % message)
+
+
+def _max_weight(text):
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError("must be an int >= 1, not %r" % text)
+    return int(text)
+
+
+def _rational(text):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError("malformed rational %r" % text)
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="qstuffle",
-        description="Exact computations in the q-stuffle Hopf algebra.")
+    """The parser; each subcommand's `run` is its handler as bound now."""
+    parser = _Parser(prog="qstuffle", description="Exact computations in "
+                     "the q-stuffle Hopf algebra.")
     parser.add_argument("--version", action="version",
                         version="qstuffle %s" % __version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("lyndon", help="list Lyndon words by weight")
-    _add_common(p)
+    def command(name, run, help, weight=True, polys=True):
+        """A subcommand; one whose output is `polys` takes --q and LaTeX."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        if weight:
+            p.add_argument("--max-weight", type=_max_weight, default=6,
+                           metavar="N", help="weight bound (default 6)")
+        if polys:
+            p.add_argument("--q", type=_rational, metavar="P/Q",
+                           help="specialize q at P/Q (default symbolic)")
+        p.add_argument("--format", default="text", choices=(
+            "text", "latex", "json") if polys else ("text", "json"))
+        p.add_argument("--out", metavar="FILE",
+                       help="write output to FILE instead of stdout")
+        return p
 
-    p = sub.add_parser("product", help="product of two words")
+    command("lyndon", _cmd_lyndon, "list Lyndon words by weight",
+            polys=False)
+    p = command("product", _cmd_product, "product of two words",
+                weight=False)
     p.add_argument("kind", choices=("stuffle", "shuffle", "conc"))
     p.add_argument("u", help="first word, e.g. \"2,1\" (\"e\" = empty)")
     p.add_argument("v", help="second word")
-    _add_common(p)
-    p.set_defaults(max_weight=None)  # no bound: refused when given
-
-    p = sub.add_parser("basis", help="emit a graded basis")
+    p = command("basis", _cmd_basis, "emit a graded basis")
     p.add_argument("kind", choices=tuple(bases.KINDS))
     p.add_argument("--sigma-method", choices=bases.SIGMA_METHODS,
                    help="sigma only (default both)")
-    _add_common(p)
-
-    p = sub.add_parser("verify", help="run an invariant suite")
+    p = command("verify", _cmd_verify, "run an invariant suite", polys=False)
     p.add_argument("suite", choices=("duality", "primitivity",
                                      "factorization", "axioms", "all"))
-    _add_common(p)
     return parser
 
 
@@ -89,27 +114,33 @@ def _write(fh, text):
         fh.write("\n")
 
 
-def _render_poly(p, fmt, q_value):
-    if q_value is not None:
-        p = p.subs_q(q_value)
-    if fmt == "text":
-        return p.text()
-    if fmt == "latex":
-        return p.latex()
-    return json.dumps(p.to_json())
+def _render_poly(p, fmt, q):
+    p = p if q is None else p.subs_q(q)
+    return p.text() if fmt == "text" else p.latex() if fmt == "latex" \
+        else json.dumps(p.to_json())
+
+
+# The largest --max-weight of each command, of `basis` by kind.  Peak memory
+# grows 2x per weight for `lyndon` and 3 to 3.6x for the others; from runs
+# at each cap less one (2-core, 7 GB host), no cap takes more than 4 GB.
+MAX_WEIGHT = {"lyndon": 22, "basis pi": 15, "basis chi": 15, "basis xi": 14,
+              "basis sigma": 13, "verify": 12}
+
+
+def _weight(args, command):
+    """args.max_weight, refused over the cap of `command`."""
+    if args.max_weight > MAX_WEIGHT[command]:
+        raise ValueError("%s takes --max-weight at most %d, not %d"
+                         % (command, MAX_WEIGHT[command], args.max_weight))
+    return args.max_weight
 
 
 def _cmd_lyndon(args):
-    if args.format == "json":
-        data = {str(n): [word_to_str(w) for w in lyndon_of_weight(n)]
-                for n in range(1, args.max_weight + 1)}
-        _emit(json.dumps(data, indent=2), args.out)
-        return 0
-    lines = []
-    for n in range(1, args.max_weight + 1):
-        ws = " ".join(word_to_str(w) for w in lyndon_of_weight(n))
-        lines.append("weight %d: %s" % (n, ws))
-    _emit("\n".join(lines), args.out)
+    listing = {str(n): [word_to_str(w) for w in lyndon_of_weight(n)]
+               for n in range(1, _weight(args, "lyndon") + 1)}
+    _emit(json.dumps(listing, indent=2) if args.format == "json" else
+          "\n".join("weight %s: %s" % (n, " ".join(ws))
+                    for n, ws in listing.items()), args.out)
     return 0
 
 
@@ -136,9 +167,7 @@ def _term_bound(kind, a, b, w):
                           for n in range(max(a, b), a + b + 1)))
 
 
-def _cmd_product(args, q_value):
-    if args.max_weight is not None:
-        raise ValueError("--max-weight does not apply to product")
+def _cmd_product(args):
     u, v = word_from_str(args.u), word_from_str(args.v)
     letters, w = len(u) + len(v), sum(u + v)
     if args.kind != "conc" and letters > MAX_PRODUCT_LETTERS:
@@ -161,24 +190,24 @@ def _cmd_product(args, q_value):
         p = ops.shuffle(u, v)
     else:
         p = word_poly(u + v)
-    _emit(_render_poly(p, args.format, q_value), args.out)
+    _emit(_render_poly(p, args.format, args.q), args.out)
     return 0
 
 
-def _cmd_basis(args, q_value):
+def _cmd_basis(args):
+    n = _weight(args, "basis " + args.kind)
     try:
-        basis = bases.basis_by_kind(args.kind, args.max_weight,
-                                    args.sigma_method)
+        basis = bases.basis_by_kind(args.kind, n, args.sigma_method)
     except RuntimeError as exc:  # the two sigma methods disagree
         sys.stderr.write("%s\n" % exc)
         return 1
-    _emit(basis.json_chunks(q_value) if args.format == "json" else
-          (row + "\n" for row in basis.rows(args.format, q_value)), args.out)
+    _emit(basis.json_chunks(args.q) if args.format == "json" else
+          (row + "\n" for row in basis.rows(args.format, args.q)), args.out)
     return 0
 
 
 def _cmd_verify(args):
-    n = args.max_weight
+    n = _weight(args, "verify")
     sigma = bases.dual_pbw_oracle(n) if args.suite in (
         "all", "duality", "factorization") else None  # one solve for both
     suites = {
@@ -189,13 +218,9 @@ def _cmd_verify(args):
     }
     names = list(suites) if args.suite == "all" else [args.suite]
     reports = [suites[name]() for name in names]
-    if args.format == "json":
-        _emit(json.dumps([r.to_json() for r in reports], indent=2), args.out)
-    else:
-        lines = []
-        for r in reports:
-            lines.extend(r.lines())
-        _emit("\n".join(lines), args.out)
+    _emit(json.dumps([r.to_json() for r in reports], indent=2)
+          if args.format == "json" else
+          "\n".join(line for r in reports for line in r.lines()), args.out)
     return 0 if all(r.ok for r in reports) else 1
 
 
@@ -211,32 +236,10 @@ def _joined_q(argv):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(_joined_q(list(sys.argv[1:] if argv is None
-                                            else argv)))
-    if args.command != "product" and args.max_weight < 1:
-        sys.stderr.write("error: --max-weight must be >= 1\n")
-        return 2
-    ignored = "--q" if args.q is not None else \
-        "--format latex" if args.format == "latex" else None
-    if args.command in ("lyndon", "verify") and ignored:
-        sys.stderr.write("error: %s does not apply to %s\n"
-                         % (ignored, args.command))
-        return 2
+    args = build_parser().parse_args(_joined_q(list(
+        sys.argv[1:] if argv is None else argv)))
     try:
-        q_value = None if args.q is None else Fraction(args.q)
-    except (ValueError, ZeroDivisionError):
-        sys.stderr.write("error: malformed rational for --q: %r\n" % args.q)
-        return 2
-    try:
-        if args.command == "lyndon":
-            return _cmd_lyndon(args)
-        if args.command == "product":
-            return _cmd_product(args, q_value)
-        if args.command == "basis":
-            return _cmd_basis(args, q_value)
-        if args.command == "verify":
-            return _cmd_verify(args)
+        return args.run(args)
     except ValueError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
@@ -246,7 +249,6 @@ def main(argv=None):
         # quietly (the recipe of the "Note on SIGPIPE" in Python's docs).
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    parser.error("unknown command")
 
 
 def entry():

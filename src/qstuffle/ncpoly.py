@@ -18,8 +18,8 @@ sorts again by `word_key`.
 `QPoly` and `Fraction` appear only at the boundary: the constructors,
 `scale` and `subs_q` accept them, and `coeff`, `pairing`, `constant_term`
 and `terms` give them; text, LaTeX and JSON print each a/den from ints.
-A value holds its terms and denominator and nothing else: `coeff` filters
-the terms by word, and every pairing of values goes through one word index
+A value holds its terms and denominator and nothing else: `coeff` is the
+pairing with a word, and every pairing of values goes through one word index
 built per call (`_word_index`) and one int kernel (`_pairings`).
 
 Sums go through one kernel, `_accumulate`, and chains of polynomial
@@ -165,11 +165,6 @@ class _Sparse:
                        for k, a in pairs}
         self._den = den
 
-    def _coeff(self, head):
-        """The QPoly coefficient of the head, a tuple of word codes."""
-        return _qpoly({k[-1]: a for k, a in self._terms.items()
-                       if k[:-1] == head}, self._den)
-
     def _sorted(self):
         """The term keys ascending by the word order of the head, then e."""
         return sorted(self._terms, key=self._order)
@@ -282,7 +277,7 @@ class NCPoly(_Sparse):
         return {decode_word(k[0]) for k in self._terms}
 
     def coeff(self, w):
-        return self._coeff((word_code(w),))
+        return self.pairing(word_poly(w))
 
     def __mul__(self, other):
         """Concatenation product (bilinear extension); `scale` takes
@@ -415,7 +410,7 @@ class Tensor2(_Sparse):
         return cls._raw({(0, 0, 0): 1})
 
     def coeff(self, u, v):
-        return self._coeff((word_code(u), word_code(v)))
+        return self.pairing(word_poly(u), word_poly(v))
 
     def combine(self, other):
         """Slotwise concatenation: (u ⊗ v)(x ⊗ y) = ux ⊗ vy, extended

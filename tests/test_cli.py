@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,7 +15,10 @@ from qstuffle.report import Report
 
 
 def run(capsys, *argv):
-    code = cli.main(list(argv))
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:  # the parser's refusals, --help and --version
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -227,7 +231,7 @@ def test_q_is_refused_where_it_does_not_apply(capsys, argv):
     code, out, err = run(capsys, *argv, "--max-weight", "3", "--q", "1/2")
     assert code == 2
     assert out == ""
-    assert err == "error: --q does not apply to %s\n" % argv[0]
+    assert err == "error: unrecognized arguments: --q 1/2\n"
 
 
 @pytest.mark.parametrize("argv", [("verify", "all"), ("verify", "duality"),
@@ -236,7 +240,8 @@ def test_latex_is_refused_where_it_does_not_apply(capsys, argv):
     code, out, err = run(capsys, *argv, "--max-weight", "3",
                          "--format", "latex")
     assert (code, out) == (2, "")
-    assert err == "error: --format latex does not apply to %s\n" % argv[0]
+    assert err == "error: argument --format: invalid choice: 'latex' " \
+        "(choose from 'text', 'json')\n"
 
 
 @pytest.mark.parametrize("argv, value", [
@@ -247,14 +252,14 @@ def test_latex_is_refused_where_it_does_not_apply(capsys, argv):
 def test_malformed_q_is_refused(capsys, argv, value):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err == "error: malformed rational for --q: %r\n" % value
+    assert err == "error: argument --q: malformed rational %r\n" % value
 
 
 def test_max_weight_is_refused_by_product(capsys):
     code, out, err = run(capsys, "product", "stuffle", "2", "1",
                          "--max-weight", "1")
     assert (code, out) == (2, "")
-    assert err == "error: --max-weight does not apply to product\n"
+    assert err == "error: unrecognized arguments: --max-weight 1\n"
 
 
 @pytest.mark.parametrize("method", ["oracle", "recursive", "both"])
@@ -308,7 +313,49 @@ def test_max_weight_below_one_is_refused(capsys, value):
         code, out, err = run(capsys, *argv, "--max-weight", value)
         assert code == 2
         assert out == ""
-        assert err == "error: --max-weight must be >= 1\n"
+        assert err == "error: argument --max-weight: must be an int >= 1, " \
+            "not %r\n" % value
+
+
+@pytest.mark.parametrize("command, options", [
+    ("lyndon", ["--max-weight N", "--format {text,json}", "--out FILE"]),
+    ("product", ["--q P/Q", "--format {text,latex,json}", "--out FILE"]),
+    ("basis", ["--max-weight N", "--q P/Q", "--format {text,latex,json}",
+               "--out FILE", "--sigma-method {oracle,recursive,both}"]),
+    ("verify", ["--max-weight N", "--format {text,json}", "--out FILE"])])
+def test_help_lists_exactly_the_options_a_command_reads(capsys, command,
+                                                        options):
+    code, out, err = run(capsys, command, "--help")
+    assert (code, err) == (0, "")
+    assert re.findall(r"(?m)^  (--[a-z-]+(?: \S+)?)", out) == options
+
+
+class Started(Exception):
+    pass
+
+
+@pytest.mark.parametrize("command", sorted(cli.MAX_WEIGHT))
+def test_max_weight_over_its_cap_is_refused_unstarted(capsys, monkeypatch,
+                                                      command):
+    """Over the cap, or below 1, nothing is computed; at the cap the run
+    starts (and is stopped at once)."""
+    def started(*args):
+        raise Started
+    for owner, name in ((cli, "lyndon_of_weight"), (bases, "basis_by_kind"),
+                        (bases, "dual_pbw_oracle")):
+        monkeypatch.setattr(owner, name, started)
+    argv = command.split() + (["all"] if command == "verify" else [])
+    cap = cli.MAX_WEIGHT[command]
+    code, out, err = run(capsys, *argv, "--max-weight", str(cap + 1))
+    assert (code, out) == (2, "")
+    assert err == "error: %s takes --max-weight at most %d, not %d\n" \
+        % (command, cap, cap + 1)
+    code, out, err = run(capsys, *argv, "--max-weight", "-3")
+    assert (code, out) == (2, "")
+    assert err == "error: argument --max-weight: must be an int >= 1, " \
+        "not '-3'\n"
+    with pytest.raises(Started):
+        cli.main(argv + ["--max-weight", str(cap)])
 
 
 def test_empty_report_is_not_a_pass():
