@@ -306,7 +306,7 @@ def sigma_from_cfl(w, lyndon_of, rest_of):
                     factors.count(first))
 
 
-def sigma_lyndon_general(w, sigma_of):
+def sigma_lyndon_general(w):
     """Dual element of any Lyndon word via the converse derivation map.
 
     The map holds every sequence that derives to (w) under the
@@ -332,7 +332,7 @@ def sigma_lyndon_general(w, sigma_of):
             if any(not word_leq(tail[t + 1], tail[t])
                    for t in range(len(tail) - 1)):
                 continue
-            sigma = sigma_of(sum(tail, ()))
+            sigma = dual_pbw_element(sum(tail, ()))
             parts.append((paths, factorial(i) * sigma._den, i - 1,
                           (((x | top, f), b)
                            for (x, f), b in sigma._terms.items())))
@@ -349,7 +349,7 @@ def dual_pbw_element(w):
     if is_lyndon(w):
         if len(w) == 1:
             return word_poly(w)
-        return sigma_lyndon_general(w, dual_pbw_element)
+        return sigma_lyndon_general(w)
     return sigma_from_cfl(w, dual_pbw_element, dual_pbw_element)
 
 

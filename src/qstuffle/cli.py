@@ -35,16 +35,25 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _max_weight(text):
-    if not text.isdecimal() or int(text) < 1:
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
         raise argparse.ArgumentTypeError("must be an int >= 1, not %r" % text)
     return int(text)
 
 
 def _rational(text):
+    """A rational with no exponent (slow to expand) and with numerator and
+    denominator below 10^30, so that a printed coefficient (at most 128 such
+    powers of q times an int under 10^99) has under 4,300 digits."""
     try:
-        return Fraction(text)
+        if "e" in text.lower():
+            raise ValueError
+        q = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError("malformed rational %r" % text)
+    if max(abs(q.numerator), q.denominator) >= 10 ** 30:
+        raise argparse.ArgumentTypeError(
+            "numerator and denominator must be below 10^30, not %r" % text)
+    return q
 
 
 def build_parser():
@@ -121,8 +130,10 @@ def _render_poly(p, fmt, q):
 
 
 # The largest --max-weight of each command, of `basis` by kind.  Peak memory
-# grows 2x per weight for `lyndon` and 3 to 3.6x for the others; from runs
-# at each cap less one (2-core, 7 GB host), no cap takes more than 4 GB.
+# grows 3 to 3.6x per weight for `basis` and `verify`; from runs at each cap
+# less one (2-core, 7 GB host), no cap takes more than 4 GB.  `lyndon` grows
+# about 2x in time and 1.8x in memory per weight; at its cap it took 27 s and
+# 200 MB there.
 MAX_WEIGHT = {"lyndon": 22, "basis pi": 15, "basis chi": 15, "basis xi": 14,
               "basis sigma": 13, "verify": 12}
 

@@ -1,32 +1,32 @@
 """Lyndon words and the standard-sequence calculus.
 
 A Lyndon word (for the order with y_1 largest) is a nonempty word strictly
-smaller than every proper suffix.  This module provides the predicate,
-graded generation, the Chen-Fox-Lyndon and standard factorizations, the
-rises and legal rises of standard sequences, and the converse derivation
-map: every sequence that derives to (l) by merge (lambda) and swap (rho)
-moves at its smallest legal rise, with its number of derivation paths.
+smaller than every proper suffix.  Duval's Chen-Fox-Lyndon factorization
+makes every Lyndon decision: the predicate, graded generation and the
+standard factorization read it.  The rest is the rises and legal rises of
+standard sequences and the converse derivation map: every sequence that
+derives to (l) by merge (lambda) and swap (rho) moves at its smallest
+legal rise, with its number of derivation paths.
 
 All sequence indices are 0-based.
 """
 
 from functools import lru_cache
 
-from .words import word_key, word_less, word_leq, words_of_weight
+from .words import codes_of_weight, decode_word, word_less, word_leq
 
 
 def is_lyndon(w):
     """True iff w is nonempty and smaller than all its proper suffixes."""
-    if not w:
-        return False
-    k = word_key(w)
-    return all(k < word_key(w[i:]) for i in range(1, len(w)))
+    return bool(w) and len(cfl_factorization(w)) == 1
 
 
 @lru_cache(maxsize=None)
 def lyndon_of_weight(n):
-    """Lyndon words of weight n, ascending by word_less."""
-    return tuple(w for w in words_of_weight(n) if is_lyndon(w))
+    """Lyndon words of weight n, ascending by word_less; each word is
+    decoded uncached, so no cache keeps a word the listing rejects."""
+    return tuple(w for w in map(decode_word.__wrapped__, codes_of_weight(n))
+                 if is_lyndon(w))
 
 
 def lyndon_up_to(n):
@@ -37,20 +37,16 @@ def lyndon_up_to(n):
 
 
 def cfl_factorization(w):
-    """The unique weakly decreasing sequence of Lyndon factors of w.
-
-    Duval's linear-time algorithm (J. Algorithms 4, 1983), with the letter
-    order of word_key.
-    """
+    """The unique weakly decreasing sequence of Lyndon factors of w, by
+    Duval's linear-time algorithm (J. Algorithms 4, 1983), y_1 largest."""
     if not w:
         raise ValueError("empty word has no factorization")
-    key = word_key(w)
     out = []
     i = 0
     while i < len(w):
         j, k = i + 1, i
-        while j < len(w) and key[k] <= key[j]:
-            k = i if key[k] < key[j] else k + 1
+        while j < len(w) and w[j] <= w[k]:
+            k = i if w[j] < w[k] else k + 1
             j += 1
         while i <= k:
             out.append(w[i:i + j - k])
@@ -62,7 +58,8 @@ def cfl_factorization(w):
 
 
 def standard_factorization(l):
-    """Split a Lyndon word of length >= 2 at its smallest proper suffix.
+    """Split a Lyndon word of length >= 2 at its smallest proper suffix,
+    the last CFL factor of the word without its first letter.
 
     Returns (left, right); both factors are Lyndon and l < right.
     """
@@ -70,8 +67,8 @@ def standard_factorization(l):
         raise ValueError("standard factorization needs length >= 2")
     if not is_lyndon(l):
         raise ValueError("not a Lyndon word: %r" % (l,))
-    cut = min(range(1, len(l)), key=lambda i: word_key(l[i:]))
-    left, right = l[:cut], l[cut:]
+    right = cfl_factorization(l[1:])[-1]
+    left = l[:len(l) - len(right)]
     if not (is_lyndon(left) and is_lyndon(right) and word_less(l, right)):
         raise RuntimeError("standard factorization of %r failed its check: "
                            "%r, %r" % (l, left, right))

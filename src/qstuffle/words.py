@@ -95,10 +95,10 @@ def word_from_str(s):
     s = s.strip()
     if s == "e" or s == "":
         return ()
-    try:
-        w = tuple(int(part) for part in s.split(","))
-    except ValueError:
+    parts = [part.strip() for part in s.split(",")]
+    if not all(part.isascii() and part.isdigit() for part in parts):
         raise ValueError("malformed word %r (expected e.g. \"3,1,2\" or \"e\")" % s)
+    w = tuple(map(int, parts))
     if any(x < 1 for x in w):
         raise ValueError("letter indices must be >= 1, got %r" % s)
     return w

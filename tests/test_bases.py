@@ -228,10 +228,10 @@ def test_sigma_increasing_matches_oracle():
 
 
 def test_sigma_lyndon_general_examples():
-    assert sigma_lyndon_general((2, 1), dual_pbw_element) == \
+    assert sigma_lyndon_general((2, 1)) == \
         word_poly((2, 1)) + word_poly((3,)).scale(q(1, 1, 2))
     with pytest.raises(ValueError):
-        sigma_lyndon_general((1, 2), dual_pbw_element)
+        sigma_lyndon_general((1, 2))
 
 
 def test_recursion_equals_the_oracle_to_weight_9():

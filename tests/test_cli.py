@@ -247,12 +247,38 @@ def test_latex_is_refused_where_it_does_not_apply(capsys, argv):
 @pytest.mark.parametrize("argv, value", [
     (("basis", "pi", "--max-weight", "2", "--q="), ""),
     (("product", "stuffle", "2", "1", "--q", ""), ""),
-    (("product", "stuffle", "2", "1", "--q", "1/0"), "1/0")],
-    ids=["empty-joined", "empty", "zero-denominator"])
+    (("product", "stuffle", "2", "1", "--q", "1/0"), "1/0"),
+    (("product", "stuffle", "2", "1", "--q", "1e100000000"), "1e100000000"),
+    (("basis", "pi", "--max-weight", "5", "--q", "1E5000"), "1E5000"),
+    (("basis", "pi", "--max-weight", "2", "--q", "2.5e-3"), "2.5e-3")],
+    ids=["empty-joined", "empty", "zero-denominator", "huge-exponent",
+         "upper-exponent", "small-exponent"])
 def test_malformed_q_is_refused(capsys, argv, value):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == "error: argument --q: malformed rational %r\n" % value
+
+
+@pytest.mark.parametrize("value", ["7" * 600, "1/" + "1" + "0" * 30,
+                                   "-" + "9" * 31, "0." + "0" * 29 + "1"],
+                         ids=["600-digits", "31-digit-denominator",
+                              "31-digit-negative", "decimal-of-31-digits"])
+def test_q_of_31_digits_is_refused(capsys, value):
+    code, out, err = run(capsys, "basis", "sigma", "--max-weight", "9",
+                         "--q=" + value)
+    assert (code, out) == (2, "")
+    assert err == "error: argument --q: numerator and denominator must be " \
+        "below 10^30, not %r\n" % value
+
+
+def test_q_of_30_digits_renders(capsys):
+    value = "9" * 30 + "/" + "1" + "0" * 28 + "7"
+    code, out, err = run(capsys, "basis", "pi", "--max-weight", "5",
+                         "--q", value)
+    _, symbolic, _ = run(capsys, "basis", "pi", "--max-weight", "5")
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == len(symbolic.splitlines())
+    assert "Pi[2] = [2] - %s·[1,1]\n" % (Fraction(value) / 2) in out
 
 
 def test_max_weight_is_refused_by_product(capsys):
@@ -307,7 +333,7 @@ def test_verify_all_solves_once(capsys, monkeypatch):
     assert solves == [4]
 
 
-@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("value", ["0", "-3", "\u0661"])
 def test_max_weight_below_one_is_refused(capsys, value):
     for argv in (("basis", "sigma"), ("verify", "all")):
         code, out, err = run(capsys, *argv, "--max-weight", value)

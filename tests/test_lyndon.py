@@ -4,15 +4,16 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (all_cfl_factorizations, derivation_leaves, falls,
-                     is_standard_sequence, landmarks, merge_at_rise,
-                     o_is_lyndon_rotation, o_is_lyndon_suffix, o_word_key,
-                     split_at_landmark, standard_sequences, swap_at_fall,
-                     swap_at_rise)
+from oracles import (_o_words_of_weight, all_cfl_factorizations,
+                     derivation_leaves, falls, is_standard_sequence,
+                     landmarks, merge_at_rise, o_is_lyndon_rotation,
+                     o_is_lyndon_suffix, o_word_key, split_at_landmark,
+                     standard_sequences, swap_at_fall, swap_at_rise)
 from qstuffle.lyndon import (cfl_factorization, converse_tree, is_lyndon,
                              legal_rises, lyndon_of_weight, lyndon_up_to,
                              rises, standard_factorization)
-from qstuffle.words import all_words_up_to, word_key, word_less, words_of_weight
+from qstuffle.words import (all_words_up_to, decode_word, word_key,
+                            word_less, words_of_weight)
 
 
 def test_is_lyndon_examples():
@@ -35,6 +36,18 @@ def test_lyndon_of_weight():
     for n in range(1, 8):
         assert set(lyndon_of_weight(n)) == \
             {w for w in words_of_weight(n) if is_lyndon(w)}
+
+
+def test_lyndon_listing_caches_no_rejected_word():
+    """The listing decodes uncached, and Duval keys only the factors it
+    compares, all Lyndon words of a smaller weight."""
+    for cached in (lyndon_of_weight, decode_word, word_key):
+        cached.cache_clear()
+    lyndon_of_weight(12)
+    smaller = sum(o_is_lyndon_suffix(w) for n in range(1, 12)
+                  for w in _o_words_of_weight(n))
+    assert decode_word.cache_info().currsize == 0
+    assert word_key.cache_info().currsize <= smaller
 
 
 def test_cfl_examples():

@@ -60,7 +60,7 @@ def test_serialization():
     assert word_to_str(()) == "e"
     assert word_from_str("3,1,2") == (3, 1, 2)
     assert word_from_str("e") == ()
-    for bad in ("1,x", "0,2", "-1"):
+    for bad in ("1,x", "0,2", "-1", "1_0", "+1", "\u0661"):
         with pytest.raises(ValueError):
             word_from_str(bad)
 
