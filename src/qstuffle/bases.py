@@ -29,11 +29,13 @@ into one pure tensor per word, by distributivity and the uniqueness of the
 Chen-Fox-Lyndon factorization (`factorization_forms`).
 
 The triangular solve inverts each weight class in ints, one inverse row
-packed into one big int (`_invert_unit_upper`), and is the authority for
-the dual family; the recursive computations must agree with it.
-`sigma_mismatches` is the one comparison of the two.  The default Σ of
-`basis_by_kind` is the oracle checked against the recursion, and a
-mismatch there is a RuntimeError.
+packed into one big int (`_invert_unit_upper`).  It is the oracle of
+`basis sigma`: `sigma_mismatches` is the one comparison of it with the
+recursion, the default Σ of `basis_by_kind` is the oracle checked against
+the recursion, and a mismatch there is a RuntimeError.  The verification
+suites run no solve and check no shape: each is a function of N that reads
+Π from `pbw_element` and Σ from `dual_pbw_element`, so the duality suite
+checks the recursion against Π.
 """
 import json
 from collections import namedtuple
@@ -63,15 +65,16 @@ def pbw_element(w):
     w = tuple(w)
     if not w:
         return NCPoly.one()
-    if is_lyndon(w):
-        if len(w) == 1:
-            return primitive_projector_letter(w[0])
-        a, b = (pbw_element(f) for f in standard_factorization(w))
-        acc = _product_into(_product_into({}, None, a._terms, b._terms),
-                            None, b._terms, a._terms, -1)
-        return NCPoly._raw(acc, a._den * b._den)
     first = cfl_factorization(w)[0]
-    return _product(None, [pbw_element(first), pbw_element(w[len(first):])])
+    if len(first) < len(w):
+        return _product(None, [pbw_element(first),
+                               pbw_element(w[len(first):])])
+    if len(w) == 1:
+        return primitive_projector_letter(w[0])
+    a, b = (pbw_element(f) for f in standard_factorization(w))
+    acc = _product_into(_product_into({}, None, a._terms, b._terms),
+                        None, b._terms, a._terms, -1)
+    return NCPoly._raw(acc, a._den * b._den)
 
 
 Kind = namedtuple("Kind", "upper label macro")
@@ -346,6 +349,8 @@ def dual_pbw_element(w):
     w = tuple(w)
     if not w:
         return NCPoly.one()
+    # is_lyndon keeps the uncached sigma_lyndon_general to one run per Lyndon
+    # word; as sigma_from_cfl's lyndon_of, it would rerun per word it leads
     if is_lyndon(w):
         if len(w) == 1:
             return word_poly(w)
@@ -392,9 +397,9 @@ def basis_by_kind(kind, n, sigma_method=None):
     return basis
 
 
-def verify_duality(n, sigma=None):
-    """<dual(v) | pbw(u)> is 1 exactly when u = v, for weights <= n, with
-    the dual family `sigma` (by default the triangular solve).
+def verify_duality(n, sigma_of=None):
+    """<sigma_of(v) | pbw(u)> is 1 exactly when u = v, for weights <= n;
+    `sigma_of` is an element function, by default `dual_pbw_element`.
 
     One `ncpoly._word_index` over the PBW family; each row is the
     `_pairings` of one dual element with it, keyed by list position, so
@@ -406,8 +411,7 @@ def verify_duality(n, sigma=None):
     that of pbw(u), the entry at (v, u) is d·d_u times the pairing, and on
     the diagonal the identity reads d·d_v."""
     rep = Report("duality (N=%d)" % n)
-    if sigma is None:
-        sigma = dual_pbw_oracle(n)
+    sigma_of = sigma_of or dual_pbw_element
     words = all_words_up_to(n)
     pbw = [pbw_element(w) for w in words]
     index = _word_index(pbw)
@@ -415,7 +419,7 @@ def verify_duality(n, sigma=None):
     bad = [0] * (n + 1)  # failed pairs per weight
     cross_bad = 0
     for v, w in enumerate(words):  # u and v are list positions from here on
-        p, k = sigma.entry(w), weights[v]
+        p, k = sigma_of(w), weights[v]
         identity = {((v, 0), p._den * pbw[v]._den)}
         for u in {u for (u, _), _ in _pairings(index, p).items() ^ identity}:
             if weights[u] == k:
@@ -462,10 +466,10 @@ def _pair_sum(left_of, n):
     return Tensor2._raw({k: a for k, a in acc.items() if a}, den)
 
 
-def factorization_forms(n, sigma=None):
+def factorization_forms(n, sigma_of=None):
     """The three truncated expressions: the diagonal series, the dual-pair
     sum, and the decreasing product of exponentials over Lyndon words, with
-    the dual family `sigma` (by default the triangular solve).
+    the dual element function `sigma_of` (by default `dual_pbw_element`).
 
     The product is not multiplied out.  (a⊗b)(c⊗d) = (a*c)⊗(bd) in the
     mixed tensor algebra and exp(σ_l⊗π_l) = Σ_k σ_l^{*k}/k! ⊗ π_l^k, so by
@@ -474,21 +478,20 @@ def factorization_forms(n, sigma=None):
     choices are the words w = l_1^k_1...l_m^k_m, each giving
     sigma_from_cfl(w) ⊗ pbw_element(w), of total weight 2·weight(w)
     (Reutenauer, *Free Lie Algebras*, Thm 5.3).  Memoized per call, these
-    read `sigma` at Lyndon words only.  Both sums are `_pair_sum`.
+    read `sigma_of` at Lyndon words only.  Both sums are `_pair_sum`.
     """
-    if sigma is None:
-        sigma = dual_pbw_oracle(n)
+    sigma_of = sigma_of or dual_pbw_element
 
     @lru_cache(maxsize=None)
     def exp_factor(w):
-        return sigma_from_cfl(w, sigma.entry, exp_factor)
-    return (diagonal_series(n), _pair_sum(sigma.entry, n),
+        return sigma_from_cfl(w, sigma_of, exp_factor)
+    return (diagonal_series(n), _pair_sum(sigma_of, n),
             _pair_sum(exp_factor, n))
 
 
-def verify_factorization(n, sigma=None):
+def verify_factorization(n, sigma_of=None):
     rep = Report("factorization (N=%d)" % n)
-    diag, mid, prod = factorization_forms(n, sigma)
+    diag, mid, prod = factorization_forms(n, sigma_of)
     rep.add("dual-pair sum equals the diagonal series", mid == diag)
     rep.add("decreasing product of exponentials equals the diagonal series",
             prod == diag)

@@ -10,7 +10,7 @@ Each command takes only the options it reads; the parser refuses any other
 option or value, and the commands refuse a `--max-weight` over their cap
 (`MAX_WEIGHT`) and a product over its size caps before any work.  Every
 refusal is one `error:` line on stderr and exit code 2, with nothing on
-stdout.
+stdout; a failed cross-check (a RuntimeError) is its message alone, exit 1.
 """
 
 import argparse
@@ -35,9 +35,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _max_weight(text):
-    if not (text.isascii() and text.isdigit()) or int(text) < 1:
+    """An int >= 1 in ASCII digits; one of more digits than every cap of
+    `MAX_WEIGHT` is refused before `int` reads it (it refuses 4,300)."""
+    digits = text.lstrip("0")
+    if not (text.isascii() and text.isdigit() and digits):
         raise argparse.ArgumentTypeError("must be an int >= 1, not %r" % text)
-    return int(text)
+    cap = max(MAX_WEIGHT.values())
+    if len(digits) > len(str(cap)):
+        shown = text if len(text) <= 20 else text[:17] + "..."
+        raise argparse.ArgumentTypeError(
+            "no command takes more than %d, not %r" % (cap, shown))
+    return int(digits)
 
 
 def _rational(text):
@@ -179,6 +187,12 @@ def _term_bound(kind, a, b, w):
 
 
 def _cmd_product(args):
+    for part in (args.u + "," + args.v).split(","):
+        part = part.strip()  # 8 digits are over the weight bound alone
+        if part.isascii() and part.isdigit() and len(part.lstrip("0")) > 7:
+            raise ValueError("the %s of two words takes at most weight %d in "
+                             "all, not a letter of %d digits"
+                             % (args.kind, MAX_PRODUCT_WEIGHT, len(part)))
     u, v = word_from_str(args.u), word_from_str(args.v)
     letters, w = len(u) + len(v), sum(u + v)
     if args.kind != "conc" and letters > MAX_PRODUCT_LETTERS:
@@ -206,12 +220,8 @@ def _cmd_product(args):
 
 
 def _cmd_basis(args):
-    n = _weight(args, "basis " + args.kind)
-    try:
-        basis = bases.basis_by_kind(args.kind, n, args.sigma_method)
-    except RuntimeError as exc:  # the two sigma methods disagree
-        sys.stderr.write("%s\n" % exc)
-        return 1
+    basis = bases.basis_by_kind(args.kind, _weight(args, "basis " + args.kind),
+                                args.sigma_method)
     _emit(basis.json_chunks(args.q) if args.format == "json" else
           (row + "\n" for row in basis.rows(args.format, args.q)), args.out)
     return 0
@@ -219,16 +229,12 @@ def _cmd_basis(args):
 
 def _cmd_verify(args):
     n = _weight(args, "verify")
-    sigma = bases.dual_pbw_oracle(n) if args.suite in (
-        "all", "duality", "factorization") else None  # one solve for both
-    suites = {
-        "duality": lambda: bases.verify_duality(n, sigma),
-        "primitivity": lambda: bases.verify_primitivity(n),
-        "factorization": lambda: bases.verify_factorization(n, sigma),
-        "axioms": lambda: ops.verify_axioms(n),
-    }
+    suites = {"duality": bases.verify_duality,
+              "primitivity": bases.verify_primitivity,
+              "factorization": bases.verify_factorization,
+              "axioms": ops.verify_axioms}
     names = list(suites) if args.suite == "all" else [args.suite]
-    reports = [suites[name]() for name in names]
+    reports = [suites[name](n) for name in names]
     _emit(json.dumps([r.to_json() for r in reports], indent=2)
           if args.format == "json" else
           "\n".join(line for r in reports for line in r.lines()), args.out)
@@ -254,6 +260,9 @@ def main(argv=None):
     except ValueError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
+    except RuntimeError as exc:  # a cross-check failed
+        sys.stderr.write("%s\n" % exc)
+        return 1
     except BrokenPipeError:
         # The reader closed stdout early.  Point stdout at devnull, so that
         # the interpreter's final flush does not raise again, and end

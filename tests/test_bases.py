@@ -300,7 +300,8 @@ def test_duality_fails_per_weight(corrupt):
     reads q, not 1; it alone fails): only the weight-2 line reads FAIL."""
     entries = dict(dual_pbw_oracle(3).entries)
     corrupt(entries)
-    assert verify_duality(3, GradedBasis("sigma", 3, entries)).lines() == [
+    sigma = GradedBasis("sigma", 3, entries).entry
+    assert verify_duality(3, sigma).lines() == [
         "weight 1 (1 pairs): PASS", "weight 2 (4 pairs): FAIL",
         "weight 3 (16 pairs): PASS",
         "cross-weight pairs vanish (28 pairs): PASS", "duality (N=3): FAILED"]
@@ -310,7 +311,8 @@ def test_duality_fails_across_weights_on_an_inhomogeneous_entry():
     """Σ(1) + y_2 pairs to 1 with Π(2): only the cross-weight line fails."""
     entries = dict(dual_pbw_oracle(3).entries)
     entries[(1,)] = entries[(1,)] + word_poly((2,))
-    assert verify_duality(3, GradedBasis("sigma", 3, entries)).lines() == [
+    sigma = GradedBasis("sigma", 3, entries).entry
+    assert verify_duality(3, sigma).lines() == [
         "weight 1 (1 pairs): PASS", "weight 2 (4 pairs): PASS",
         "weight 3 (16 pairs): PASS",
         "cross-weight pairs vanish (28 pairs): FAIL", "duality (N=3): FAILED"]
@@ -333,11 +335,28 @@ def test_factorization_product_reads_lyndon_entries_only(word, extra,
     of exponentials only at a Lyndon word, the only entries it reads."""
     entries = dict(dual_pbw_oracle(4).entries)
     entries[word] = entries[word] + word_poly(extra)
-    assert verify_factorization(4, GradedBasis("sigma", 4, entries)) \
-        .lines() == [
+    sigma = GradedBasis("sigma", 4, entries).entry
+    assert verify_factorization(4, sigma).lines() == [
         "dual-pair sum equals the diagonal series: FAIL",
         "decreasing product of exponentials equals the diagonal series: "
         + product_line, "factorization (N=4): FAILED"]
+
+
+@pytest.mark.parametrize("word, product_line", [
+    ((2, 1), "FAIL"), ((1, 2), "PASS")], ids=["Lyndon", "non-Lyndon"])
+def test_verify_sees_a_broken_recursion(corrupt_recursion, word,
+                                        product_line):
+    """q·y_3 added to the recursive Σ at one word of weight 3 fails the
+    duality suite first at weight 3, and the dual-pair sum; the product of
+    exponentials fails when the word is Lyndon."""
+    corrupt_recursion(word)
+    failed = [line for line in verify_duality(4).lines()
+              if line.endswith(": FAIL")]
+    assert failed[0] == "weight 3 (16 pairs): FAIL"
+    assert verify_factorization(4).lines()[:2] == [
+        "dual-pair sum equals the diagonal series: FAIL",
+        "decreasing product of exponentials equals the diagonal series: "
+        + product_line]
 
 
 def test_factorization_forms_equal_unscaled_routes():
@@ -376,7 +395,7 @@ def test_factorization_sees_divided_powers_by_k(monkeypatch):
 
     assert [w for w in all_words_up_to(4) if broken(w)
             != sigma_by_factor_chain(w, sigma.entry)][0] == (1, 1, 1)
-    assert verify_factorization(4).lines() == [
+    assert verify_factorization(4, sigma.entry).lines() == [
         "dual-pair sum equals the diagonal series: PASS",
         "decreasing product of exponentials equals the diagonal series: FAIL",
         "factorization (N=4): FAILED"]

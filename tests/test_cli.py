@@ -319,18 +319,33 @@ def test_verify_exit_codes(capsys):
     assert data[0]["ok"] is True
 
 
-def test_verify_all_solves_once(capsys, monkeypatch):
-    """The duality and factorization suites read one triangular solve."""
-    solves = []
+def test_verify_runs_no_solve(capsys, monkeypatch):
+    """Every suite reads Π and Σ from their element functions: with the
+    triangular solve made to raise, each still passes."""
+    def solve(*args):
+        raise AssertionError("verify ran the triangular solve")
+    for name in ("dual_pbw_oracle", "_invert_unit_upper"):
+        monkeypatch.setattr(bases, name, solve)
+    for suite in ("duality", "primitivity", "factorization", "axioms", "all"):
+        code, out, err = run(capsys, "verify", suite, "--max-weight", "5")
+        assert (code, err) == (0, ""), out
 
-    def counted(n):
-        solves.append(n)
-        return oracle(n)
-    oracle = bases.dual_pbw_oracle
-    monkeypatch.setattr(bases, "dual_pbw_oracle", counted)
-    code, out, _ = run(capsys, "verify", "all", "--max-weight", "4")
-    assert code == 0
-    assert solves == [4]
+
+def test_verify_fails_on_a_broken_recursion(capsys, corrupt_recursion):
+    corrupt_recursion((2, 1))
+    code, out, err = run(capsys, "verify", "duality", "--max-weight", "4")
+    assert (code, err) == (1, "")
+    assert [line for line in out.splitlines() if line.endswith(": FAIL")][0] \
+        == "weight 3 (16 pairs): FAIL"
+
+
+def test_a_failed_cross_check_exits_one(capsys, monkeypatch):
+    """`main` prints a cross-check's RuntimeError alone, for every command."""
+    monkeypatch.setattr(ops, "_primitive_by_coproduct", lambda p: False)
+    code, out, err = run(capsys, "verify", "primitivity", "--max-weight", "3")
+    assert (code, out) == (1, "")
+    assert err == "primitivity criteria disagree on NCPoly([1]) " \
+        "(coproduct=False, pairing=True)\n"
 
 
 @pytest.mark.parametrize("value", ["0", "-3", "\u0661"])
@@ -368,7 +383,7 @@ def test_max_weight_over_its_cap_is_refused_unstarted(capsys, monkeypatch,
     def started(*args):
         raise Started
     for owner, name in ((cli, "lyndon_of_weight"), (bases, "basis_by_kind"),
-                        (bases, "dual_pbw_oracle")):
+                        (bases, "pbw_element")):
         monkeypatch.setattr(owner, name, started)
     argv = command.split() + (["all"] if command == "verify" else [])
     cap = cli.MAX_WEIGHT[command]
@@ -382,6 +397,26 @@ def test_max_weight_over_its_cap_is_refused_unstarted(capsys, monkeypatch,
         "not '-3'\n"
     with pytest.raises(Started):
         cli.main(argv + ["--max-weight", str(cap)])
+
+
+def test_digits_over_every_cap_are_refused_unread(capsys):
+    """A --max-weight of more digits than any cap is refused before `int`
+    reads it, echoed in at most 20 characters; leading zeros do not count."""
+    for value, shown in (("9" * 5000, "9" * 17 + "..."), ("100", "100")):
+        code, out, err = run(capsys, "lyndon", "--max-weight", value)
+        assert (code, out) == (2, "")
+        assert err == "error: argument --max-weight: no command takes more " \
+            "than 22, not %r\n" % shown
+    code, out, _ = run(capsys, "lyndon", "--max-weight", "0" * 5000 + "3")
+    assert (code, out) == (0, "weight 1: 1\nweight 2: 2\nweight 3: 3 2,1\n")
+
+
+def test_letter_over_the_weight_bound_is_refused_unread(capsys):
+    for u, digits in (("9" * 5000, 5000), ("2,12345678", 8)):
+        code, out, err = run(capsys, "product", "stuffle", u, "1")
+        assert (code, out) == (2, "")
+        assert err == "error: the stuffle of two words takes at most weight " \
+            "1048576 in all, not a letter of %d digits\n" % digits
 
 
 def test_empty_report_is_not_a_pass():
