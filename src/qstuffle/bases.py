@@ -9,7 +9,7 @@ Four graded families indexed by words, one row of `KINDS` each:
                          weight class (the oracle) or by the recursive
                          formulas (divided stuffle powers on the Lyndon
                          factors, a sum over the converse derivation map
-                         on a Lyndon word);
+                         on a Lyndon word, a letter included);
   * lyndon_stuffle_element -- divided stuffle powers of the raw Lyndon
                          factors ("chi", unit lower triangular): the
                          divided-power step of the recursive dual family
@@ -20,9 +20,9 @@ Four graded families indexed by words, one row of `KINDS` each:
 through `_checked_basis`, from an element function or from the triangular
 solve of one; `GradedBasis.check_triangular`, the one owner of a family's
 shape, checks each family built and the solve's input.  The Lyndon PBW
-elements on letters are the projected letters; the primitivity suite also
-checks the general projector of `eulerian`, each family as one list
-through `ops.are_primitive`.
+elements on letters are the letters under the projector of `eulerian`;
+the primitivity suite checks them and the projector on every word, each
+family as one list through `ops.are_primitive`.
 
 The factorization suite expands the decreasing product of exponentials
 into one pure tensor per word, by distributivity and the uniqueness of the
@@ -298,14 +298,15 @@ def dual_pbw_oracle(n):
 
 def sigma_from_cfl(w, lyndon_of, rest_of):
     """Divided stuffle powers over the Lyndon factors of the nonempty word
-    w (a tuple): lyndon_of(w) at a Lyndon word, else lyndon_of(l) ⋆
+    w (a tuple): lyndon_of(w) at a Lyndon word, else rest_of(l) ⋆
     rest_of(r) / m for the first factor l, the rest r and the multiplicity
-    m of l, as rest_of(r) carries (m-1)! where a power of l leads."""
+    m of l, as rest_of(r) carries (m-1)! where a power of l leads; so a
+    memoized rest_of runs lyndon_of once per Lyndon word."""
     factors = cfl_factorization(w)
     first = factors[0]
     if len(factors) == 1:
         return lyndon_of(w)
-    return _product(stuffle, [lyndon_of(first), rest_of(w[len(first):])],
+    return _product(stuffle, [rest_of(first), rest_of(w[len(first):])],
                     factors.count(first))
 
 
@@ -345,17 +346,11 @@ def sigma_lyndon_general(w):
 @lru_cache(maxsize=None)
 def dual_pbw_element(w):
     """Recursive dual element: divided stuffle powers over the Lyndon
-    factorization, converse derivation maps on Lyndon words."""
+    factorization, the converse derivation map on each Lyndon word."""
     w = tuple(w)
     if not w:
         return NCPoly.one()
-    # is_lyndon keeps the uncached sigma_lyndon_general to one run per Lyndon
-    # word; as sigma_from_cfl's lyndon_of, it would rerun per word it leads
-    if is_lyndon(w):
-        if len(w) == 1:
-            return word_poly(w)
-        return sigma_lyndon_general(w)
-    return sigma_from_cfl(w, dual_pbw_element, dual_pbw_element)
+    return sigma_from_cfl(w, sigma_lyndon_general, dual_pbw_element)
 
 
 @lru_cache(maxsize=None)

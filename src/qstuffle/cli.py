@@ -16,6 +16,7 @@ stdout; a failed cross-check (a RuntimeError) is its message alone, exit 1.
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from math import comb
@@ -24,7 +25,7 @@ from ._version import __version__
 from . import bases, ops
 from .lyndon import lyndon_of_weight
 from .ncpoly import word_poly
-from .words import word_from_str, word_to_str
+from .words import echo, word_from_str, word_to_str
 
 
 class _Parser(argparse.ArgumentParser):
@@ -39,28 +40,44 @@ def _max_weight(text):
     `MAX_WEIGHT` is refused before `int` reads it (it refuses 4,300)."""
     digits = text.lstrip("0")
     if not (text.isascii() and text.isdigit() and digits):
-        raise argparse.ArgumentTypeError("must be an int >= 1, not %r" % text)
+        raise argparse.ArgumentTypeError("must be an int >= 1, not %s"
+                                         % echo(text))
     cap = max(MAX_WEIGHT.values())
     if len(digits) > len(str(cap)):
-        shown = text if len(text) <= 20 else text[:17] + "..."
         raise argparse.ArgumentTypeError(
-            "no command takes more than %d, not %r" % (cap, shown))
+            "no command takes more than %d, not %s" % (cap, echo(text)))
     return int(digits)
+
+
+def _significant(text):
+    """The number of digits in text, leading zeros dropped."""
+    return len("".join(re.findall(r"\d", text)).lstrip("0"))
 
 
 def _rational(text):
     """A rational with no exponent (slow to expand) and with numerator and
     denominator below 10^30, so that a printed coefficient (at most 128 such
-    powers of q times an int under 10^99) has under 4,300 digits."""
+    powers of q times an int under 10^99) has under 4,300 digits.  As `int`
+    reads at most 4,300 digits, `Fraction` first reads the form with every
+    run of digits made 1; numerator and denominator are then bounded as
+    written (k places of a decimal write the denominator 10^k), and leading
+    zeros are dropped before `Fraction` reads the value."""
+    head, _, den = text.partition("/")
+    whole, _, places = head.partition(".")
+    over = max(_significant(whole + places), _significant(den),
+               _significant("1" + places)) > 30
     try:
         if "e" in text.lower():
             raise ValueError
-        q = Fraction(text)
+        Fraction(re.sub(r"\d+(?:_\d+)*", "1", text))
+        q = None if over else Fraction(re.sub(r"(?<![\d._])[0_]+(?=\d)", "",
+                                              text))
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError("malformed rational %r" % text)
-    if max(abs(q.numerator), q.denominator) >= 10 ** 30:
+        raise argparse.ArgumentTypeError("malformed rational %s" % echo(text))
+    if over or max(abs(q.numerator), q.denominator) >= 10 ** 30:
         raise argparse.ArgumentTypeError(
-            "numerator and denominator must be below 10^30, not %r" % text)
+            "numerator and denominator must be below 10^30, not %s"
+            % echo(text))
     return q
 
 

@@ -9,12 +9,12 @@ The projector sends a word w to
 logarithm-of-the-identity map whose image consists of primitives.  By the
 duality of the q-stuffle with the coproduct, the inner sum is conc o
 (reduced coproduct)^(k-1) (w); `primitive_projector` computes it that way,
-one memoized fold per (word, depth).  The closed formula on letters is a
-second computation, and the defining sum over tuples of words lives in
-tests/oracles.py as the independent reference; their agreement is a
-standing test.  The adjoint projector, the log of the diagonal series (and
-its closed forms) and the adjoint and letter forms of the reconstruction
-are test routes there too.
+one memoized fold per (word, depth), letters included.  The closed formula
+on letters and the defining sum over tuples of words live in
+tests/oracles.py as the independent references; their agreement with the
+fold is a standing test.  The adjoint projector, the log of the diagonal
+series (and its closed forms) and the adjoint and letter forms of the
+reconstruction are test routes there too.
 """
 
 from functools import lru_cache
@@ -22,7 +22,7 @@ from math import factorial
 
 from .ncpoly import NCPoly, Tensor2, _product, _weighted_sum, word_poly
 from .ops import stuffle_coproduct, stuffle_poly
-from .words import codes_of_weight, encode_word, weight, words_of_weight
+from .words import encode_word, weight, words_of_weight
 
 
 @lru_cache(maxsize=None)
@@ -58,15 +58,9 @@ def primitive_projector(w):
         for k in range(1, weight(w) + 1)))
 
 
-@lru_cache(maxsize=None)
 def primitive_projector_letter(s):
-    """Closed formula on letters: the contraction corrections only."""
-    parts = [(1, 1, 0, [((1 << (s - 1), 0), 1)])]
-    for l in range(2, s + 1):
-        parts.append(((-1) ** (l - 1), l, l - 1,
-                      [((w, 0), 1) for w in codes_of_weight(s)
-                       if w.bit_count() == l]))
-    return _weighted_sum(NCPoly, parts)
+    """The projected letter y_s: `primitive_projector` on the word (s,)."""
+    return primitive_projector((s,))
 
 
 def diagonal_series(n):

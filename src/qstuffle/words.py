@@ -91,16 +91,23 @@ def word_to_str(w):
     return ",".join(str(s) for s in w) if w else "e"
 
 
+def echo(text):
+    """text as an error message quotes it: its repr, a text of more than 20
+    characters cut to its first 17 and "..."."""
+    return repr(text if len(text) <= 20 else text[:17] + "...")
+
+
 def word_from_str(s):
     s = s.strip()
     if s == "e" or s == "":
         return ()
     parts = [part.strip() for part in s.split(",")]
     if not all(part.isascii() and part.isdigit() for part in parts):
-        raise ValueError("malformed word %r (expected e.g. \"3,1,2\" or \"e\")" % s)
-    w = tuple(map(int, parts))
+        raise ValueError("malformed word %s (expected e.g. \"3,1,2\" or "
+                         "\"e\")" % echo(s))
+    w = tuple(int(part.lstrip("0") or "0") for part in parts)
     if any(x < 1 for x in w):
-        raise ValueError("letter indices must be >= 1, got %r" % s)
+        raise ValueError("letter indices must be >= 1, got %s" % echo(s))
     return w
 
 

@@ -20,8 +20,9 @@ match.  In the last section, on the public API (`+`, `scale`, `pairing`,
 dual elements, the divided stuffle powers folded over every Lyndon factor
 of a word, products of PBW elements along a sequence, the truncated exp
 and log series with the group-like test over every ordered pair of words,
-the adjoint projector by its sum over deconcatenations, the adjoint and
-letter forms of the reconstruction identity, the outer product of two
+the adjoint projector by its sum over deconcatenations, the closed formula
+of the projected letters, the adjoint and letter forms of the
+reconstruction identity, the outer product of two
 polynomials, the slot product of the mixed tensor algebra, the log of the
 diagonal series and its closed forms, and the decreasing product of
 exponentials of the factorization folded factor by factor.  No command
@@ -37,8 +38,7 @@ from math import factorial, prod
 
 from qstuffle.bases import pbw_element
 from qstuffle.coeff import QPoly
-from qstuffle.eulerian import (diagonal_series, primitive_projector,
-                               primitive_projector_letter)
+from qstuffle.eulerian import diagonal_series, primitive_projector
 from qstuffle.lyndon import (cfl_factorization, legal_rises, lyndon_up_to,
                              standard_factorization)
 from qstuffle.ncpoly import NCPoly, Tensor2, _accumulate, word_poly
@@ -544,15 +544,24 @@ def reconstruct_adjoint(w):
                                 exp_coefficient)
 
 
+def projector_letter_closed(s):
+    """The projected letter y_s by its closed formula: only the contraction
+    corrections survive, ((-1)^(k-1)/k) q^(k-1) w for every composition w
+    of s into k parts."""
+    return NCPoly({w: QPoly({len(w) - 1: Fraction((-1) ** (len(w) - 1),
+                                                  len(w))})
+                   for w in _o_words_of_weight(s)})
+
+
 def letter_reconstruct(s):
     """The letter identity: y_s as the q-weighted sum over compositions of s
-    of products of projected letters."""
+    of products of projected letters (by the closed formula)."""
     acc = NCPoly.zero()
     for w in _o_words_of_weight(s):
         k = len(w)
         prod = NCPoly.one()
         for j in w:
-            prod = prod * primitive_projector_letter(j)
+            prod = prod * projector_letter_closed(j)
         acc = acc + prod.scale(QPoly({k - 1: Fraction(1, factorial(k))}))
     return acc
 

@@ -18,8 +18,9 @@ from qstuffle.bases import (KINDS, GradedBasis, _dual_by_triangular_solve,
                             sigma_from_cfl, sigma_lyndon_general,
                             verify_duality, verify_factorization,
                             verify_primitivity)
-from qstuffle.lyndon import (cfl_factorization, is_lyndon, lyndon_of_weight,
-                             lyndon_up_to, standard_factorization)
+from qstuffle.lyndon import (cfl_factorization, converse_tree, is_lyndon,
+                             lyndon_of_weight, lyndon_up_to,
+                             standard_factorization)
 from qstuffle.ncpoly import NCPoly, Tensor2, word_poly
 from qstuffle.ops import is_primitive, stuffle, stuffle_poly
 from qstuffle.report import Report
@@ -228,10 +229,29 @@ def test_sigma_increasing_matches_oracle():
 
 
 def test_sigma_lyndon_general_examples():
+    for s in range(1, 6):  # a letter's converse derivation map is itself
+        assert sigma_lyndon_general((s,)) == word_poly((s,))
     assert sigma_lyndon_general((2, 1)) == \
         word_poly((2, 1)) + word_poly((3,)).scale(q(1, 1, 2))
     with pytest.raises(ValueError):
         sigma_lyndon_general((1, 2))
+
+
+def test_one_converse_map_per_lyndon_word(monkeypatch):
+    """The recursive Σ of every word of weight <= 7 runs the converse
+    derivation map once per Lyndon word, letters included, and on no other
+    word."""
+    calls = []
+
+    def counted(seq):
+        calls.append(seq)
+        return converse_tree(seq)
+    monkeypatch.setattr(bases, "converse_tree", counted)
+    dual_pbw_element.cache_clear()
+    for w in all_words_up_to(7):
+        dual_pbw_element(w)
+    dual_pbw_element.cache_clear()
+    assert sorted(calls) == sorted((l,) for l in lyndon_up_to(7))
 
 
 def test_recursion_equals_the_oracle_to_weight_9():

@@ -268,7 +268,48 @@ def test_q_of_31_digits_is_refused(capsys, value):
                          "--q=" + value)
     assert (code, out) == (2, "")
     assert err == "error: argument --q: numerator and denominator must be " \
-        "below 10^30, not %r\n" % value
+        "below 10^30, not %r\n" % (value[:17] + "...")
+
+
+X, NINES = "x" * 5000, "9" * 5000
+
+
+@pytest.mark.parametrize("argv", [
+    ("lyndon", "--max-weight", X),
+    ("product", "stuffle", X, "1"),
+    ("product", "stuffle", "1", "1", "--q", X),
+    ("product", "stuffle", "1", "1", "--q", "1" * 4000),
+    ("basis", "pi", "--max-weight", "3", "--q", NINES),
+    ("product", "stuffle", "0" * 5000, "1")],
+    ids=["max-weight", "word", "q", "q-of-4000-digits", "q-over-int-limit",
+         "letter-of-zeros"])
+def test_a_long_value_is_refused_in_one_short_line(capsys, argv):
+    """A refusal echoes at most 20 characters of the value."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) < 120
+    assert "..." in err
+
+
+def test_q_over_the_int_digit_limit_is_not_malformed(capsys):
+    """Digits that `int` refuses to read (over 4,300) are over the bound,
+    leading zeros are not digits of the value, and a malformed value is
+    malformed at any length."""
+    code, out, err = run(capsys, "basis", "pi", "--max-weight", "3", "--q",
+                         NINES)
+    assert (code, out) == (2, "")
+    assert err == "error: argument --q: numerator and denominator must be " \
+        "below 10^30, not '99999999999999999...'\n"
+    for value in ("0" * 5000 + "1/2", "1/" + "0" * 5000 + "2",
+                  "0_" * 5000 + "1/2"):
+        assert run(capsys, "product", "stuffle", "1", "1", "--q", value) == \
+            (0, "1/2·[2] + 2·[1,1]\n", "")
+    code, out, err = run(capsys, "product", "stuffle", "1", "1", "--q",
+                         "x" + NINES)
+    assert (code, out) == (2, "")
+    assert err == "error: argument --q: malformed rational " \
+        "'x9999999999999999...'\n"
 
 
 def test_q_of_30_digits_renders(capsys):

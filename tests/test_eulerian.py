@@ -4,10 +4,10 @@ import pytest
 
 from oracles import (letter_reconstruct, log_diagonal, log_diagonal_left_form,
                      log_diagonal_right_form, primitive_projector_adjoint,
-                     projector_tuple_sum, reconstruct_adjoint, tensor_outer)
+                     projector_letter_closed, projector_tuple_sum,
+                     reconstruct_adjoint, tensor_outer)
 from qstuffle.coeff import QPoly
-from qstuffle.eulerian import (diagonal_series, primitive_projector,
-                               primitive_projector_letter, reconstruct)
+from qstuffle.eulerian import diagonal_series, primitive_projector, reconstruct
 from qstuffle.ncpoly import NCPoly, Tensor2, word_poly
 from qstuffle.words import all_words_up_to, weight, words_of_weight
 
@@ -29,8 +29,8 @@ def test_projector_examples():
 
 
 def test_projector_three_routes_agree():
-    for s in range(1, 7):
-        assert primitive_projector_letter(s) == primitive_projector((s,))
+    for s in range(1, 16):  # every letter up to the cap of `basis pi`
+        assert projector_letter_closed(s) == primitive_projector((s,)), s
     for w in all_words_up_to(6):
         terms = {v: dict(c.terms()) for v, c in primitive_projector(w).terms()}
         assert terms == projector_tuple_sum(w)
