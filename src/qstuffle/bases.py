@@ -28,14 +28,15 @@ The factorization suite expands the decreasing product of exponentials
 into one pure tensor per word, by distributivity and the uniqueness of the
 Chen-Fox-Lyndon factorization (`factorization_forms`).
 
-The triangular solve inverts each weight class in ints, one inverse row
-packed into one big int (`_invert_unit_upper`).  It is the oracle of
-`basis sigma`: `sigma_mismatches` is the one comparison of it with the
-recursion, the default Σ of `basis_by_kind` is the oracle checked against
-the recursion, and a mismatch there is a RuntimeError.  The verification
-suites run no solve and check no shape: each is a function of N that reads
-Π from `pbw_element` and Σ from `dual_pbw_element`, so the duality suite
-checks the recursion against Π.
+The triangular solve inverts each weight class in ints, one inverse column
+packed into one big int and read out as the dual entry at its word
+(`_invert_unit_upper`).  It is the oracle of `basis sigma`:
+`sigma_mismatches` is the one comparison of it with the recursion, the
+default Σ of `basis_by_kind` is the oracle checked against the recursion,
+and a mismatch there is a RuntimeError.  The verification suites run no
+solve and check no shape: each is a function of N that reads Π from
+`pbw_element` and Σ from `dual_pbw_element`, so the duality suite checks
+the recursion against Π.
 """
 import json
 from collections import namedtuple
@@ -208,47 +209,48 @@ def _checked_basis(kind, n, element, dual_of=None):
     return basis
 
 
-def _invert_unit_upper(rows):
-    """Inverse of a unit upper triangular rational matrix, given by its
-    strictly upper rows (d, {column: int c}) for the entries c/d.  Back-
-    substitution from the last row, inv_i = e_i - sum_k a_ik inv_k, with
-    each inverse row packed into one int of W-bit slots (Kronecker
-    substitution): one big-int multiply-add per a_ik.  W starts at 64 and
-    doubles, for the whole class, while a slot may overflow.  Row i of the
-    inverse is its numerators at columns i, i+1, ..., reduced by their gcd;
-    the first, on the diagonal, is their denominator."""
+def _invert_unit_upper(columns):
+    """Inverse of a unit upper triangular rational matrix A, given by its
+    strictly upper columns: columns[j] lists (i, a, d) for each entry
+    A[i][j] = a/d.  Forward substitution from the first column, inv_j =
+    e_j - sum_i a_ij inv_i (as inv·A = I), with each inverse column packed
+    into one int of W-bit slots (Kronecker substitution): one big-int
+    multiply-add per a_ij.  W starts at 64 and doubles, for the whole
+    class, while a slot may overflow.  Column j of the inverse is its
+    numerators at rows 0, 1, ..., j, reduced by their gcd; the last, on the
+    diagonal, is their denominator."""
     width = 64
-    while (inv := _packed_inverse(rows, width)) is None:
+    while (inv := _packed_inverse(columns, width)) is None:
         width *= 2
     return inv
 
 
-def _packed_inverse(rows, width):
+def _packed_inverse(columns, width):
     """`_invert_unit_upper` with W = `width` (a multiple of 8) bits per
-    slot, or None when a row is not provably exact.  Column j lies in slot
-    len(rows) - 1 - j, so a row ends at its diagonal.  A row is decoded
-    only once d·den + sum |scale_k|·max|inv_k| < 2^(W-1) bounds every
-    slot: 2^(W-1) added to each then makes it a W-bit unsigned field."""
-    size, step = len(rows), width // 8
+    slot, or None when a column is not provably exact.  Row i lies in slot
+    i, so a column ends at its diagonal.  A column is decoded only once
+    den + sum |scale_i|·max|inv_i| < 2^(W-1) bounds every slot: adding
+    2^(W-1) to each slot and flipping its top bit back then leaves the
+    slot's value as a signed W-bit field, with no borrow between slots."""
+    size, step = len(columns), width // 8
     half = 1 << (width - 1)
     offset = half * ((1 << width * size) - 1) // ((1 << width) - 1)
     packed, peak, inv = [0] * size, [0] * size, [None] * size
-    for i in range(size - 1, -1, -1):
-        d, row = rows[i]
-        den = lcm(*(inv[k][0] for k in row))
-        acc, bound = d * den << width * (size - 1 - i), d * den
-        for k, c in row.items():
-            scale = c * (den // inv[k][0])
-            acc -= scale * packed[k]
-            bound += abs(scale) * peak[k]
+    for j, column in enumerate(columns):
+        den = lcm(*(d * inv[i][-1] for i, _, d in column))
+        acc, bound = den << width * j, den
+        for i, a, d in column:
+            scale = a * (den // (d * inv[i][-1]))
+            acc -= scale * packed[i]
+            bound += abs(scale) * peak[i]
         if bound >= half:
             return None
-        raw = (acc + offset).to_bytes(step * size, "big")
-        nums = [int.from_bytes(raw[b:b + step], "big") - half
-                for b in range(step * i, step * size, step)]
-        g = gcd(*nums)  # nums[0] = d·den > 0
+        raw = ((acc + offset) ^ offset).to_bytes(step * (j + 1), "little")
+        nums = [int.from_bytes(raw[b:b + step], "little", signed=True)
+                for b in range(0, step * (j + 1), step)]
+        g = gcd(*nums)  # nums[j] = den > 0
         nums = [c // g for c in nums]
-        packed[i], peak[i], inv[i] = acc // g, max(map(abs, nums)), nums
+        packed[j], peak[j], inv[j] = acc // g, max(map(abs, nums)), nums
     return inv
 
 
@@ -261,9 +263,9 @@ def _dual_by_triangular_solve(elements, n, kind):
     w| in one direction.  The matrix of a weight class is then M = D^-1 A D
     with D = diag(q^(+-len)) and A rational, so M^-1 = D^-1 A^-1 D: only A
     is inverted, and q is restored from the set bits of the two words'
-    codes, one per letter.  A row of A is its element's int terms, its
-    diagonal the element's denominator; a column of A^-1 comes out in ints
-    over the lcm of the denominators of its rows."""
+    codes, one per letter.  Column j of A holds the int terms at word j of
+    the other elements, each over its element's denominator; the dual entry
+    at word j is column j of A^-1, in ints over its own denominator."""
     GradedBasis(kind, n, {**elements, (): NCPoly.one()}).check_triangular()
     order = 1 if KINDS[kind].upper else -1  # a lower family read as upper
     entries = {(): NCPoly.one()}
@@ -272,22 +274,17 @@ def _dual_by_triangular_solve(elements, n, kind):
         index = {encode_word(w): i for i, w in enumerate(ws)}
         codes = list(index)
         lengths = [c.bit_count() for c in codes]
-        rows = []
-        for i, w in enumerate(ws):
-            row = {index[v]: a for (v, _), a in elements[w]._terms.items()}
-            rows.append((row.pop(i), row))
-        # dual of row family with matrix M is given by columns of M^-1:
-        # column j holds (key, c, den) for each entry c/den of a row i <= j
         columns = [[] for _ in ws]
-        for i, nums in enumerate(_invert_unit_upper(rows)):
-            code, length, den = codes[i], lengths[i], nums[0]
-            for column, c, other in zip(columns[i:], nums, lengths[i:]):
-                if c:
-                    column.append(((code, abs(length - other)), c, den))
-        for w, column in zip(ws, columns):
-            den = lcm(*{d for _, _, d in column})
+        for i, w in enumerate(ws):
+            p = elements[w]
+            for (v, _), a in p._terms.items():
+                if v != codes[i]:
+                    columns[index[v]].append((i, a, p._den))
+        for w, length, nums in zip(ws, lengths, _invert_unit_upper(columns)):
             entries[w] = NCPoly._raw(
-                {key: c * (den // d) for key, c, d in column}, den)
+                {(code, abs(length - other)): c
+                 for code, other, c in zip(codes, lengths, nums) if c},
+                nums[-1])
     return entries
 
 

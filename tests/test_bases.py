@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import (dense_invert_unit_upper, derivation_leaves,
                      exp_product_fold, ncpoly_to_fraction_dict,
@@ -94,26 +95,25 @@ def test_graded_solve_matches_dense_reference(kind, element):
         _dense_dual(elements, 6, kind)
 
 
-def _packed_rows(m):
-    """The rows (d, {column: int c}) of `_invert_unit_upper` for a dense
-    unit upper triangular matrix of Fractions: entries c/d off the
-    diagonal."""
-    rows = []
-    for i, r in enumerate(m):
-        upper = {j: a for j, a in enumerate(r) if j > i and a}
-        d = math.lcm(*(a.denominator for a in upper.values()))
-        rows.append((d, {j: int(a * d) for j, a in upper.items()}))
-    return rows
+def _packed_columns(m):
+    """The columns [(i, a, d)] of `_invert_unit_upper` for a dense unit
+    upper triangular matrix of Fractions, read as the solve reads a family:
+    row i over d, the lcm of its denominators off the diagonal, and each
+    entry m[i][j] = a/d."""
+    dens = [math.lcm(*(a.denominator for a in r[i + 1:]))
+            for i, r in enumerate(m)]
+    return [[(i, int(m[i][j] * dens[i]), dens[i]) for i in range(j) if m[i][j]]
+            for j in range(len(m))]
 
 
-def _dense_inverse(rows):
-    """`_invert_unit_upper(rows)` as a dense matrix of Fractions."""
-    size = len(rows)
+def _dense_inverse(columns):
+    """`_invert_unit_upper(columns)` as a dense matrix of Fractions."""
+    size = len(columns)
     out = [[Fraction(0)] * size for _ in range(size)]
-    for i, nums in enumerate(bases._invert_unit_upper(rows)):
-        assert len(nums) == size - i
-        for j, c in enumerate(nums, i):
-            out[i][j] = Fraction(c, nums[0])
+    for j, nums in enumerate(bases._invert_unit_upper(columns)):
+        assert len(nums) == j + 1
+        for i, c in enumerate(nums):
+            out[i][j] = Fraction(c, nums[-1])
     return out
 
 
@@ -122,9 +122,9 @@ def _spied_widths(monkeypatch):
     widths = []
     packed = bases._packed_inverse
 
-    def spy(rows, width):
+    def spy(columns, width):
         widths.append(width)
-        return packed(rows, width)
+        return packed(columns, width)
     monkeypatch.setattr(bases, "_packed_inverse", spy)
     return widths
 
@@ -137,7 +137,7 @@ def test_packed_inverse_doubles_the_width_for_large_entries(monkeypatch):
                    rng.choice([1, 3, 2 ** 40 + 1]))
           for j in range(size)] for i in range(size)]
     widths = _spied_widths(monkeypatch)
-    inverse = _dense_inverse(_packed_rows(m))
+    inverse = _dense_inverse(_packed_columns(m))
     assert len(widths) > 2 and widths == [64 << t for t in range(len(widths))]
     assert inverse == dense_invert_unit_upper(m, Fraction(0), Fraction(1))
 
@@ -149,9 +149,29 @@ def test_packed_inverse_fits_at_64_bits(monkeypatch):
           Fraction(rng.randrange(-3, 4), rng.choice([1, 2, 3]))
           for j in range(size)] for i in range(size)]
     widths = _spied_widths(monkeypatch)
-    inverse = _dense_inverse(_packed_rows(m))
+    inverse = _dense_inverse(_packed_columns(m))
     assert widths == [64]
     assert inverse == dense_invert_unit_upper(m, Fraction(0), Fraction(1))
+
+
+# entries of both signs over mixed denominators; the wide ones force W >= 128
+UPPER_ENTRIES = st.builds(
+    Fraction, st.one_of(st.integers(-3, 3), st.integers(-2 ** 72, 2 ** 72)),
+    st.sampled_from([1, 2, 3, 7, 2 ** 40 + 1]))
+
+
+@st.composite
+def unit_upper_matrices(draw):
+    size = draw(st.integers(1, 12))
+    return [[Fraction(int(i == j)) if j <= i else draw(UPPER_ENTRIES)
+             for j in range(size)] for i in range(size)]
+
+
+@settings(deadline=None, max_examples=60)
+@given(unit_upper_matrices())
+def test_packed_inverse_matches_the_dense_reference(m):
+    assert _dense_inverse(_packed_columns(m)) == \
+        dense_invert_unit_upper(m, Fraction(0), Fraction(1))
 
 
 def _identity_family(n):

@@ -6,8 +6,10 @@ from oracles import (letter_reconstruct, log_diagonal, log_diagonal_left_form,
                      log_diagonal_right_form, primitive_projector_adjoint,
                      projector_letter_closed, projector_tuple_sum,
                      reconstruct_adjoint, tensor_outer)
+from qstuffle.bases import pbw_element
 from qstuffle.coeff import QPoly
 from qstuffle.eulerian import diagonal_series, primitive_projector, reconstruct
+from qstuffle.lyndon import lyndon_up_to
 from qstuffle.ncpoly import NCPoly, Tensor2, word_poly
 from qstuffle.words import all_words_up_to, weight, words_of_weight
 
@@ -60,13 +62,25 @@ def test_degree_preservation():
             assert all(weight(v) == n for v in p.support())
 
 
+def _projected(p):
+    """The projector applied linearly to the polynomial p."""
+    image = NCPoly.zero()
+    for v, c in p.terms():
+        image = image + primitive_projector(v).scale(c)
+    return image
+
+
 def test_projector_idempotent():
-    for w in all_words_up_to(5):
+    for w in all_words_up_to(7):
         p = primitive_projector(w)
-        image = NCPoly.zero()
-        for v, c in p.terms():
-            image = image + primitive_projector(v).scale(c)
-        assert image == p
+        assert _projected(p) == p
+
+
+def test_projector_fixes_lyndon_pbw_elements():
+    """The Lyndon PBW elements are Lie elements (Ree), so the projector
+    onto the primitives fixes each of them."""
+    for w in lyndon_up_to(7):
+        assert _projected(pbw_element(w)) == pbw_element(w), w
 
 
 def test_log_diagonal():
