@@ -34,9 +34,10 @@ packed into one big int and read out as the dual entry at its word
 `sigma_mismatches` is the one comparison of it with the recursion, the
 default Σ of `basis_by_kind` is the oracle checked against the recursion,
 and a mismatch there is a RuntimeError.  The verification suites run no
-solve and check no shape: each is a function of N that reads Π from
-`pbw_element` and Σ from `dual_pbw_element`, so the duality suite checks
-the recursion against Π.
+solve and check no shape: each is a function of N alone that reads Π from
+`pbw_element` and Σ from `dual_pbw_element` by module name at call time,
+so the duality suite checks the recursion against Π, and a test swaps Σ by
+patching `bases.dual_pbw_element`.
 """
 import json
 from collections import namedtuple
@@ -198,14 +199,18 @@ def _checked_basis(kind, n, element, dual_of=None):
     when `dual_of` names the kind of that family, from its dual by the
     triangular solve; its shape is checked before it is returned.
     `element` is passed in at call time, so a rebinding of a module-level
-    element function is always seen."""
+    element function is always seen.  A built family that fails its shape
+    check is a failed computation (a RuntimeError), not refused input."""
     entries = {(): NCPoly.one()}
     for w in all_words_up_to(n):
         entries[w] = element(w)
-    if dual_of is not None:
-        entries = _dual_by_triangular_solve(entries, n, dual_of)
-    basis = GradedBasis(kind, n, entries)
-    basis.check_triangular()
+    try:
+        if dual_of is not None:
+            entries = _dual_by_triangular_solve(entries, n, dual_of)
+        basis = GradedBasis(kind, n, entries)
+        basis.check_triangular()
+    except ValueError as exc:
+        raise RuntimeError(exc) from exc
     return basis
 
 
@@ -389,9 +394,9 @@ def basis_by_kind(kind, n, sigma_method=None):
     return basis
 
 
-def verify_duality(n, sigma_of=None):
-    """<sigma_of(v) | pbw(u)> is 1 exactly when u = v, for weights <= n;
-    `sigma_of` is an element function, by default `dual_pbw_element`.
+def verify_duality(n):
+    """<dual_pbw_element(v) | pbw_element(u)> is 1 exactly when u = v, for
+    weights <= n.
 
     One `ncpoly._word_index` over the PBW family; each row is the
     `_pairings` of one dual element with it, keyed by list position, so
@@ -403,7 +408,6 @@ def verify_duality(n, sigma_of=None):
     that of pbw(u), the entry at (v, u) is d·d_u times the pairing, and on
     the diagonal the identity reads d·d_v."""
     rep = Report("duality (N=%d)" % n)
-    sigma_of = sigma_of or dual_pbw_element
     words = all_words_up_to(n)
     pbw = [pbw_element(w) for w in words]
     index = _word_index(pbw)
@@ -411,7 +415,7 @@ def verify_duality(n, sigma_of=None):
     bad = [0] * (n + 1)  # failed pairs per weight
     cross_bad = 0
     for v, w in enumerate(words):  # u and v are list positions from here on
-        p, k = sigma_of(w), weights[v]
+        p, k = dual_pbw_element(w), weights[v]
         identity = {((v, 0), p._den * pbw[v]._den)}
         for u in {u for (u, _), _ in _pairings(index, p).items() ^ identity}:
             if weights[u] == k:
@@ -458,10 +462,10 @@ def _pair_sum(left_of, n):
     return Tensor2._raw({k: a for k, a in acc.items() if a}, den)
 
 
-def factorization_forms(n, sigma_of=None):
+def factorization_forms(n):
     """The three truncated expressions: the diagonal series, the dual-pair
     sum, and the decreasing product of exponentials over Lyndon words, with
-    the dual element function `sigma_of` (by default `dual_pbw_element`).
+    Σ from `dual_pbw_element` and Π from `pbw_element`.
 
     The product is not multiplied out.  (a⊗b)(c⊗d) = (a*c)⊗(bd) in the
     mixed tensor algebra and exp(σ_l⊗π_l) = Σ_k σ_l^{*k}/k! ⊗ π_l^k, so by
@@ -470,20 +474,19 @@ def factorization_forms(n, sigma_of=None):
     choices are the words w = l_1^k_1...l_m^k_m, each giving
     sigma_from_cfl(w) ⊗ pbw_element(w), of total weight 2·weight(w)
     (Reutenauer, *Free Lie Algebras*, Thm 5.3).  Memoized per call, these
-    read `sigma_of` at Lyndon words only.  Both sums are `_pair_sum`.
+    read Σ at Lyndon words only.  Both sums are `_pair_sum`.
     """
-    sigma_of = sigma_of or dual_pbw_element
-
     @lru_cache(maxsize=None)
     def exp_factor(w):
-        return sigma_from_cfl(w, sigma_of, exp_factor)
-    return (diagonal_series(n), _pair_sum(sigma_of, n),
+        return sigma_from_cfl(w, dual_pbw_element, exp_factor)
+    return (diagonal_series(n), _pair_sum(dual_pbw_element, n),
             _pair_sum(exp_factor, n))
 
 
-def verify_factorization(n, sigma_of=None):
+def verify_factorization(n):
+    """Each form of `factorization_forms(n)` against the diagonal series."""
     rep = Report("factorization (N=%d)" % n)
-    diag, mid, prod = factorization_forms(n, sigma_of)
+    diag, mid, prod = factorization_forms(n)
     rep.add("dual-pair sum equals the diagonal series", mid == diag)
     rep.add("decreasing product of exponentials equals the diagonal series",
             prod == diag)

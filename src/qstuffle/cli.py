@@ -10,7 +10,8 @@ Each command takes only the options it reads; the parser refuses any other
 option or value, and the commands refuse a `--max-weight` over their cap
 (`MAX_WEIGHT`) and a product over its size caps before any work.  Every
 refusal is one `error:` line on stderr and exit code 2, with nothing on
-stdout; a failed cross-check (a RuntimeError) is its message alone, exit 1.
+stdout; a failed cross-check or shape check of a built family (a
+RuntimeError) is its message alone, exit 1.
 """
 
 import argparse
@@ -277,7 +278,7 @@ def main(argv=None):
     except ValueError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
-    except RuntimeError as exc:  # a cross-check failed
+    except RuntimeError as exc:  # a cross-check or a shape check failed
         sys.stderr.write("%s\n" % exc)
         return 1
     except BrokenPipeError:

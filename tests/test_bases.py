@@ -334,25 +334,28 @@ def test_duality_report():
     lambda e: e.update({(2,): e[(2,)].scale(2)}),
     lambda e: e.update({(2,): e[(2,)].scale(QPoly.q())})],
     ids=["swapped", "diagonal-only", "diagonal-at-q"])
-def test_duality_fails_per_weight(corrupt):
+def test_duality_fails_per_weight(monkeypatch, corrupt):
     """Σ(2) and Σ(1,1) swapped (both diagonal and both off-diagonal pairs
     of weight 2 fail), Σ(2) doubled, or Σ(2) times q (its diagonal pair
     reads q, not 1; it alone fails): only the weight-2 line reads FAIL."""
     entries = dict(dual_pbw_oracle(3).entries)
     corrupt(entries)
-    sigma = GradedBasis("sigma", 3, entries).entry
-    assert verify_duality(3, sigma).lines() == [
+    monkeypatch.setattr(bases, "dual_pbw_element",
+                        GradedBasis("sigma", 3, entries).entry)
+    assert verify_duality(3).lines() == [
         "weight 1 (1 pairs): PASS", "weight 2 (4 pairs): FAIL",
         "weight 3 (16 pairs): PASS",
         "cross-weight pairs vanish (28 pairs): PASS", "duality (N=3): FAILED"]
 
 
-def test_duality_fails_across_weights_on_an_inhomogeneous_entry():
+def test_duality_fails_across_weights_on_an_inhomogeneous_entry(
+        monkeypatch):
     """Σ(1) + y_2 pairs to 1 with Π(2): only the cross-weight line fails."""
     entries = dict(dual_pbw_oracle(3).entries)
     entries[(1,)] = entries[(1,)] + word_poly((2,))
-    sigma = GradedBasis("sigma", 3, entries).entry
-    assert verify_duality(3, sigma).lines() == [
+    monkeypatch.setattr(bases, "dual_pbw_element",
+                        GradedBasis("sigma", 3, entries).entry)
+    assert verify_duality(3).lines() == [
         "weight 1 (1 pairs): PASS", "weight 2 (4 pairs): PASS",
         "weight 3 (16 pairs): PASS",
         "cross-weight pairs vanish (28 pairs): FAIL", "duality (N=3): FAILED"]
@@ -369,14 +372,15 @@ def test_factorization():
 @pytest.mark.parametrize("word, extra, product_line", [
     ((1, 1), (2,), "PASS"), ((2, 1), (3,), "FAIL")],
     ids=["non-Lyndon", "Lyndon"])
-def test_factorization_product_reads_lyndon_entries_only(word, extra,
-                                                         product_line):
+def test_factorization_product_reads_lyndon_entries_only(monkeypatch, word,
+                                                         extra, product_line):
     """A wrong entry of Σ breaks the dual-pair sum; it breaks the product
     of exponentials only at a Lyndon word, the only entries it reads."""
     entries = dict(dual_pbw_oracle(4).entries)
     entries[word] = entries[word] + word_poly(extra)
-    sigma = GradedBasis("sigma", 4, entries).entry
-    assert verify_factorization(4, sigma).lines() == [
+    monkeypatch.setattr(bases, "dual_pbw_element",
+                        GradedBasis("sigma", 4, entries).entry)
+    assert verify_factorization(4).lines() == [
         "dual-pair sum equals the diagonal series: FAIL",
         "decreasing product of exponentials equals the diagonal series: "
         + product_line, "factorization (N=4): FAILED"]
@@ -435,7 +439,8 @@ def test_factorization_sees_divided_powers_by_k(monkeypatch):
 
     assert [w for w in all_words_up_to(4) if broken(w)
             != sigma_by_factor_chain(w, sigma.entry)][0] == (1, 1, 1)
-    assert verify_factorization(4, sigma.entry).lines() == [
+    monkeypatch.setattr(bases, "dual_pbw_element", sigma.entry)
+    assert verify_factorization(4).lines() == [
         "dual-pair sum equals the diagonal series: PASS",
         "decreasing product of exponentials equals the diagonal series: FAIL",
         "factorization (N=4): FAILED"]
@@ -540,6 +545,34 @@ def test_primitivity_report():
     assert verify_primitivity(4).ok
 
 
+@pytest.mark.parametrize("name, word, extra, lines", [
+    ("pbw_element", (2, 1), (1, 1, 1),
+     ["pbw elements of Lyndon words (7): FAIL (failures: ['2,1'])",
+      "projected words (15): PASS"]),
+    ("primitive_projector", (3,), (1, 2),
+     ["pbw elements of Lyndon words (7): PASS",
+      "projected words (15): FAIL (failures: ['3'])"])],
+    ids=["pbw", "projector"])
+def test_each_primitivity_line_fails_alone(monkeypatch, name, word, extra,
+                                           lines):
+    """y_1y_1y_1 added to Π(2,1) fails the Lyndon line at 2,1 alone (it
+    commutes with y_1, so the brackets built on Π(2,1) are unchanged); y_1y_2
+    added to the projection of y_3 fails the projected line alone, as Π
+    takes its letters from `eulerian`, not from `bases`."""
+    real = getattr(bases, name)
+
+    def corrupted(w):
+        return real(w) + word_poly(extra) if tuple(w) == word else real(w)
+    # the real function's cache would store entries built from the corrupted
+    real.cache_clear()
+    monkeypatch.setattr(bases, name, corrupted)
+    try:
+        assert verify_primitivity(4).lines() == lines + [
+            "primitivity (N=4): FAILED"]
+    finally:
+        real.cache_clear()
+
+
 def test_sigma_positivity():
     basis = dual_pbw_oracle(5)
     for w in all_words_up_to(5):
@@ -634,8 +667,8 @@ def test_built_families_are_checked_for_their_q_grading(monkeypatch, kind,
             return element(w)
         return element(w) + word_poly((4,)).scale(q(2))
     monkeypatch.setattr(bases, name, off_grade)
-    with pytest.raises(ValueError, match="^%s entry at %s has q-exponent 2 at "
-                       "4, not 1, one q per letter lost$"
+    with pytest.raises(RuntimeError, match="^%s entry at %s has q-exponent 2 "
+                       "at 4, not 1, one q per letter lost$"
                        % (kind, ",".join(map(str, word)))):
         basis_by_kind(kind, 4, method)
 

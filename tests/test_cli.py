@@ -175,6 +175,26 @@ def test_both_methods_mismatch_exits_one(capsys, monkeypatch):
                    "  recursive: [2,1]\n")
 
 
+@pytest.mark.parametrize("argv, name, family", [
+    (["sigma", "--sigma-method", "recursive"], "dual_pbw_element", "sigma"),
+    (["xi"], "lyndon_stuffle_element", "chi")], ids=["built", "solve-input"])
+def test_a_failed_shape_check_exits_one(capsys, monkeypatch, argv, name,
+                                        family):
+    """A family the program built that breaks its shape, as a basis or as
+    the solve's input, is a failed computation: its message alone, exit 1."""
+    # below weight 4 no other word's recursion reaches 2,1, so the cache of
+    # the real element function is left as it was
+    element = getattr(bases, name)
+
+    def upper_at_2_1(w):
+        p = element(w)
+        return p + word_poly((1, 2)) if tuple(w) == (2, 1) else p
+    monkeypatch.setattr(bases, name, upper_at_2_1)
+    code, out, err = run(capsys, "basis", *argv, "--max-weight", "3")
+    assert (code, out) == (1, "")
+    assert err == "%s entry at 2,1 breaks triangularity at 1,2\n" % family
+
+
 def test_basis_json_metadata(capsys):
     code, out, _ = run(capsys, "basis", "xi", "--max-weight", "3",
                        "--format", "json")

@@ -380,3 +380,32 @@ def test_duality_check_sees_a_coproduct_that_is_not_dual(monkeypatch, name,
     lines = verify_axioms(4).lines()
     assert any(line.startswith("product/coproduct duality") and
                line.endswith("FAIL") for line in lines), lines
+
+
+def test_coassociativity_check_sees_a_noncoassociative_coproduct(
+        monkeypatch):
+    """A letter coproduct that keeps, of its q-splits, only y_1 ox y_{s-1}
+    is not coassociative: (id ox Delta) Delta(y_3) holds q^2·y_1 ox y_1 ox
+    y_1, and (Delta ox id) Delta(y_3), without the split y_2 ox y_1, does
+    not.  The coassociativity line fails, and so does the duality line,
+    which needs every split."""
+    from qstuffle import ops
+
+    def first_letter_y1(s):
+        data = {(1 << (s - 1), 0, 0): 1, (0, 1 << (s - 1), 0): 1}
+        if s > 1:
+            data[(1, 1 << (s - 2), 1)] = 1
+        return Tensor2._raw(data)
+
+    # the word cache stores products of the letter coproducts
+    ops._stuffle_coproduct_word.cache_clear()
+    monkeypatch.setattr(ops, "_stuffle_coproduct_letter", first_letter_y1)
+    try:
+        assert verify_axioms(4).lines() == [
+            "stuffle commutativity (17 pairs): PASS",
+            "stuffle associativity (7 triples): PASS",
+            "coassociativity of both coproducts (15 words): FAIL",
+            "product/coproduct duality (114 pairings): FAIL",
+            "axioms (N=4): FAILED"]
+    finally:
+        ops._stuffle_coproduct_word.cache_clear()
