@@ -432,12 +432,12 @@ def verify_duality(n):
 
 
 def verify_primitivity(n):
-    """Lyndon PBW elements and projected words are primitive up to n."""
+    """Lyndon PBW elements and projected words to weight n are primitive."""
     rep = Report("primitivity (N=%d)" % n)
     for label, ws, element in (
             ("pbw elements of Lyndon words", lyndon_up_to(n), pbw_element),
             ("projected words", all_words_up_to(n), primitive_projector)):
-        ok = are_primitive([element(w) for w in ws], n)
+        ok = are_primitive([element(w) for w in ws])
         bad = [word_to_str(w) for w, good in zip(ws, ok) if not good]
         rep.add("%s (%d)" % (label, len(ws)), not bad,
                 "failures: %s" % bad if bad else "")

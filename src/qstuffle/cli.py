@@ -8,7 +8,8 @@ deterministic: terms are sorted and fractions canonical.
 
 Each command takes only the options it reads; the parser refuses any other
 option or value, and the commands refuse a `--max-weight` over their cap
-(`MAX_WEIGHT`) and a product over its size caps before any work.  Every
+(`MAX_WEIGHT`), a product over its size caps and an `--out` file they
+cannot write (`_check_out`) before any work.  Every
 refusal is one `error:` line on stderr and exit code 2, with nothing on
 stdout; a failed cross-check or shape check of a built family (a
 RuntimeError) is its message alone, exit 1.
@@ -123,6 +124,25 @@ def build_parser():
     return parser
 
 
+def _unwritable(out, exc):
+    return ValueError("cannot write %s: %s" % (out, exc.strerror or exc))
+
+
+def _check_out(out):
+    """Refuse, untouched, a file `out` that `_emit` could not open: a new
+    file is made and removed, an existing file or directory opened without
+    truncation; a pipe, a device or a dangling link is left to `_emit`."""
+    try:
+        try:
+            os.close(os.open(out, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+            os.remove(out)
+        except FileExistsError:
+            if os.path.isfile(out) or os.path.isdir(out):
+                os.close(os.open(out, os.O_WRONLY))
+    except OSError as exc:
+        raise _unwritable(out, exc) from exc
+
+
 def _emit(text, out):
     """Write `text`, a str or an iterable of str written in order, to the
     file `out` or else to sys.stdout, ending with exactly one newline.  A
@@ -135,8 +155,7 @@ def _emit(text, out):
         with open(out, "w") as fh:
             _write(fh, text)
     except OSError as exc:
-        raise ValueError("cannot write %s: %s"
-                         % (out, exc.strerror or exc)) from exc
+        raise _unwritable(out, exc) from exc
 
 
 def _write(fh, text):
@@ -274,6 +293,8 @@ def main(argv=None):
     args = build_parser().parse_args(_joined_q(list(
         sys.argv[1:] if argv is None else argv)))
     try:
+        if args.out:
+            _check_out(args.out)
         return args.run(args)
     except ValueError as exc:
         sys.stderr.write("error: %s\n" % exc)

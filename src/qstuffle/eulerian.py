@@ -8,13 +8,13 @@ The projector sends a word w to
 (* the q-stuffle, concatenation on the right), the degree-preserving
 logarithm-of-the-identity map whose image consists of primitives.  By the
 duality of the q-stuffle with the coproduct, the inner sum is conc o
-(reduced coproduct)^(k-1) (w); `primitive_projector` computes it that way,
-one memoized fold per (word, depth), letters included.  The closed formula
-on letters and the defining sum over tuples of words live in
-tests/oracles.py as the independent references; their agreement with the
-fold is a standing test.  The adjoint projector, the log of the diagonal
-series (and its closed forms) and the adjoint and letter forms of the
-reconstruction are test routes there too.
+(reduced coproduct)^(k-1) (w); `primitive_projector` computes it that way
+from one memoized fold per (word, depth), letters included, and keeps no
+memo of its own.  The closed formula on letters and the defining sum over
+tuples of words live in tests/oracles.py as the independent references;
+their agreement with the fold is a standing test.  The adjoint projector,
+the log of the diagonal series (and its closed forms) and the adjoint and
+letter forms of the reconstruction are test routes there too.
 """
 
 from functools import lru_cache
@@ -45,7 +45,6 @@ def _fold(w, k):
     return acc
 
 
-@lru_cache(maxsize=None)
 def primitive_projector(w):
     """Convolution logarithm: sum over k of ((-1)^(k-1)/k) conc o (reduced
     coproduct)^(k-1) (w), with k up to the weight of w (the coproduct

@@ -11,8 +11,6 @@ legal rise, with its number of derivation paths.
 All sequence indices are 0-based.
 """
 
-from functools import lru_cache
-
 from .words import codes_of_weight, decode_word, word_less, word_leq
 
 
@@ -21,7 +19,6 @@ def is_lyndon(w):
     return bool(w) and len(cfl_factorization(w)) == 1
 
 
-@lru_cache(maxsize=None)
 def lyndon_of_weight(n):
     """Lyndon words of weight n, ascending by word_less; each word is
     decoded uncached, so no cache keeps a word the listing rejects."""

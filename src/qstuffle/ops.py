@@ -170,13 +170,12 @@ def _primitive_by_pairing(ps):
     return ok
 
 
-def are_primitive(ps, n):
-    """Friedrichs test up to weight n for each polynomial of the list `ps`,
-    truncated once: through the coproduct, element by element, and through
-    the pairing criterion, once for the list; the two must agree on each."""
-    cut = [p.truncate(n) for p in ps]
-    verdicts = [_primitive_by_coproduct(p) for p in cut]
-    for p, by_cop, by_pair in zip(ps, verdicts, _primitive_by_pairing(cut)):
+def are_primitive(ps):
+    """Friedrichs test of each polynomial of the list `ps`, whole: through
+    the coproduct, element by element, and through the pairing criterion,
+    once for the list; the two must agree on each."""
+    verdicts = [_primitive_by_coproduct(p) for p in ps]
+    for p, by_cop, by_pair in zip(ps, verdicts, _primitive_by_pairing(ps)):
         if by_cop != by_pair:
             raise RuntimeError("primitivity criteria disagree on %r "
                                "(coproduct=%s, pairing=%s)"
@@ -185,8 +184,8 @@ def are_primitive(ps, n):
 
 
 def is_primitive(p, n):
-    """Friedrichs test of one polynomial up to weight n: are_primitive([p])."""
-    return are_primitive([p], n)[0]
+    """Friedrichs test of p up to weight n: are_primitive([p.truncate(n)])."""
+    return are_primitive([p.truncate(n)])[0]
 
 
 def verify_axioms(n):

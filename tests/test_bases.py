@@ -549,28 +549,32 @@ def test_primitivity_report():
     ("pbw_element", (2, 1), (1, 1, 1),
      ["pbw elements of Lyndon words (7): FAIL (failures: ['2,1'])",
       "projected words (15): PASS"]),
+    ("pbw_element", (2, 1), (1, 1, 1, 1, 1),
+     ["pbw elements of Lyndon words (7): FAIL (failures: ['2,1'])",
+      "projected words (15): PASS"]),
     ("primitive_projector", (3,), (1, 2),
      ["pbw elements of Lyndon words (7): PASS",
       "projected words (15): FAIL (failures: ['3'])"])],
-    ids=["pbw", "projector"])
+    ids=["pbw", "pbw-above-n", "projector"])
 def test_each_primitivity_line_fails_alone(monkeypatch, name, word, extra,
                                            lines):
     """y_1y_1y_1 added to Π(2,1) fails the Lyndon line at 2,1 alone (it
-    commutes with y_1, so the brackets built on Π(2,1) are unchanged); y_1y_2
-    added to the projection of y_3 fails the projected line alone, as Π
-    takes its letters from `eulerian`, not from `bases`."""
-    real = getattr(bases, name)
+    commutes with y_1, so the brackets built on Π(2,1) are unchanged), and
+    so does y_1^5, above N = 4: each element is tested whole, not cut to
+    weight N.  y_1y_2 added to the projection of y_3 fails the projected
+    line alone, as Π takes its letters from `eulerian`, not from `bases`."""
+    real, pbw = getattr(bases, name), bases.pbw_element
 
     def corrupted(w):
         return real(w) + word_poly(extra) if tuple(w) == word else real(w)
-    # the real function's cache would store entries built from the corrupted
-    real.cache_clear()
+    # Π's cache would store entries built from a corrupted Π(2,1)
+    pbw.cache_clear()
     monkeypatch.setattr(bases, name, corrupted)
     try:
         assert verify_primitivity(4).lines() == lines + [
             "primitivity (N=4): FAILED"]
     finally:
-        real.cache_clear()
+        pbw.cache_clear()
 
 
 def test_sigma_positivity():

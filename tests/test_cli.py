@@ -497,15 +497,40 @@ def test_out_file(tmp_path, capsys):
         stuffle((1,), (1,))
 
 
-def test_out_path_that_cannot_be_written(tmp_path, capsys):
-    target = tmp_path / "missing" / "x"
+def test_out_path_that_cannot_be_written(tmp_path, capsys, monkeypatch):
+    """A path under a missing directory, or a directory, is refused before
+    anything is built, and nothing is made."""
+    def started(*args):
+        raise Started
+    monkeypatch.setattr(bases, "basis_by_kind", started)
+    for target, why in ((tmp_path / "missing" / "x",
+                         "No such file or directory"),
+                        (tmp_path, "Is a directory")):
+        code, out, err = run(capsys, "basis", "sigma", "--max-weight", "13",
+                             "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err == "error: cannot write %s: %s\n" % (target, why)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_refused_run_leaves_the_out_path_as_it_was(tmp_path, capsys):
+    kept, new = tmp_path / "kept", tmp_path / "new"
+    kept.write_text("kept\n")
+    for target in (kept, new):
+        code, out, _ = run(capsys, "basis", "pi", "--max-weight", "16",
+                           "--out", str(target))
+        assert (code, out) == (2, "")
+    assert kept.read_text() == "kept\n"
+    assert not new.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_failed_write_to_out_exits_two(capsys):
+    """A device that opens but takes no bytes fails at write time."""
     code, out, err = run(capsys, "basis", "pi", "--max-weight", "2",
-                         "--out", str(target))
-    assert code == 2
-    assert out == ""
-    assert err == "error: cannot write %s: No such file or directory\n" \
-        % target
-    assert not target.parent.exists()
+                         "--out", "/dev/full")
+    assert (code, out) == (2, "")
+    assert err == "error: cannot write /dev/full: No space left on device\n"
 
 
 SKIPPED = {1: ["cross-weight pairs vanish (0 pairs)",

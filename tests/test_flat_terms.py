@@ -5,10 +5,11 @@ Construction from QPoly coefficients (inhomogeneous ones such as 1 + q and
 1/2 - q^2 included) must round-trip through the public `terms()` view and
 drop zeros; every stored value is a nonzero int and the denominator a
 positive int, in lowest terms, so one value reached by two routes is
-stored alike; the q-stuffle of polynomials must equal the enumeration of
-quasi-shuffles in `oracles`, and specializing q must commute with it.  The
-lookups by word (`coeff`, `pairing`) must equal brute-force sums over
-`terms()`, and the q-stuffle must be dual to its coproduct."""
+stored alike, and unary minus is scaling by -1; the q-stuffle of
+polynomials must equal the enumeration of quasi-shuffles in `oracles`, and
+specializing q must commute with it.  The lookups by word (`coeff`,
+`pairing`) must equal brute-force sums over `terms()`, and the q-stuffle
+must be dual to its coproduct."""
 
 from fractions import Fraction
 from math import gcd
@@ -91,6 +92,16 @@ def test_tensor_round_trips_through_terms_and_drops_zeros(data):
     assert Tensor2(dict(t.terms())) == t
     for (u, v), c in expected:
         assert t.coeff(u, v) == c
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.one_of(NCPOLYS.map(NCPoly), TENSORS.map(Tensor2)))
+def test_unary_minus_is_scaling_by_minus_one(p):
+    neg = -p
+    _assert_stored_form(neg)
+    assert neg == p.scale(-1)
+    assert p + neg == type(p).zero()
+    assert -neg == p
 
 
 @settings(deadline=None, max_examples=40)

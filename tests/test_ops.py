@@ -213,8 +213,9 @@ def test_pairing_criterion_on_a_list_is_per_element(ps, n):
     each element of a list is the full criterion on that element alone,
     and are_primitive, which also checks the coproduct route, agrees."""
     expected = [primitive_by_all_pairs(_as_dict(p), n) for p in ps]
-    assert _primitive_by_pairing([p.truncate(n) for p in ps]) == expected
-    assert are_primitive(ps, n) == expected
+    cut = [p.truncate(n) for p in ps]
+    assert _primitive_by_pairing(cut) == expected
+    assert are_primitive(cut) == expected
 
 
 @settings(deadline=None, max_examples=40)
@@ -228,8 +229,9 @@ def test_one_non_primitive_among_primitives_is_the_only_one_flagged(
     ps = prims[:at] + [odd] + prims[at:]
     expected = [True] * len(ps)
     expected[at] = False
-    assert _primitive_by_pairing([p.truncate(6) for p in ps]) == expected
-    assert are_primitive(ps, 6) == expected
+    cut = [p.truncate(6) for p in ps]
+    assert _primitive_by_pairing(cut) == expected
+    assert are_primitive(cut) == expected
 
 
 def test_criteria_disagreeing_on_one_element_is_an_error(monkeypatch):
@@ -238,7 +240,7 @@ def test_criteria_disagreeing_on_one_element_is_an_error(monkeypatch):
     import qstuffle.ops as ops
     monkeypatch.setattr(ops, "_primitive_by_coproduct", lambda p: True)
     with pytest.raises(RuntimeError, match=r"disagree on NCPoly\(\[2\]\)"):
-        are_primitive([word_poly((1,)), word_poly((2,))], 4)
+        are_primitive([word_poly((1,)), word_poly((2,))])
 
 
 def test_coassociativity_to_weight_6():
