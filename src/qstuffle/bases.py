@@ -30,14 +30,14 @@ Chen-Fox-Lyndon factorization (`factorization_forms`).
 
 The triangular solve inverts each weight class in ints, one inverse column
 packed into one big int and read out as the dual entry at its word
-(`_invert_unit_upper`).  It is the oracle of `basis sigma`:
-`sigma_mismatches` is the one comparison of it with the recursion, the
-default Σ of `basis_by_kind` is the oracle checked against the recursion,
-and a mismatch there is a RuntimeError.  The verification suites run no
-solve and check no shape: each is a function of N alone that reads Π from
-`pbw_element` and Σ from `dual_pbw_element` by module name at call time,
-so the duality suite checks the recursion against Π, and a test swaps Σ by
-patching `bases.dual_pbw_element`.
+(`_invert_unit_upper`).  It is the oracle of `basis sigma`: the default
+Σ of `basis_by_kind` is the oracle checked word by word against the
+recursion, and the first mismatch in word order is a RuntimeError.  The
+verification suites run no solve and check no shape: each is a function
+of N alone that reads Π from `pbw_element` and Σ from `dual_pbw_element`
+by module name at call time, as that check does, so the duality suite
+checks the recursion against Π, and a test swaps Σ by patching
+`bases.dual_pbw_element`.
 """
 import json
 from collections import namedtuple
@@ -64,7 +64,6 @@ def pbw_element(w):
     a longer Lyndon word, the first Lyndon factor's element times the
     cached element of the rest in general; carried in ints, over the
     product of the factors' denominators."""
-    w = tuple(w)
     if not w:
         return NCPoly.one()
     first = cfl_factorization(w)[0]
@@ -349,7 +348,6 @@ def sigma_lyndon_general(w):
 def dual_pbw_element(w):
     """Recursive dual element: divided stuffle powers over the Lyndon
     factorization, the converse derivation map on each Lyndon word."""
-    w = tuple(w)
     if not w:
         return NCPoly.one()
     return sigma_from_cfl(w, sigma_lyndon_general, dual_pbw_element)
@@ -387,10 +385,12 @@ def basis_by_kind(kind, n, sigma_method=None):
     basis = dual_pbw_oracle(n)
     if sigma_method == "oracle":
         return basis
-    for w, recursive in sigma_mismatches(basis):  # the first one is fatal
-        raise RuntimeError(
-            "sigma method mismatch at %s:\n  oracle:    %s\n  recursive: %s"
-            % (word_to_str(w), basis.entry(w).text(), recursive.text()))
+    for w in basis.words():  # in word order: the first mismatch is fatal
+        oracle, recursive = basis.entries[w], dual_pbw_element(w)
+        if recursive != oracle:
+            raise RuntimeError(
+                "sigma method mismatch at %s:\n  oracle:    %s\n  recursive: "
+                "%s" % (word_to_str(w), oracle.text(), recursive.text()))
     return basis
 
 
@@ -491,13 +491,3 @@ def verify_factorization(n):
     rep.add("decreasing product of exponentials equals the diagonal series",
             prod == diag)
     return rep
-
-
-def sigma_mismatches(sigma):
-    """(w, recursive entry) for every word w of the oracle basis `sigma`,
-    in word order, where the recursive dual element differs from the
-    oracle's entry; lazily, so a caller may stop at the first."""
-    for w in sigma.words():
-        recursive = dual_pbw_element(w)
-        if recursive != sigma.entry(w):
-            yield w, recursive

@@ -130,15 +130,17 @@ def _unwritable(out, exc):
 
 def _check_out(out):
     """Refuse, untouched, a file `out` that `_emit` could not open: a new
-    file is made and removed, an existing file or directory opened without
-    truncation; a pipe, a device or a dangling link is left to `_emit`."""
+    file, or the missing target of a dangling link, is made and removed, an
+    existing file or directory opened without truncation; a pipe or a
+    device is left to `_emit`."""
+    path = out if os.path.exists(out) else os.path.realpath(out)
     try:
         try:
-            os.close(os.open(out, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
-            os.remove(out)
+            os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+            os.remove(path)
         except FileExistsError:
-            if os.path.isfile(out) or os.path.isdir(out):
-                os.close(os.open(out, os.O_WRONLY))
+            if os.path.isfile(path) or os.path.isdir(path):
+                os.close(os.open(path, os.O_WRONLY))
     except OSError as exc:
         raise _unwritable(out, exc) from exc
 

@@ -8,11 +8,12 @@ positive int denominator for the whole value.  `QPoly` is a sparse
 univariate polynomial in the formal deformation parameter q with Fraction
 coefficients.  It is the boundary type: the input of the
 `NCPoly`/`Tensor2` constructors and of `scale`, and the output of `coeff`,
-`pairing`, `constant_term` and `terms`; no sum, product, series or verify
-suite computes with it.  Its arithmetic is plain ring code, every result
-built by the normalizing constructor, and it is kept apart from the
-accumulation kernel of `ncpoly` on purpose: it is the tests' independent
-ring (the dense solve in `tests/oracles.py`, the pairing checks).  A
+`pairing` and `terms`; no sum, product, series or verify suite computes
+with it.  Its arithmetic is plain ring code, every result built by the
+normalizing constructor, and it is kept apart from the accumulation kernel
+of `ncpoly` on purpose: it is the tests' independent ring (the dense solve
+in `tests/oracles.py`, the pairing checks, and `eval_at`, the reference
+for `subs_q`).  A
 constant equals, and hashes like, the rational it is.  `poly_text` and
 `poly_latex` render a coefficient from its (e, a, d) int triples.
 """
@@ -93,10 +94,6 @@ class QPoly:
 
     def constant_term(self):
         return self._terms.get(0, Fraction(0))
-
-    def is_nonneg(self):
-        """True iff every coefficient is >= 0."""
-        return all(c >= 0 for c in self._terms.values())
 
     def __eq__(self, other):
         other = _coerce(other)

@@ -16,11 +16,13 @@ one weight, code order is word order, and only an NCPoly of mixed weights
 sorts again by `word_key`.
 
 `QPoly` and `Fraction` appear only at the boundary: the constructors,
-`scale` and `subs_q` accept them, and `coeff`, `pairing`, `constant_term`
-and `terms` give them; text, LaTeX and JSON print each a/den from ints.
-A value holds its terms and denominator and nothing else: `coeff` is the
-pairing with a word, and every pairing of values goes through one word index
-built per call (`_word_index`) and one int kernel (`_pairings`).
+`scale` and `subs_q` accept them, and `coeff`, `pairing` and `terms` give
+them; text, LaTeX and JSON print each a/den from ints.  A value holds its
+terms and denominator and nothing else, and is read three ways: `terms`,
+`coeff` (the pairing with a word; `coeff(())` is the constant term) and
+`pairing` (a Tensor2 pairs with two values, one word each for a single
+coefficient).  Every pairing goes through one word index built per call
+(`_word_index`) and one int kernel (`_pairings`).
 
 Sums go through one kernel, `_accumulate`, and chains of polynomial
 products through `_product`, in ints; `Tensor2.combine` concatenates
@@ -273,9 +275,6 @@ class NCPoly(_Sparse):
     def one(cls):
         return cls._raw({(0, 0): 1})
 
-    def support(self):
-        return {decode_word(k[0]) for k in self._terms}
-
     def coeff(self, w):
         return self.pairing(word_poly(w))
 
@@ -292,13 +291,6 @@ class NCPoly(_Sparse):
         return _qpoly({e: c for (_, e), c in
                        _pairings(_word_index([small]), large).items()},
                       self._den * other._den)
-
-    def constant_term(self):
-        """Coefficient of the empty word."""
-        return self.coeff(())
-
-    def is_proper(self):
-        return all(k[0] for k in self._terms)
 
     def subs_q(self, q0):
         """Specialize q at the rational q0 = n/d: every exponent folds into
@@ -408,9 +400,6 @@ class Tensor2(_Sparse):
     @classmethod
     def one(cls):
         return cls._raw({(0, 0, 0): 1})
-
-    def coeff(self, u, v):
-        return self.pairing(word_poly(u), word_poly(v))
 
     def combine(self, other):
         """Slotwise concatenation: (u ⊗ v)(x ⊗ y) = ux ⊗ vy, extended

@@ -112,7 +112,8 @@ def word_from_str(s):
 
 
 def word_latex(w):
-    """Render e.g. (3,1,1) as y_3y_1^{2}; the empty word as 1."""
+    """Render e.g. (3,1,1) as y_3y_1^{2} and (10,) as y_{10}, an index of
+    two or more digits in braces; the empty word as 1."""
     if not w:
         return "1"
     out = []
@@ -122,6 +123,7 @@ def word_latex(w):
         while j < len(w) and w[j] == w[i]:
             j += 1
         run = j - i
-        out.append("y_%d" % w[i] if run == 1 else "y_%d^{%d}" % (w[i], run))
+        sub = "%d" % w[i] if w[i] < 10 else "{%d}" % w[i]
+        out.append("y_" + sub if run == 1 else "y_%s^{%d}" % (sub, run))
         i = j
     return "".join(out)

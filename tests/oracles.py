@@ -478,7 +478,7 @@ def exp_proper(p, mul=operator.mul, n=None):
     if n is None:
         raise ValueError("a weight bound is required")
     p = p.truncate(n)
-    if not p.is_proper():
+    if p.coeff(()):
         raise ValueError("exp needs a proper polynomial")
     return truncated_series(p, lambda a, b: mul(a, b).truncate(n),
                             exp_coefficient, n, constant=True)

@@ -11,8 +11,8 @@ from oracles import (brute_shuffle, derivation_leaves, letter_reconstruct,
                      ncpoly_to_fraction_dict, pi_of_sequence, radford_dual,
                      reconstruct_adjoint, standard_sequences)
 from qstuffle.coeff import QPoly
-from qstuffle.bases import (dual_pbw_element, dual_pbw_oracle, pbw_element,
-                            sigma_mismatches, verify_duality,
+from qstuffle.bases import (basis_by_kind, dual_pbw_element, dual_pbw_oracle,
+                            pbw_element, verify_duality,
                             verify_factorization, verify_primitivity)
 from qstuffle.eulerian import reconstruct
 from qstuffle.ncpoly import NCPoly, word_poly
@@ -198,8 +198,7 @@ def test_criterion_6_specializations():
 
 def test_criterion_7_method_equivalence():
     def check():
-        bad = [w for w, _ in sigma_mismatches(dual_pbw_oracle(6))]
-        assert not bad, "method mismatch is a build failure: %s" % bad
+        basis_by_kind("sigma", 6)  # a method mismatch raises RuntimeError
 
     _criterion(7, "recursive dual elements equal the triangular-solve oracle "
                   "for every word of weight <= 6", check)
@@ -233,9 +232,9 @@ def test_criterion_9_positivity():
         basis = dual_pbw_oracle(6)
         for w in all_words_up_to(6):
             entry = basis.entry(w)
-            assert entry.is_proper()
+            assert not entry.coeff(())
             for _, c in entry.terms():
-                assert c.is_nonneg(), \
+                assert all(a >= 0 for _, a in c.terms()), \
                     "negative coefficient in dual element of %r" % (w,)
 
     _criterion(9, "dual elements have non-negative rational coefficients "

@@ -175,6 +175,26 @@ def test_both_methods_mismatch_exits_one(capsys, monkeypatch):
                    "  recursive: [2,1]\n")
 
 
+def test_the_first_mismatch_in_word_order_is_named(capsys, monkeypatch):
+    """Σ wrong at 2,1 and at 1,2: the cross-check names 2,1, which comes
+    first in word order (weight 3 reads 3; 2,1; 1,2; 1,1,1)."""
+    recursive = bases.dual_pbw_element
+    wrong = {(2, 1): word_poly((2, 1)), (1, 2): word_poly((1, 2))}
+    monkeypatch.setattr(bases, "dual_pbw_element",
+                        lambda w: wrong.get(w) or recursive(w))
+    code, out, err = run(capsys, "basis", "sigma", "--max-weight", "3")
+    assert (code, out) == (1, "")
+    assert err.startswith("sigma method mismatch at 2,1:\n")
+
+
+def test_product_latex_braces_a_two_digit_letter(capsys):
+    code, out, _ = run(capsys, "product", "stuffle", "10", "1,1",
+                       "--format", "latex")
+    assert code == 0
+    assert out == "qy_{11}y_1 + y_{10}y_1^{2} + qy_1y_{11} + y_1y_{10}y_1 " \
+        "+ y_1^{2}y_{10}\n"
+
+
 @pytest.mark.parametrize("argv, name, family", [
     (["sigma", "--sigma-method", "recursive"], "dual_pbw_element", "sigma"),
     (["xi"], "lyndon_stuffle_element", "chi")], ids=["built", "solve-input"])
@@ -498,30 +518,45 @@ def test_out_file(tmp_path, capsys):
 
 
 def test_out_path_that_cannot_be_written(tmp_path, capsys, monkeypatch):
-    """A path under a missing directory, or a directory, is refused before
-    anything is built, and nothing is made."""
+    """A path under a missing directory, a directory, or a dangling link
+    into a missing directory is refused before anything is built, and
+    nothing is made."""
     def started(*args):
         raise Started
     monkeypatch.setattr(bases, "basis_by_kind", started)
+    link = tmp_path / "link"
+    link.symlink_to(tmp_path / "gone" / "x")
     for target, why in ((tmp_path / "missing" / "x",
                          "No such file or directory"),
-                        (tmp_path, "Is a directory")):
+                        (tmp_path, "Is a directory"),
+                        (link, "No such file or directory")):
         code, out, err = run(capsys, "basis", "sigma", "--max-weight", "13",
                              "--out", str(target))
         assert (code, out) == (2, "")
         assert err == "error: cannot write %s: %s\n" % (target, why)
-    assert list(tmp_path.iterdir()) == []
+    assert list(tmp_path.iterdir()) == [link]
 
 
 def test_a_refused_run_leaves_the_out_path_as_it_was(tmp_path, capsys):
-    kept, new = tmp_path / "kept", tmp_path / "new"
+    kept, new, link = tmp_path / "kept", tmp_path / "new", tmp_path / "link"
     kept.write_text("kept\n")
-    for target in (kept, new):
+    link.symlink_to(tmp_path / "target")
+    for target in (kept, new, link):
         code, out, _ = run(capsys, "basis", "pi", "--max-weight", "16",
                            "--out", str(target))
         assert (code, out) == (2, "")
     assert kept.read_text() == "kept\n"
-    assert not new.exists()
+    assert sorted(tmp_path.iterdir()) == [kept, link]
+
+
+def test_a_run_writes_the_target_of_a_dangling_out_link(tmp_path, capsys):
+    link, target = tmp_path / "link", tmp_path / "target"
+    link.symlink_to(target)
+    code, out, _ = run(capsys, "basis", "pi", "--max-weight", "2",
+                       "--out", str(link))
+    assert (code, out) == (0, "")
+    assert link.is_symlink() and target.read_text() == \
+        "Pi[1] = [1]\nPi[2] = [2] - 1/2·q·[1,1]\nPi[1,1] = [1,1]\n"
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")

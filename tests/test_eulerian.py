@@ -59,7 +59,7 @@ def test_degree_preservation():
     for w in all_words_up_to(5):
         n = weight(w)
         for p in (primitive_projector(w), primitive_projector_adjoint(w)):
-            assert all(weight(v) == n for v in p.support())
+            assert all(weight(v) == n for v, _ in p.terms())
 
 
 def _projected(p):
@@ -86,8 +86,9 @@ def test_projector_fixes_lyndon_pbw_elements():
 def test_log_diagonal():
     assert log_diagonal(1) == Tensor2({((1,), (1,)): 1})
     ld = log_diagonal(2)
-    assert ld.coeff((2,), (2,)) == QPoly.one()
-    assert ld.coeff((2,), (1, 1)) == halfq(-1)  # the projected letter
+    assert ld.pairing(word_poly((2,)), word_poly((2,))) == QPoly.one()
+    # the projected letter
+    assert ld.pairing(word_poly((2,)), word_poly((1, 1))) == halfq(-1)
     for n in range(1, 6):
         assert log_diagonal(n) == log_diagonal_left_form(n) \
             == log_diagonal_right_form(n)

@@ -91,7 +91,7 @@ def test_tensor_round_trips_through_terms_and_drops_zeros(data):
     assert t.terms() == expected
     assert Tensor2(dict(t.terms())) == t
     for (u, v), c in expected:
-        assert t.coeff(u, v) == c
+        assert t.pairing(word_poly(u), word_poly(v)) == c
 
 
 @settings(deadline=None, max_examples=60)
@@ -182,8 +182,8 @@ def test_lookups_by_word_equal_sums_over_terms(a, b, c):
     assert p.pairing(r) == r.pairing(p) == _sum(
         cp * cr for x, cp in p.terms() for y, cr in r.terms() if x == y)
     for u, v in [head for head, _ in t.terms()] + [((1,), (2,))]:
-        assert t.coeff(u, v) == _sum(ct for head, ct in t.terms()
-                                     if head == (u, v))
+        assert t.pairing(word_poly(u), word_poly(v)) == _sum(
+            ct for head, ct in t.terms() if head == (u, v))
     assert t.pairing(p, r) == _sum(
         ct * cp * cr for (u, v), ct in t.terms() for x, cp in p.terms()
         for y, cr in r.terms() if (x, y) == (u, v))

@@ -50,7 +50,7 @@ def test_conc_not_commutative_but_associative():
 def test_conc_weight_homogeneous():
     p = word_poly((2,)) + word_poly((1, 1))
     q = word_poly((3,)) + word_poly((2, 1))
-    assert all(weight(w) == 5 for w in (p * q).support())
+    assert all(weight(w) == 5 for w, _ in (p * q).terms())
 
 
 def test_pairing():

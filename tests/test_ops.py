@@ -46,7 +46,7 @@ def test_stuffle_commutative_and_homogeneous():
     for u, v in _pairs(6):
         p = stuffle(u, v)
         assert p == stuffle(v, u)
-        assert all(weight(w) == weight(u) + weight(v) for w in p.support())
+        assert all(weight(w) == weight(u) + weight(v) for w, _ in p.terms())
 
 
 def test_stuffle_associative():
@@ -104,9 +104,9 @@ def test_product_coproduct_duality():
 
 
 def test_counit():
-    assert NCPoly.one().constant_term() == QPoly.one()
-    assert word_poly((2, 1)).constant_term() == QPoly.zero()
-    assert (NCPoly.one().scale(3) + word_poly((1,))).constant_term() == \
+    assert NCPoly.one().coeff(()) == QPoly.one()
+    assert word_poly((2, 1)).coeff(()) == QPoly.zero()
+    assert (NCPoly.one().scale(3) + word_poly((1,))).coeff(()) == \
         QPoly.const(3)
 
 

@@ -75,6 +75,9 @@ def test_word_latex():
     assert word_latex((3, 1, 1)) == "y_3y_1^{2}"
     assert word_latex(()) == "1"
     assert word_latex((2, 1)) == "y_2y_1"
+    assert word_latex((10,)) == "y_{10}"
+    assert word_latex((12, 12, 3)) == "y_{12}^{2}y_3"
+    assert word_latex((9, 10)) == "y_9y_{10}"
 
 
 def test_memoized_word_key_equals_the_formula():
