@@ -25,24 +25,24 @@ the primitivity suite checks them and the projector on every word, each
 family as one list through `ops.are_primitive`.
 
 The factorization suite expands the decreasing product of exponentials
-into one pure tensor per word, by distributivity and the uniqueness of the
-Chen-Fox-Lyndon factorization (`factorization_forms`).
+into one pure tensor per word, its left factor a stuffle product of Σ
+entries at Lyndon words (`factorization_forms`).
 
 The triangular solve inverts each weight class in ints, one inverse column
 packed into one big int and read out as the dual entry at its word
-(`_invert_unit_upper`).  It is the oracle of `basis sigma`: the default
-Σ of `basis_by_kind` is the oracle checked word by word against the
-recursion, and the first mismatch in word order is a RuntimeError.  The
-verification suites run no solve and check no shape: each is a function
-of N alone that reads Π from `pbw_element` and Σ from `dual_pbw_element`
-by module name at call time, as that check does, so the duality suite
-checks the recursion against Π, and a test swaps Σ by patching
-`bases.dual_pbw_element`.
+(`_invert_unit_upper`).  It is the oracle of `basis sigma`: the default Σ of
+`basis_by_kind` is the oracle checked word by word against the recursion,
+the first mismatch in word order a RuntimeError, and each entry checked is
+then the recursion's memoized one, so one Σ is held.  The verification
+suites run no solve and check no shape: each is a function of N alone that
+reads Π from `pbw_element` and Σ from `dual_pbw_element` by module name at
+call time, as that check does, so the duality suite checks the recursion
+against Π, and a test swaps Σ by patching `bases.dual_pbw_element`.
 """
 import json
 from collections import namedtuple
 from functools import lru_cache
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, prod
 
 from ._version import __version__
 from .eulerian import (diagonal_series, primitive_projector,
@@ -95,9 +95,6 @@ class GradedBasis:
         self.kind = kind
         self.max_weight = max_weight
         self.entries = dict(entries)
-
-    def entry(self, w):
-        return self.entries[tuple(w)]
 
     def words(self):
         return all_words_up_to(self.max_weight, include_empty=True)
@@ -366,8 +363,8 @@ def basis_by_kind(kind, n, sigma_method=None):
     """The basis `kind` (a key of KINDS) up to weight n, its shape checked
     by `check_triangular`.  `sigma_method` applies to sigma only: "oracle"
     is the triangular solve, "recursive" the recursion, and the default
-    (None or "both") the oracle checked against the recursion; a mismatch
-    there is a RuntimeError naming the first word at which the two differ."""
+    (None or "both") the oracle checked against the recursion, kept as its
+    memoized entries; a mismatch is a RuntimeError at the first word."""
     if kind not in KINDS:
         raise ValueError("unknown basis kind %r" % kind)
     if sigma_method is not None and kind != "sigma":
@@ -391,6 +388,7 @@ def basis_by_kind(kind, n, sigma_method=None):
             raise RuntimeError(
                 "sigma method mismatch at %s:\n  oracle:    %s\n  recursive: "
                 "%s" % (word_to_str(w), oracle.text(), recursive.text()))
+        basis.entries[w] = recursive  # the memo's Σ; the oracle's is freed
     return basis
 
 
@@ -471,23 +469,24 @@ def factorization_forms(n):
     mixed tensor algebra and exp(σ_l⊗π_l) = Σ_k σ_l^{*k}/k! ⊗ π_l^k, so by
     distributivity the product is a sum over one exponent k_l per Lyndon
     word l.  By the uniqueness of the Chen-Fox-Lyndon factorization the
-    choices are the words w = l_1^k_1...l_m^k_m, each giving
-    sigma_from_cfl(w) ⊗ pbw_element(w), of total weight 2·weight(w)
-    (Reutenauer, *Free Lie Algebras*, Thm 5.3).  Memoized per call, these
-    read Σ at Lyndon words only.  Both sums are `_pair_sum`.
+    choices are the words w = l_1^k_1...l_m^k_m, each giving one `_product`
+    σ_l_1^{*k_1}/k_1! * ... ⊗ pbw_element(w) of total weight 2·weight(w)
+    (Reutenauer, *Free Lie Algebras*, Thm 5.3): Σ at Lyndon words only, not
+    the recursion's divided-power step.  Both sums are `_pair_sum`.
     """
-    @lru_cache(maxsize=None)
-    def exp_factor(w):
-        return sigma_from_cfl(w, dual_pbw_element, exp_factor)
+    def exp_product(w):  # ∏ k!: equal factors lie together, counted as met
+        ls = cfl_factorization(w)
+        return _product(stuffle, [dual_pbw_element(l) for l in ls],
+                        prod(ls[:i + 1].count(l) for i, l in enumerate(ls)))
     return (diagonal_series(n), _pair_sum(dual_pbw_element, n),
-            _pair_sum(exp_factor, n))
+            _pair_sum(exp_product, n))
 
 
 def verify_factorization(n):
     """Each form of `factorization_forms(n)` against the diagonal series."""
     rep = Report("factorization (N=%d)" % n)
-    diag, mid, prod = factorization_forms(n)
+    diag, mid, product = factorization_forms(n)
     rep.add("dual-pair sum equals the diagonal series", mid == diag)
     rep.add("decreasing product of exponentials equals the diagonal series",
-            prod == diag)
+            product == diag)
     return rep

@@ -131,14 +131,15 @@ def _unwritable(out, exc):
 def _check_out(out):
     """Refuse, untouched, a file `out` that `_emit` could not open: a new
     file, or the missing target of a dangling link, is made and removed, an
-    existing file or directory opened without truncation; a pipe or a
-    device is left to `_emit`."""
-    path = out if os.path.exists(out) else os.path.realpath(out)
+    existing file or directory opened without truncation, a link loop or
+    an empty path refused; a pipe or a device is left to `_emit`."""
+    path = os.path.realpath(out) if out and not os.path.exists(out) else out
     try:
         try:
             os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
             os.remove(path)
         except FileExistsError:
+            os.stat(path)  # a link loop exists yet resolves to nothing
             if os.path.isfile(path) or os.path.isdir(path):
                 os.close(os.open(path, os.O_WRONLY))
     except OSError as exc:
@@ -149,7 +150,7 @@ def _emit(text, out):
     """Write `text`, a str or an iterable of str written in order, to the
     file `out` or else to sys.stdout, ending with exactly one newline.  A
     file that cannot be written is a ValueError naming it."""
-    if not out:
+    if out is None:
         _write(sys.stdout, text)
         sys.stdout.flush()  # a closed pipe raises here, inside main's try
         return
@@ -295,7 +296,7 @@ def main(argv=None):
     args = build_parser().parse_args(_joined_q(list(
         sys.argv[1:] if argv is None else argv)))
     try:
-        if args.out:
+        if args.out is not None:
             _check_out(args.out)
         return args.run(args)
     except ValueError as exc:

@@ -113,7 +113,7 @@ def test_criterion_1_golden_examples():
             assert pbw_element(w) == expected, "pi golden failed at %r" % (w,)
         oracle = dual_pbw_oracle(7)
         for w, expected in GOLDEN_SIGMA.items():
-            assert oracle.entry(w) == expected, \
+            assert oracle.entries[w] == expected, \
                 "sigma golden (oracle) failed at %r" % (w,)
             assert dual_pbw_element(w) == expected, \
                 "sigma golden (recursive) failed at %r" % (w,)
@@ -188,7 +188,7 @@ def test_criterion_6_specializations():
                                 assert lhs == rhs
         basis = dual_pbw_oracle(5)
         for w in all_words_up_to(5):
-            assert ncpoly_to_fraction_dict(basis.entry(w).subs_q(0)) == \
+            assert ncpoly_to_fraction_dict(basis.entries[w].subs_q(0)) == \
                 radford_dual(w)
 
     _criterion(6, "q=0 degenerations (independent shuffle, total weight <= 8; "
@@ -231,7 +231,7 @@ def test_criterion_9_positivity():
     def check():
         basis = dual_pbw_oracle(6)
         for w in all_words_up_to(6):
-            entry = basis.entry(w)
+            entry = basis.entries[w]
             assert not entry.coeff(())
             for _, c in entry.terms():
                 assert all(a >= 0 for _, a in c.terms()), \

@@ -54,11 +54,11 @@ def test_pbw_triangularity():
 
 def test_sigma_oracle_examples():
     basis = dual_pbw_oracle(3)
-    assert basis.entry((1,)) == word_poly((1,))
-    assert basis.entry((2,)) == word_poly((2,))
-    assert basis.entry((2, 1)) == word_poly((2, 1)) + word_poly((3,)).scale(
+    assert basis.entries[(1,)] == word_poly((1,))
+    assert basis.entries[(2,)] == word_poly((2,))
+    assert basis.entries[(2, 1)] == word_poly((2, 1)) + word_poly((3,)).scale(
         q(1, 1, 2))
-    assert basis.entry((1, 1)) == word_poly((1, 1)) + word_poly((2,)).scale(
+    assert basis.entries[(1, 1)] == word_poly((1, 1)) + word_poly((2,)).scale(
         q(1, 1, 2))
 
 
@@ -210,7 +210,7 @@ def test_sigma_from_cfl():
     assert sigma_from_cfl((1, 2, 1), dual_pbw_element,
                           dual_pbw_element) == expected
     oracle = dual_pbw_oracle(4)
-    assert oracle.entry((1, 2, 1)) == expected
+    assert oracle.entries[(1, 2, 1)] == expected
     # a Lyndon word is its own single factor
     assert sigma_from_cfl((2, 1), word_poly, None) == word_poly((2, 1))
 
@@ -245,7 +245,7 @@ def test_sigma_increasing_matches_oracle():
     oracle = dual_pbw_oracle(6)
     for w in all_words_up_to(6):
         if is_lyndon(w) and all(w[i] >= w[i + 1] for i in range(len(w) - 1)):
-            assert sigma_increasing(w, dual_pbw_element) == oracle.entry(w)
+            assert sigma_increasing(w, dual_pbw_element) == oracle.entries[w]
 
 
 def test_sigma_lyndon_general_examples():
@@ -279,7 +279,7 @@ def test_recursion_equals_the_oracle_to_weight_9():
     (511 words, 126 of them Lyndon) equals the triangular solve."""
     oracle = dual_pbw_oracle(9)
     bad = [w for w in all_words_up_to(9)
-           if dual_pbw_element(w) != oracle.entry(w)]
+           if dual_pbw_element(w) != oracle.entries[w]]
     assert bad == []
 
 
@@ -308,25 +308,25 @@ def test_chi_and_xi():
     basis_by_kind("chi", 5).check_triangular()
     xi = basis_by_kind("xi", 5)
     xi.check_triangular()
-    assert xi.entry((1,)) == word_poly((1,))
+    assert xi.entries[(1,)] == word_poly((1,))
     # duality against the chi family
     for n in range(1, 6):
         for u in words_of_weight(n):
-            xu = xi.entry(u)
+            xu = xi.entries[u]
             for v in words_of_weight(n):
                 expected = QPoly.one() if u == v else QPoly.zero()
                 assert lyndon_stuffle_element(v).pairing(xu) == expected
     # xi of Lyndon words is primitive
     for l in lyndon_up_to(5):
-        assert is_primitive(xi.entry(l), 5)
+        assert is_primitive(xi.entries[l], 5)
 
 
 def test_duality_report():
     rep = verify_duality(4)
     assert rep.ok
     sigma = dual_pbw_oracle(3)
-    assert sigma.entry((2, 1)).pairing(pbw_element((2, 1))) == QPoly.one()
-    assert sigma.entry((1, 2)).pairing(pbw_element((2, 1))) == QPoly.zero()
+    assert sigma.entries[(2, 1)].pairing(pbw_element((2, 1))) == QPoly.one()
+    assert sigma.entries[(1, 2)].pairing(pbw_element((2, 1))) == QPoly.zero()
 
 
 @pytest.mark.parametrize("corrupt", [
@@ -341,7 +341,7 @@ def test_duality_fails_per_weight(monkeypatch, corrupt):
     entries = dict(dual_pbw_oracle(3).entries)
     corrupt(entries)
     monkeypatch.setattr(bases, "dual_pbw_element",
-                        GradedBasis("sigma", 3, entries).entry)
+                        GradedBasis("sigma", 3, entries).entries.__getitem__)
     assert verify_duality(3).lines() == [
         "weight 1 (1 pairs): PASS", "weight 2 (4 pairs): FAIL",
         "weight 3 (16 pairs): PASS",
@@ -354,7 +354,7 @@ def test_duality_fails_across_weights_on_an_inhomogeneous_entry(
     entries = dict(dual_pbw_oracle(3).entries)
     entries[(1,)] = entries[(1,)] + word_poly((2,))
     monkeypatch.setattr(bases, "dual_pbw_element",
-                        GradedBasis("sigma", 3, entries).entry)
+                        GradedBasis("sigma", 3, entries).entries.__getitem__)
     assert verify_duality(3).lines() == [
         "weight 1 (1 pairs): PASS", "weight 2 (4 pairs): PASS",
         "weight 3 (16 pairs): PASS",
@@ -379,7 +379,7 @@ def test_factorization_product_reads_lyndon_entries_only(monkeypatch, word,
     entries = dict(dual_pbw_oracle(4).entries)
     entries[word] = entries[word] + word_poly(extra)
     monkeypatch.setattr(bases, "dual_pbw_element",
-                        GradedBasis("sigma", 4, entries).entry)
+                        GradedBasis("sigma", 4, entries).entries.__getitem__)
     assert verify_factorization(4).lines() == [
         "dual-pair sum equals the diagonal series: FAIL",
         "decreasing product of exponentials equals the diagonal series: "
@@ -411,8 +411,9 @@ def test_factorization_forms_equal_unscaled_routes():
         sigma = dual_pbw_oracle(n)
         pair_sum = Tensor2.one()
         for w in all_words_up_to(n):
-            pair_sum = pair_sum + tensor_outer(sigma.entry(w), pbw_element(w))
-        chain = exp_product_fold(sigma.entry, n)
+            pair_sum = pair_sum + tensor_outer(sigma.entries[w],
+                                               pbw_element(w))
+        chain = exp_product_fold(sigma.entries.__getitem__, n)
         _, mid, prod = factorization_forms(n)
         assert mid == pair_sum
         assert prod == chain
@@ -421,9 +422,10 @@ def test_factorization_forms_equal_unscaled_routes():
 def test_factorization_sees_divided_powers_by_k(monkeypatch):
     """A divided-power step that divides by m! instead of m, so that the
     powers divide by a product of factorials instead of k!, breaks the
-    product of exponentials (first at the word 1,1,1, where m = 3) and
-    leaves the dual-pair sum, which reads the dual entries of the solve,
-    unchanged."""
+    recursion's step (first at the word 1,1,1, where m = 3); the same
+    patch has the product of exponentials divide by (k!)! in place of k!,
+    which breaks it, and leaves the dual-pair sum, which reads the dual
+    entries of the solve, unchanged."""
     product = bases._product
 
     def by_factorial(word_prod, factors, den=1):
@@ -432,18 +434,50 @@ def test_factorization_sees_divided_powers_by_k(monkeypatch):
         return product(word_prod, factors, den)
 
     monkeypatch.setattr(bases, "_product", by_factorial)
-    sigma = dual_pbw_oracle(4)
+    entry = dual_pbw_oracle(4).entries.__getitem__
 
     def broken(w):
-        return sigma_from_cfl(w, sigma.entry, broken)
+        return sigma_from_cfl(w, entry, broken)
 
     assert [w for w in all_words_up_to(4) if broken(w)
-            != sigma_by_factor_chain(w, sigma.entry)][0] == (1, 1, 1)
-    monkeypatch.setattr(bases, "dual_pbw_element", sigma.entry)
+            != sigma_by_factor_chain(w, entry)][0] == (1, 1, 1)
+    monkeypatch.setattr(bases, "dual_pbw_element", entry)
     assert verify_factorization(4).lines() == [
         "dual-pair sum equals the diagonal series: PASS",
         "decreasing product of exponentials equals the diagonal series: FAIL",
         "factorization (N=4): FAILED"]
+
+
+def test_factorization_product_skips_the_divided_power_step(monkeypatch):
+    """The recursion without its divided power (no 1/m for a first factor
+    of multiplicity m) breaks Σ at 1,1 and 1,1,1, so the dual-pair sum
+    fails; the product of exponentials reads Σ at the Lyndon words alone,
+    which to weight 3 read no broken entry, and divides by k! itself, so
+    it passes."""
+    def undivided(w, lyndon_of, rest_of):
+        first = cfl_factorization(w)[0]
+        if first == w:
+            return lyndon_of(w)
+        return bases._product(stuffle, [rest_of(first),
+                                        rest_of(w[len(first):])])
+
+    dual_pbw_element.cache_clear()
+    monkeypatch.setattr(bases, "sigma_from_cfl", undivided)
+    try:
+        assert verify_factorization(3).lines() == [
+            "dual-pair sum equals the diagonal series: FAIL",
+            "decreasing product of exponentials equals the diagonal series: "
+            "PASS", "factorization (N=3): FAILED"]
+    finally:
+        dual_pbw_element.cache_clear()
+
+
+def test_the_default_sigma_is_the_recursions_memo():
+    """Once the oracle matches the recursion, the default Σ holds the
+    recursion's memoized entries, not equal copies of them."""
+    basis = basis_by_kind("sigma", 6)
+    assert all(basis.entries[w] is dual_pbw_element(w)
+               for w in basis.words())
 
 
 def verify_lemma3(n, seed=20260810):
@@ -501,9 +535,9 @@ def verify_lemma3(n, seed=20260810):
     ok = True
     for u in all_words_up_to(min(n, 4)):
         factors = cfl_factorization(u)
-        prod = sigma.entry(factors[0])
+        prod = sigma.entries[factors[0]]
         for f in factors[1:]:
-            prod = stuffle_poly(prod, sigma.entry(f))
+            prod = stuffle_poly(prod, sigma.entries[f])
         for v in words_of_weight(weight(u)):
             vf = cfl_factorization(v)
             if len(vf) != len(factors):
@@ -529,12 +563,12 @@ def test_lemma3_report_and_instances():
     # two proper stuffle factors against one primitive pair to zero
     sigma = dual_pbw_oracle(4)
     from qstuffle.ops import stuffle_poly
-    s = stuffle_poly(sigma.entry((2, 1)), sigma.entry((1,)))
+    s = stuffle_poly(sigma.entries[(2, 1)], sigma.entries[(1,)])
     assert s.pairing(pbw_element((3, 1))) == QPoly.zero()
     # n = m = 1 is the plain pairing
-    assert sigma.entry((2,)).pairing(pbw_element((2,))) == QPoly.one()
+    assert sigma.entries[(2,)].pairing(pbw_element((2,))) == QPoly.one()
     # n = m = 2 with dual elements gives the permanent of the delta matrix
-    prod = stuffle_poly(sigma.entry((2, 1)), sigma.entry((1,)))
+    prod = stuffle_poly(sigma.entries[(2, 1)], sigma.entries[(1,)])
     target = pbw_element((2, 1)) * pbw_element((1,))
     assert prod.pairing(target) == QPoly.one()
     target = pbw_element((1,)) * pbw_element((2, 1))
@@ -580,14 +614,14 @@ def test_each_primitivity_line_fails_alone(monkeypatch, name, word, extra,
 def test_sigma_positivity():
     basis = dual_pbw_oracle(5)
     for w in all_words_up_to(5):
-        for _, c in basis.entry(w).terms():
+        for _, c in basis.entries[w].terms():
             assert all(a >= 0 for _, a in c.terms())
 
 
 def test_q0_matches_classical_radford():
     basis = dual_pbw_oracle(4)
     for w in all_words_up_to(4):
-        at0 = ncpoly_to_fraction_dict(basis.entry(w).subs_q(0))
+        at0 = ncpoly_to_fraction_dict(basis.entries[w].subs_q(0))
         assert at0 == radford_dual(w)
 
 
@@ -615,10 +649,10 @@ def test_basis_by_kind_and_json():
         assert data["max_weight"] == 3
         assert data["generator_version"].startswith("qstuffle ")
         parsed = NCPoly.from_json(data["entries"]["2,1"])
-        assert parsed == basis.entry((2, 1))
+        assert parsed == basis.entries[(2, 1)]
     recursive = basis_by_kind("sigma", 4, sigma_method="recursive")
     oracle = basis_by_kind("sigma", 4, sigma_method="oracle")
-    assert all(recursive.entry(w) == oracle.entry(w)
+    assert all(recursive.entries[w] == oracle.entries[w]
                for w in all_words_up_to(4, include_empty=True))
 
 

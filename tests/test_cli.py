@@ -537,6 +537,34 @@ def test_out_path_that_cannot_be_written(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == [link]
 
 
+def test_an_out_link_loop_is_refused_before_the_build(tmp_path, capsys,
+                                                      monkeypatch):
+    """A link to itself exists, yet opens as nothing: it is refused before
+    anything is built, and left as it was."""
+    def started(*args):
+        raise Started
+    monkeypatch.setattr(bases, "basis_by_kind", started)
+    loop = tmp_path / "loop"
+    loop.symlink_to(loop)
+    code, out, err = run(capsys, "basis", "sigma", "--max-weight", "13",
+                         "--out", str(loop))
+    assert (code, out) == (2, "")
+    assert err == ("error: cannot write %s: Too many levels of symbolic "
+                   "links\n" % loop)
+    assert list(tmp_path.iterdir()) == [loop]
+
+
+def test_an_empty_out_path_is_refused_before_the_listing(capsys,
+                                                         monkeypatch):
+    """--out "" names no file: it is refused, not read as stdout, and not
+    as the working directory that `os.path.realpath("")` returns."""
+    def started(*args):
+        raise Started
+    monkeypatch.setattr(cli, "lyndon_of_weight", started)
+    assert run(capsys, "lyndon", "--max-weight", "2", "--out", "") == (
+        2, "", "error: cannot write : No such file or directory\n")
+
+
 def test_a_refused_run_leaves_the_out_path_as_it_was(tmp_path, capsys):
     kept, new, link = tmp_path / "kept", tmp_path / "new", tmp_path / "link"
     kept.write_text("kept\n")
